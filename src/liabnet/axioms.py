@@ -38,17 +38,18 @@ from .graph import (
     Path,
     build_dag,
     continuation_costs,
+    default_tolerance,
     efficient_paths,
     enumerate_paths,
     path_loss,
     validate,
 )
 from .rules import (
-    FixedWeightRule,
     OnPathAlphaRule,
     Rule,
     RuleSpec,
     SqrtSourceRule,
+    apply_rule,
     make_rule,
 )
 
@@ -183,12 +184,6 @@ def _draw_instance(rng, dag, losses):
     return g, lo
 
 
-def _tol_for(losses: Mapping[Edge, Num]) -> float:
-    from .graph import exact_valued
-
-    return 0.0 if exact_valued(losses) else 1e-9
-
-
 # ---------------------------------------------------------------------------
 # axiom trial bodies; each returns None on pass or a counterexample dict
 
@@ -216,8 +211,8 @@ def _trial_rld(rng, dag, losses, rule):
     second = {
         e: (v if e in onpath else rng.randint(0, 9)) for e, v in losses.items()
     }
-    base = rule.liabilities(path, losses).values
-    other = rule.liabilities(path, second).values
+    base = apply_rule(rule, path, losses).values
+    other = apply_rule(rule, path, second).values
     if _vec_close(base, other):
         return None
     return {
@@ -234,8 +229,8 @@ def _trial_si(rng, dag, losses, rule):
     path = rng.choice(paths)
     alpha = rng.choice([Fraction(1, 2), 2, 10])
     scaled = {e: alpha * v for e, v in losses.items()}
-    base = rule.liabilities(path, losses).values
-    got = rule.liabilities(path, scaled).values
+    base = apply_rule(rule, path, losses).values
+    got = apply_rule(rule, path, scaled).values
     want = tuple(alpha * x for x in base)
     if _vec_close(got, want):
         return None
@@ -249,11 +244,12 @@ def _trial_si(rng, dag, losses, rule):
 
 
 def _trial_pcp(rng, dag, losses, rule):
+    rule = rule.bind(losses)
     sol = spe_solve(dag, losses, rule)
     spe = sol.outcomes()
     eff = efficient_paths(dag, losses).path_set()
     pay = _pay_table(rule, losses)
-    tol = _tol_for(losses)
+    tol = default_tolerance(losses)
     equilibria = sorted((p.nodes for p in spe if p.nodes in eff))
     for p_nodes in equilibria:
         base = pay(p_nodes)
@@ -354,7 +350,7 @@ def _mono_eligible(rule: Rule) -> Optional[list[int]]:
     total and strictly increase in it qualify; for the fixed family that
     means nodes with positive weight."""
     dag = rule.dag
-    if isinstance(rule, FixedWeightRule):
+    if rule.weights is not None:
         return [i for i in dag.deciders() if rule.weights.values[i] > 0]
     if isinstance(rule, (OnPathAlphaRule, SqrtSourceRule)):
         return list(dag.deciders())
@@ -443,8 +439,8 @@ def _trial_redistribution_inv(rng, dag, losses, rule):
     second = dict(losses)
     for e, v in zip(path.edges, shuffled):
         second[e] = v
-    base = rule.liabilities(path, losses).values
-    other = rule.liabilities(path, second).values
+    base = apply_rule(rule, path, losses).values
+    other = apply_rule(rule, path, second).values
     if _vec_close(base, other):
         return None
     return {
@@ -501,8 +497,8 @@ def _trial_total_loss_dep(rng, dag_opt, losses_opt, factory, state):
         others = [p for p in matches if p.nodes != p1.nodes]
         p2 = rng.choice(others) if others else matches[0]
         rule = factory(g, rng)
-        base = rule.liabilities(p1, lo).values
-        other = rule.liabilities(p2, second).values
+        base = apply_rule(rule, p1, lo).values
+        other = apply_rule(rule, p2, second).values
         if _vec_close(base, other):
             return None
         return {

@@ -10,6 +10,7 @@ that does not apply to the given rule.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional, Sequence
@@ -172,7 +173,7 @@ def _cmd_liability(args) -> int:
 def _cmd_spe(args) -> int:
     dag, embedded = load_graph_file(args.graph)
     losses = _full_losses(dag, embedded, args.losses)
-    rule = make_rule(args.rule, dag)
+    rule = make_rule(args.rule, dag).bind(losses)
     outcomes = spe_outcomes(dag, losses, rule)
     eff = efficient_paths(dag, losses, tie_tolerance=args.tol)
     coincide = {p.nodes for p in outcomes} == {p.nodes for p in eff.paths}
@@ -232,18 +233,8 @@ def _cmd_simulate(args) -> int:
     else:
         config = SimConfig()
     if args.seed is not None:
-        spec = config.graph
-        graph = type(spec)(
-            sizes=spec.sizes, p_next=spec.p_next, p_skip=spec.p_skip, seed=args.seed
-        )
-        config = SimConfig(
-            graph=graph,
-            draws=config.draws,
-            loss_low=config.loss_low,
-            loss_high=config.loss_high,
-            rules=config.rules,
-            seed=args.seed,
-        )
+        graph = dataclasses.replace(config.graph, seed=args.seed)
+        config = dataclasses.replace(config, graph=graph, seed=args.seed)
     stats = run_simulation(config, workers=args.workers, out_dir=args.out)
     _emit(summary_dict(stats, config), args.pretty)
     return EXIT_OK

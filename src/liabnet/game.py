@@ -29,15 +29,10 @@ from .graph import (
     Num,
     Path,
     continuation_costs,
+    default_tolerance,
     exact_valued,
-    path_loss,
 )
-from .rules import (
-    MODE_OWN_EDGE,
-    MODE_TOTALS,
-    BoundRule,
-    Rule,
-)
+from .rules import MODE_OWN_EDGE, MODE_TOTALS, Rule
 
 
 class GameError(Exception):
@@ -50,10 +45,6 @@ class HistoryCapExceeded(GameError):
 
 class ProfileCapExceeded(GameError):
     pass
-
-
-def _tolerance(losses: Mapping[Edge, Num]) -> float:
-    return 0.0 if exact_valued(losses) else 1e-9
 
 
 def _upper(bound_value: Num, tol: float) -> Num:
@@ -157,7 +148,7 @@ class SpeSolution:
         self.dag = dag
         self.losses = losses
         self.bound = rule.bind(losses)
-        self.tol = _tolerance(losses)
+        self.tol = default_tolerance(losses)
         self._history_cap = history_cap
         self._node_memo = None
         if self.bound.mode == MODE_TOTALS:
@@ -181,28 +172,45 @@ class SpeSolution:
         return vec[agent]
 
     def _solve_history(self, hist: tuple[int, ...]) -> list[tuple[int, ...]]:
-        got = self._hist_memo.get(hist)
-        if got is not None:
-            return got
+        # depth-first over histories with an explicit stack, children in
+        # successor order, so depth is not bounded by the recursion limit;
+        # every history entered counts against the cap before it is solved
+        memo = self._hist_memo
+        if hist in memo:
+            return memo[hist]
+        succ = self.dag.succ
+        self._check_cap()
+        stack = [(hist, iter(succ[hist[-1]]))]
+        while stack:
+            h, untried = stack[-1]
+            for j in untried:
+                child = h + (j,)
+                if child not in memo:
+                    self._check_cap()
+                    stack.append((child, iter(succ[j])))
+                    break
+            else:
+                stack.pop()
+                mover = h[-1]
+                if not succ[mover]:
+                    memo[h] = [h]
+                    continue
+                per_action = [memo[h + (j,)] for j in succ[mover]]
+                caps = [max(self._pay(o, mover) for o in cont) for cont in per_action]
+                limit = _upper(min(caps), self.tol)
+                memo[h] = [
+                    o
+                    for cont in per_action
+                    for o in cont
+                    if self._pay(o, mover) <= limit
+                ]
+        return memo[hist]
+
+    def _check_cap(self) -> None:
         if len(self._hist_memo) >= self._history_cap:
             raise HistoryCapExceeded(
                 f"more than {self._history_cap} histories; raise history_cap"
             )
-        mover = hist[-1]
-        if not self.dag.succ[mover]:
-            result = [hist]
-        else:
-            per_action = [self._solve_history(hist + (j,)) for j in self.dag.succ[mover]]
-            caps = [max(self._pay(o, mover) for o in cont) for cont in per_action]
-            limit = _upper(min(caps), self.tol)
-            result = [
-                o
-                for cont in per_action
-                for o in cont
-                if self._pay(o, mover) <= limit
-            ]
-        self._hist_memo[hist] = result
-        return result
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -262,7 +270,7 @@ class _GameTables:
     pay: list[tuple[Num, ...]]  # path id -> liability vector
 
 
-def _build_tables(dag: Dag, bound: BoundRule) -> _GameTables:
+def _build_tables(dag: Dag, bound: Rule) -> _GameTables:
     histories: list[tuple[int, ...]] = [(dag.source,)]
     children: list[list[int] | None] = []
     decisions: list[int] = []
@@ -377,7 +385,7 @@ def check_robust_efficiency(
     edge is not on a cheapest continuation.
     """
     cont = continuation_costs(dag, losses)
-    tol = _tolerance(losses)
+    tol = default_tolerance(losses)
     for tables, choices, _play in _spe_profiles(dag, losses, rule, profile_cap):
         for k, d in enumerate(tables.decisions):
             hist = tables.histories[d]

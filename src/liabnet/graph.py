@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Num = Union[int, float, Fraction]
 Edge = tuple[int, int]
@@ -365,24 +365,38 @@ def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
         cap: optional upper bound; exceeding it raises PathCapExceeded
             instead of blowing up memory.
     """
+    return _paths_along(dag, None, cap, f"more than {cap} paths")
+
+
+def _paths_along(
+    dag: Dag,
+    keep: Callable[[int, int], bool] | None,
+    cap: int | None,
+    cap_message: str,
+) -> list[Path]:
+    """Source-to-sink paths using only edges (i, j) with keep(i, j), or
+    every edge when keep is None, in lexicographic order of node indices.
+
+    Depth-first with an explicit stack, so path length is not bounded by
+    the interpreter's recursion limit.
+    """
     out: list[Path] = []
-    stack: list[int] = [dag.source]
-
-    def emit() -> None:
-        if cap is not None and len(out) >= cap:
-            raise PathCapExceeded(f"more than {cap} paths")
-        out.append(Path(tuple(stack)))
-
-    def walk(i: int) -> None:
-        if not dag.succ[i]:
-            emit()
-            return
-        for j in dag.succ[i]:
-            stack.append(j)
-            walk(j)
-            stack.pop()
-
-    walk(dag.source)
+    nodes = [dag.source]
+    pending = [iter(dag.succ[dag.source])]  # untried successors per level
+    while pending:
+        i = nodes[-1]
+        for j in pending[-1]:
+            if keep is None or keep(i, j):
+                nodes.append(j)
+                pending.append(iter(dag.succ[j]))
+                break
+        else:
+            if not dag.succ[i]:
+                if cap is not None and len(out) >= cap:
+                    raise PathCapExceeded(cap_message)
+                out.append(Path(tuple(nodes)))
+            nodes.pop()
+            pending.pop()
     return out
 
 
@@ -411,6 +425,13 @@ def exact_valued(losses: Mapping[Edge, Num]) -> bool:
         if isinstance(x, float) and not x.is_integer():
             return False
     return True
+
+
+def default_tolerance(losses: Mapping[Edge, Num]) -> int | float:
+    """Default tie tolerance: exact (the int 0) for exact-valued losses,
+    else 1e-9 absolute. An int, not 0.0, so that adding it to Fraction
+    sums keeps them exact."""
+    return 0 if exact_valued(losses) else 1e-9
 
 
 @dataclass(frozen=True)
@@ -464,24 +485,14 @@ def efficient_paths(
     """
     check_losses(dag, losses)
     if tie_tolerance is None:
-        tie_tolerance = 0 if exact_valued(losses) else 1e-9
+        tie_tolerance = default_tolerance(losses)
     L = continuation_costs(dag, losses)
-    out: list[Path] = []
-    stack = [dag.source]
-
-    def walk(i: int) -> None:
-        if not dag.succ[i]:
-            if cap is not None and len(out) >= cap:
-                raise PathCapExceeded(f"more than {cap} efficient paths")
-            out.append(Path(tuple(stack)))
-            return
-        for j in dag.succ[i]:
-            if losses[(i, j)] + L[j] <= L[i] + tie_tolerance:
-                stack.append(j)
-                walk(j)
-                stack.pop()
-
-    walk(dag.source)
+    out = _paths_along(
+        dag,
+        lambda i, j: losses[(i, j)] + L[j] <= L[i] + tie_tolerance,
+        cap,
+        f"more than {cap} efficient paths",
+    )
     return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
 
 

@@ -50,18 +50,22 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
     return nodes, edges, label_losses, source
 
 
+def load_json(path: str | FsPath):
+    """Parse one JSON file; malformed content raises FormatError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
 def load_graph_file(path: str | FsPath) -> tuple[Dag, dict[Edge, float]]:
     """Load and build a graph file; returns (dag, losses-by-index).
 
     The losses dict may be partial or empty; operations that need a total
     loss function check for themselves.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    nodes, edges, label_losses, source = parse_graph_data(data)
+    nodes, edges, label_losses, source = parse_graph_data(load_json(path))
     dag = build_dag(nodes, edges, source)
     losses = {(dag.index(u), dag.index(v)): x for (u, v), x in label_losses.items()}
     return dag, losses
@@ -69,12 +73,7 @@ def load_graph_file(path: str | FsPath) -> tuple[Dag, dict[Edge, float]]:
 
 def load_raw_graph_file(path: str | FsPath) -> tuple[list[str], list[tuple[str, str]], str | None]:
     """Load nodes/edges without building a Dag (for `validate`)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    nodes, edges, _, source = parse_graph_data(data)
+    nodes, edges, _, source = parse_graph_data(load_json(path))
     return nodes, edges, source
 
 
@@ -87,8 +86,7 @@ def parse_edge_key(key: str) -> tuple[str, str]:
 
 def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
     """Load a flat "from->to" -> loss mapping keyed to dag indices."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = load_json(path)
     if not isinstance(data, dict):
         raise FormatError("losses file must be an object mapping 'from->to' to numbers")
     losses: dict[Edge, float] = {}
@@ -105,8 +103,7 @@ def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
 
 def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
     """Load a label -> weight mapping; missing labels default to 0."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = load_json(path)
     if not isinstance(data, dict):
         raise FormatError("weights file must be an object mapping labels to numbers")
     weights = {i: 0.0 for i in range(dag.n)}

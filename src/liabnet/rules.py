@@ -6,6 +6,21 @@ w_i * total loss of the realized path. Several named benchmark rules are
 included, plus the loss-extension constructor that completes a loss
 function off a given path so that every path becomes efficient.
 
+Each rule kind is one `Rule` subclass, used in three steps::
+
+    rule = make_rule("fixed:wstar", dag)  # graph-dependent parameters
+    bound = rule.bind(losses)             # checks the losses once
+    bound.vector(path)                    # unchecked split of one path
+
+`make_rule` computes what depends on the graph only (canonical weights,
+phi3's on-path share). `bind` checks the loss function once and computes
+what depends on it (phi2's weights, punish-first's continuation costs);
+the equilibrium solver then calls `vector` once per outcome path.
+`apply_rule(rule, path, losses)` is the checked single-path call: it also
+rejects a path that is not source-to-sink and a split that is negative or
+unbalanced. Each class declares its solver `mode` and `cares` (see
+`Rule`); neither depends on the losses.
+
 Rule-spec string grammar::
 
     fixed:wstar | fixed:equal | fixed:file=<path.json>
@@ -22,10 +37,11 @@ efficiency; local charges each on-path agent exactly the edge they cancel.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .graph import (
     Dag,
@@ -46,7 +62,8 @@ MODE_GENERAL = "general"
 
 
 class RuleSpecError(Exception):
-    """Raised on malformed rule-spec strings or parameters."""
+    """Raised on malformed rule-spec strings or parameters, and on a rule
+    whose split of a path is negative or unbalanced."""
 
 
 @dataclass(frozen=True)
@@ -115,52 +132,59 @@ class RuleSpec:
         raise RuleSpecError(f"unknown rule kind {self.kind!r}")
 
 
-class BoundRule:
-    """A rule with the loss function resolved: a pure path evaluator.
+class Rule:
+    """A liability rule on one graph, one class per rule kind.
+
+    `make_rule` builds it with its graph-dependent parameters frozen;
+    `bind(losses)` returns a copy evaluating under one loss function, whose
+    `vector(path)` is the unchecked per-path split the solver calls.
 
     `mode` tells the equilibrium solver how the mover at a node ranks
-    outcomes:
+    outcomes; it is fixed per rule kind:
       - MODE_TOTALS: by the continuation's total loss, strictly increasing
         wherever cares[node] is True, constant otherwise;
       - MODE_OWN_EDGE: by the loss of the mover's own chosen edge only;
       - MODE_GENERAL: no structure, evaluate full outcome paths.
+
+    `weights` is the per-graph weight vector of a rule that pays w_i times
+    the realized total under every loss function, and None for every other
+    rule; the simulator and the DOWNSTREAM_MONO checker read it.
     """
 
-    mode: str = MODE_GENERAL
-    cares: tuple[bool, ...] | None = None
-
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        raise NotImplementedError
-
-
-class Rule:
-    """Unbound rule: pairs a graph with rule parameters frozen up front."""
+    mode: str = MODE_TOTALS
+    weights: WeightVector | None = None
+    losses: Mapping[Edge, Num] | None = None
 
     def __init__(self, dag: Dag, spec_string: str):
         self.dag = dag
         self.spec_string = spec_string
+        # read in MODE_TOTALS only: whose payment grows with the total
+        self.cares = tuple(i not in dag.sinks for i in range(dag.n))
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
+    def bind(self, losses: Mapping[Edge, Num]) -> "Rule":
+        """This rule evaluating under `losses`, which are checked once.
+
+        The mapping is held, not copied, so it must not change while bound.
+        Binding to the mapping the rule already holds returns the rule
+        itself, so a bound rule can be passed on to `spe_solve` and
+        `apply_rule` without checking the losses again.
+        """
+        if losses is self.losses:
+            return self
+        check_losses(self.dag, losses)
+        bound = copy.copy(self)
+        bound.losses = losses
+        bound._derive()
+        return bound
+
+    def _derive(self) -> None:
+        """Compute the state that depends on `self.losses`; none by default."""
+
+    def vector(self, path: Path) -> tuple[Num, ...]:
         raise NotImplementedError
-
-    def liabilities(self, path: Path, losses: Mapping[Edge, Num]) -> LiabilityVector:
-        return apply_rule(self, path, losses)
 
     def __repr__(self) -> str:
         return f"<Rule {self.spec_string} on {self.dag.n} nodes>"
-
-
-class _FixedBound(BoundRule):
-    mode = MODE_TOTALS
-
-    def __init__(self, weights: Sequence[Num], losses: Mapping[Edge, Num]):
-        self.weights = tuple(weights)
-        self.cares = tuple(w > 0 for w in self.weights)
-        self._losses = losses
-
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self._losses, path)
-        return tuple(w * total for w in self.weights)
 
 
 class FixedWeightRule(Rule):
@@ -172,81 +196,49 @@ class FixedWeightRule(Rule):
         if len(weights.values) != dag.n:
             raise RuleSpecError("weight vector length does not match graph")
         self.weights = weights
-
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _FixedBound(self.weights.values, losses)
-
-
-class _MaxOutBound(BoundRule):
-    mode = MODE_TOTALS
-
-    def __init__(self, dag: Dag, losses: Mapping[Edge, Num]):
-        self._losses = losses
-        scale = max(losses[e] for e in dag.edges)
-        if scale == 0:
-            # degenerate: all totals are 0, every split is balanced
-            nonsinks = [i for i in range(dag.n) if i not in dag.sinks]
-            self.weights = tuple(
-                Fraction(1, len(nonsinks)) if i not in dag.sinks else Fraction(0)
-                for i in range(dag.n)
-            )
-        else:
-            marks = [
-                0 if i in dag.sinks
-                else scale + max(losses[(i, j)] for j in dag.succ[i])
-                for i in range(dag.n)
-            ]
-            denom = sum(marks)
-            if isinstance(denom, (int, Fraction)):
-                self.weights = tuple(Fraction(m) / denom for m in marks)
-            else:
-                self.weights = tuple(m / denom for m in marks)
-        self.cares = tuple(w > 0 for w in self.weights)
+        self._shares = weights.values
+        self.cares = tuple(w > 0 for w in weights.values)
 
     def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self._losses, path)
-        return tuple(w * total for w in self.weights)
+        total = path_loss(self.losses, path)
+        return tuple(w * total for w in self._shares)
 
 
-class MaxOutWeightsRule(Rule):
+class MaxOutWeightsRule(FixedWeightRule):
     """Weights proportional to each agent's largest outgoing loss.
 
     An offset equal to the overall largest edge loss keeps every non-sink
     weight strictly positive and the weights invariant under rescaling the
     loss function. The weights depend on losses off the realized path by
-    design (that is the property this rule is a counterexample for).
+    design (that is the property this rule is a counterexample for), so
+    they are set at bind time and `weights` stays None: the rule splits
+    like a fixed-weight rule but is not one.
     """
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _MaxOutBound(self.dag, losses)
+    def __init__(self, dag: Dag, spec_string: str):
+        Rule.__init__(self, dag, spec_string)
 
-
-class _OnPathAlphaBound(BoundRule):
-    mode = MODE_TOTALS
-
-    def __init__(self, dag: Dag, alpha: Fraction, losses: Mapping[Edge, Num]):
-        self._dag = dag
-        self._alpha = alpha
-        self._losses = losses
-        self.cares = tuple(i not in dag.sinks for i in range(dag.n))
-
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self._losses, path)
-        onpath = set(path.nodes)
-        k = len(path.nodes)
-        rest = self._dag.n - k
-        remainder = 1 - k * self._alpha
-        if rest == 0:
-            assert remainder <= Fraction(1, 10**12), "on-path shares exceed the total"
-            off_share = Fraction(0)
+    def _derive(self) -> None:
+        dag, losses = self.dag, self.losses
+        scale = max(losses[e] for e in dag.edges)
+        if scale == 0:
+            # degenerate: all totals are 0, every split is balanced
+            nonsinks = [i for i in range(dag.n) if i not in dag.sinks]
+            self._shares = tuple(
+                Fraction(1, len(nonsinks)) if i not in dag.sinks else Fraction(0)
+                for i in range(dag.n)
+            )
+            return
+        marks = [
+            0 if i in dag.sinks
+            else scale + max(losses[(i, j)] for j in dag.succ[i])
+            for i in range(dag.n)
+        ]
+        denom = sum(marks)
+        if isinstance(denom, (int, Fraction)):
+            self._shares = tuple(Fraction(m) / denom for m in marks)
         else:
-            off_share = remainder / rest
-        return tuple(
-            (self._alpha if i in onpath else off_share) * total
-            for i in range(self._dag.n)
-        )
+            self._shares = tuple(m / denom for m in marks)
 
 
 class OnPathAlphaRule(Rule):
@@ -261,26 +253,21 @@ class OnPathAlphaRule(Rule):
                 longest[i] = 1 + max(longest[j] for j in dag.succ[i])
         self.alpha = Fraction(1, longest[dag.source] + 1)
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _OnPathAlphaBound(self.dag, self.alpha, losses)
-
-
-class _SqrtSourceBound(BoundRule):
-    mode = MODE_TOTALS
-
-    def __init__(self, dag: Dag, losses: Mapping[Edge, Num]):
-        self._dag = dag
-        self._losses = losses
-        self.cares = tuple(i not in dag.sinks for i in range(dag.n))
-
     def vector(self, path: Path) -> tuple[Num, ...]:
-        total = float(path_loss(self._losses, path))
-        w_source = 1.0 / math.sqrt(total + 1.0)
-        other = (1.0 - w_source) * total / (self._dag.n - 1)
+        total = path_loss(self.losses, path)
+        onpath = set(path.nodes)
+        k = len(path.nodes)
+        rest = self.dag.n - k
+        remainder = 1 - k * self.alpha
+        if rest == 0:
+            if remainder > Fraction(1, 10**12):
+                raise RuleSpecError("on-path shares exceed the total")
+            off_share = Fraction(0)
+        else:
+            off_share = remainder / rest
         return tuple(
-            w_source * total if i == self._dag.source else other
-            for i in range(self._dag.n)
+            (self.alpha if i in onpath else off_share) * total
+            for i in range(self.dag.n)
         )
 
 
@@ -290,65 +277,46 @@ class SqrtSourceRule(Rule):
     The source's payment still grows with the total, so equilibria stay
     efficient, but the split is not invariant under scaling the losses."""
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _SqrtSourceBound(self.dag, losses)
-
-
-class _LocalBound(BoundRule):
-    mode = MODE_OWN_EDGE
-
-    def __init__(self, dag: Dag, losses: Mapping[Edge, Num]):
-        self._dag = dag
-        self._losses = losses
-
     def vector(self, path: Path) -> tuple[Num, ...]:
-        values = [0] * self._dag.n
-        for (i, j) in path.edges:
-            values[i] = self._losses[(i, j)]
-        return tuple(values)
+        total = float(path_loss(self.losses, path))
+        w_source = 1.0 / math.sqrt(total + 1.0)
+        other = (1.0 - w_source) * total / (self.dag.n - 1)
+        return tuple(
+            w_source * total if i == self.dag.source else other
+            for i in range(self.dag.n)
+        )
 
 
 class LocalRule(Rule):
     """Each on-path agent pays exactly the loss of the edge they cancel."""
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _LocalBound(self.dag, losses)
-
-
-class _PunishFirstBound(BoundRule):
-    mode = MODE_GENERAL
-
-    def __init__(self, dag: Dag, losses: Mapping[Edge, Num]):
-        self._dag = dag
-        self._losses = losses
-        self._cont = continuation_costs(dag, losses)
-
-    def first_blocked(self, path: Path) -> int | None:
-        """First node whose step left only inefficient continuations."""
-        for (i, j) in path.edges:
-            if self._losses[(i, j)] + self._cont[j] > self._cont[i]:
-                return i
-        return None
+    mode = MODE_OWN_EDGE
 
     def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self._losses, path)
-        blamed = self.first_blocked(path)
-        n = self._dag.n
-        if blamed is None:
-            share = Fraction(1, n) * total
-            return tuple(share for _ in range(n))
-        return tuple(total if i == blamed else 0 for i in range(n))
+        values = [0] * self.dag.n
+        for (i, j) in path.edges:
+            values[i] = self.losses[(i, j)]
+        return tuple(values)
 
 
 class PunishFirstRule(Rule):
     """Equal split on efficient paths; otherwise the first agent to choose
     a step that foreclosed efficiency pays the whole loss."""
 
-    def bind(self, losses: Mapping[Edge, Num]) -> BoundRule:
-        check_losses(self.dag, losses)
-        return _PunishFirstBound(self.dag, losses)
+    mode = MODE_GENERAL
+
+    def _derive(self) -> None:
+        self._cont = continuation_costs(self.dag, self.losses)
+
+    def vector(self, path: Path) -> tuple[Num, ...]:
+        total = path_loss(self.losses, path)
+        n = self.dag.n
+        # blame the first mover whose step left only inefficient continuations
+        for (i, j) in path.edges:
+            if self.losses[(i, j)] + self._cont[j] > self._cont[i]:
+                return tuple(total if a == i else 0 for a in range(n))
+        share = Fraction(1, n) * total
+        return tuple(share for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +386,27 @@ def check_path(dag: Dag, path: Path) -> None:
 def apply_rule(
     rule: Rule, path: Path, losses: Mapping[Edge, Num]
 ) -> LiabilityVector:
-    """Evaluate a rule and enforce balance and non-negativity.
+    """Evaluate a rule on one path and enforce balance and non-negativity.
+
+    This is the checked single-path call. A rule already bound to `losses`
+    is not bound again, so a caller evaluating many paths under one loss
+    function binds once and passes the bound rule.
 
     Raises GraphError when the path is not a source-to-sink path of the
-    rule's graph or losses are not total.
+    rule's graph or losses are not total, and RuleSpecError when the rule
+    yields a negative or unbalanced split.
     """
     check_path(rule.dag, path)
-    bound = rule.bind(losses)
-    values = bound.vector(path)
+    values = rule.bind(losses).vector(path)
     total = path_loss(losses, path)
     slack = 1e-9 * max(1.0, abs(float(total)))
-    assert all(x >= -1e-12 for x in values), f"negative liability from {rule.spec_string}"
-    assert abs(float(sum(values) - total)) <= slack, (
-        f"unbalanced liabilities from {rule.spec_string}: "
-        f"{float(sum(values))} vs {float(total)}"
-    )
+    if not all(x >= -1e-12 for x in values):
+        raise RuleSpecError(f"negative liability from {rule.spec_string}")
+    if not abs(float(sum(values) - total)) <= slack:
+        raise RuleSpecError(
+            f"unbalanced liabilities from {rule.spec_string}: "
+            f"{float(sum(values))} vs {float(total)}"
+        )
     return LiabilityVector(values)
 
 

@@ -32,7 +32,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .graph import Dag, reachable_subgraph
-from .rules import FixedWeightRule, LocalRule, make_rule
+from .io import load_json
+from .rules import LocalRule, make_rule
 
 DENSITY_RANGE = (0.0, 150.0)
 DENSITY_BINS = 600
@@ -166,8 +167,7 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 @dataclass
@@ -237,7 +237,7 @@ def _prepare_engines(sub: Dag, specs: Sequence[str]):
     engines = []
     for spec in specs:
         rule = make_rule(spec, sub)
-        if isinstance(rule, FixedWeightRule):
+        if rule.weights is not None:
             if not rule.weights.in_delta_star(sub):
                 raise SimError(
                     f"rule {spec!r} gives some multi-option mover zero weight; "
@@ -415,9 +415,8 @@ def run_simulation(
     mean_eff = eff / total_draws
     for r in specs:
         balance_gap = abs(float(mean_liab[r].sum()) - mean_real[r])
-        assert balance_gap <= 1e-6 * max(1.0, mean_real[r]), (
-            f"per-agent means do not add up to the realized mean for {r}"
-        )
+        if not balance_gap <= 1e-6 * max(1.0, mean_real[r]):
+            raise SimError(f"per-agent means do not add up to the realized mean for {r}")
 
     last = len(hg.sizes) - 1
     nonsink = np.array([i for i, l in enumerate(hg.layer_of) if l != last])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import liabnet.rules
 from liabnet.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -144,6 +145,24 @@ class TestSpe:
         assert data["outcomes"] == [["s", "t"]]
         assert data["coincide"] is True
 
+    def test_losses_checked_once_for_all_outcomes(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        check = liabnet.rules.check_losses
+
+        def counting_check(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(liabnet.rules, "check_losses", counting_check)
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps(
+            {k: 0 for k in ("s->i", "s->j", "j->k", "i->t", "j->t", "k->t")}
+        ))
+        code, data, _ = run(capsys, "spe", FORK, "--rule", "fixed:wstar", "--losses", str(zeros))
+        assert code == 0
+        assert len(data["liabilities"]) == 3
+        assert len(calls) == 1
+
 
 class TestCheck:
     def test_axiom_failure_exits_1(self, capsys):
@@ -203,7 +222,7 @@ class TestCheck:
 
 
 class TestSimulate:
-    def config_file(self, tmp_path):
+    def config_file(self, tmp_path, seed=11):
         cfg = {
             "layers": [3, 2, 2],
             "p_next": 0.8,
@@ -212,9 +231,9 @@ class TestSimulate:
             "loss_low": 0,
             "loss_high": 10,
             "rules": ["fixed:wstar", "local"],
-            "seed": 11,
+            "seed": seed,
         }
-        path = tmp_path / "cfg.json"
+        path = tmp_path / f"cfg{seed}.json"
         path.write_text(json.dumps(cfg))
         return str(path)
 
@@ -243,6 +262,48 @@ class TestSimulate:
         _, other, _ = run(capsys, "simulate", cfg, "--seed", "12")
         assert base != other
         assert other["config"]["seed"] == 12
+        # the override reseeds the generated graph too, not only the draws
+        _, direct, _ = run(capsys, "simulate", self.config_file(tmp_path, seed=12))
+        assert other == direct
+
+
+class TestMalformedJson:
+    """Every JSON input file fails with exit 2 and one `error:` line."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("efficient", FORK, "--losses", "{bad}"),
+            ("spe", CHAIN3, "--rule", "fixed:file={bad}"),
+            ("simulate", "{bad}"),
+        ],
+        ids=["losses", "weights", "simulate-config"],
+    )
+    def test_exits_2_with_one_line(self, capsys, bad, argv):
+        code, data, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert bad in err
+
+
+class TestDeepChain:
+    def test_paths_on_1500_node_chain(self, capsys, tmp_path):
+        labels = ["s"] + [f"n{k}" for k in range(1, 1499)] + ["t"]
+        edges = [{"from": u, "to": v} for u, v in zip(labels, labels[1:])]
+        edges.append({"from": "s", "to": "t"})
+        graph = tmp_path / "chain.json"
+        graph.write_text(json.dumps({"nodes": labels, "edges": edges}))
+        code, data, _ = run(capsys, "paths", str(graph))
+        assert code == 0
+        assert data["count"] == "2"
+        assert data["paths"] == [labels, ["s", "t"]]
 
 
 class TestParser:

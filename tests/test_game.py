@@ -271,3 +271,33 @@ class TestCaps:
         losses = {e: 1 for e in fork.edges}
         with pytest.raises(HistoryCapExceeded):
             spe_outcomes(fork, losses, make_rule("punish-first", fork), history_cap=2)
+
+
+class TestDeepChain:
+    """A 1,500-node chain with an s -> t bypass is deeper than the
+    interpreter's recursion limit; path walks and the per-history solver
+    must not recurse per node."""
+
+    def chain(self):
+        labels = ["s"] + [f"n{k}" for k in range(1, 1499)] + ["t"]
+        edges = list(zip(labels, labels[1:])) + [("s", "t")]
+        dag = build_dag(labels, edges)
+        s, t = dag.index("s"), dag.index("t")
+        long_path = tuple(range(dag.n))
+        return dag, (s, t), long_path
+
+    def test_enumerate_and_efficient_paths(self):
+        dag, bypass, long_path = self.chain()
+        assert [p.nodes for p in enumerate_paths(dag)] == [long_path, bypass]
+        losses = {e: 1 for e in dag.edges}
+        losses[bypass] = 2000
+        res = efficient_paths(dag, losses)
+        assert res.min_cost == 1499
+        assert [p.nodes for p in res.paths] == [long_path]
+
+    def test_punish_first_spe(self):
+        dag, bypass, _ = self.chain()
+        losses = {e: 1 for e in dag.edges}
+        losses[bypass] = Fraction(3, 2)
+        outcomes = spe_outcomes(dag, losses, make_rule("punish-first", dag))
+        assert nodeset(outcomes) == {bypass}

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -271,6 +275,38 @@ class TestApplyRuleValidation:
         losses.pop((fork.index("k"), fork.index("t")))
         with pytest.raises(GraphError):
             apply_rule(make_rule("fixed:equal", fork), path_of(fork, "s", "i", "t"), losses)
+
+
+_UNBALANCED_SCRIPT = """
+from liabnet.graph import Path, build_dag
+from liabnet.rules import Rule, RuleSpecError, apply_rule
+
+
+class Leaky(Rule):
+    def vector(self, path):
+        return (0,) * self.dag.n
+
+
+dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+try:
+    apply_rule(Leaky(dag, "leaky"), Path((0, 1, 2)), {(0, 1): 1, (1, 2): 1})
+except RuleSpecError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_unbalanced_rule_raises_under_optimize():
+    # the balance guard must not be an assert, which python -O strips
+    src = FsPath(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNBALANCED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: unbalanced liabilities from leaky")
 
 
 class TestBalanceEverywhere:
