@@ -241,14 +241,7 @@ def _structural_checks(
         checks.append(CheckResult("unique_source", True, f"source is {roots[0]!r}"))
 
     if acyclic and len(roots) == 1:
-        reach = {roots[0]}
-        stack = [roots[0]]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y not in reach:
-                    reach.add(y)
-                    stack.append(y)
+        reach = _reachable(out, roots[0])
         unreachable = [x for x in nodes if x not in reach]
         checks.append(
             CheckResult(
@@ -265,6 +258,17 @@ def _structural_checks(
         )
     ok = all(c.passed for c in checks)
     return checks, tuple(order) if ok else None, edge_pairs
+
+
+def _reachable(out: Mapping[str, Sequence[str]], root: str) -> set[str]:
+    """Labels reachable from `root` along the adjacency lists `out`."""
+    reach, stack = {root}, [root]
+    while stack:
+        for y in out[stack.pop()]:
+            if y not in reach:
+                reach.add(y)
+                stack.append(y)
+    return reach
 
 
 def build_dag(
@@ -285,6 +289,11 @@ def build_dag(
     if order is None:
         msgs = "; ".join(f"{c.name}: {c.detail}" for c in checks if not c.passed)
         raise GraphValidationError(msgs)
+    return _assemble_dag(order, edge_pairs)
+
+
+def _assemble_dag(order: Sequence[str], edge_pairs: Sequence[LabelEdge]) -> Dag:
+    """Index the order and edge pairs of a passing `_structural_checks`."""
     index = {x: k for k, x in enumerate(order)}
     idx_edges = sorted((index[u], index[v]) for u, v in edge_pairs)
     succ: list[list[int]] = [[] for _ in order]
@@ -313,33 +322,25 @@ def validate(
     Hard checks: well-formed labels, at least 3 nodes, acyclicity, a unique
     in-degree-0 source, reachability of every node, existence of a sink.
     Soft check (warning only): a bottleneck, i.e. an interior node lying on
-    every source-to-sink path. Weights and equilibria stay computable with
-    a bottleneck; only the characterization-style tests exclude it.
+    every source-to-sink path. With fwd[i] source-to-i paths and bwd[i]
+    i-to-sink paths, fwd[i] * bwd[i] paths pass through i, so i is a
+    bottleneck iff fwd[i] * bwd[i] == total: one O(n + m) pass each way.
+    Weights and equilibria stay computable with a bottleneck; only the
+    characterization-style tests exclude it.
     """
-    checks, order, _ = _structural_checks(nodes, edges, source)
+    checks, order, edge_pairs = _structural_checks(nodes, edges, source)
     warnings: list[str] = []
     if order is not None:
-        dag = build_dag(nodes, edges, source)
+        dag = _assemble_dag(order, edge_pairs)
+        fwd, bwd = _forward_ways(dag), [0] * dag.n
+        for i in range(dag.n - 1, -1, -1):
+            bwd[i] = sum(bwd[j] for j in dag.succ[i]) or 1  # a sink ends one path
         for i in range(dag.n):
-            if i == dag.source or i in dag.sinks:
-                continue
-            if _count_paths_avoiding(dag, i) == 0:
+            if i != dag.source and i not in dag.sinks and fwd[i] * bwd[i] == bwd[dag.source]:
                 warnings.append(
                     f"bottleneck: node {dag.labels[i]!r} lies on every source-sink path"
                 )
     return ValidationReport(checks=tuple(checks), warnings=tuple(warnings))
-
-
-def _count_paths_avoiding(dag: Dag, banned: int) -> int:
-    ways = [0] * dag.n
-    ways[dag.source] = 1
-    for i in range(dag.n):
-        if i == banned or not ways[i]:
-            continue
-        for j in dag.succ[i]:
-            if j != banned:
-                ways[j] += ways[i]
-    return sum(ways[t] for t in dag.sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +349,12 @@ def _count_paths_avoiding(dag: Dag, banned: int) -> int:
 
 def count_paths(dag: Dag) -> int:
     """Exact number of source-to-sink paths (arbitrary precision)."""
+    ways = _forward_ways(dag)
+    return sum(ways[t] for t in dag.sinks)
+
+
+def _forward_ways(dag: Dag) -> list[int]:
+    """ways[i] = number of source-to-i paths."""
     ways = [0] * dag.n
     ways[dag.source] = 1
     for i in range(dag.n):
@@ -355,7 +362,7 @@ def count_paths(dag: Dag) -> int:
         if w:
             for j in dag.succ[i]:
                 ways[j] += w
-    return sum(ways[t] for t in dag.sinks)
+    return ways
 
 
 def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
@@ -519,14 +526,7 @@ def reachable_subgraph(
     out: dict[str, list[str]] = {x: [] for x in labels}
     for u, v in edges:
         out[u].append(v)
-    reach = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in out[x]:
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
+    reach = _reachable(out, root)
     sub_nodes = [x for x in labels if x in reach]
     sub_edges = [(u, v) for u, v in edges if u in reach]
     return build_dag(sub_nodes, sub_edges, source=root)

@@ -32,12 +32,16 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
     nodes = data["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise FormatError("'nodes' must be a list of string labels")
+    if not isinstance(data["edges"], list):
+        raise FormatError("'edges' must be a list of edge objects")
     edges: list[tuple[str, str]] = []
     label_losses: dict[tuple[str, str], float] = {}
     for k, e in enumerate(data["edges"]):
         if not isinstance(e, dict) or "from" not in e or "to" not in e:
             raise FormatError(f"edge #{k} must be an object with 'from' and 'to'")
         u, v = e["from"], e["to"]
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise FormatError(f"edge #{k} 'from' and 'to' must be string labels")
         edges.append((u, v))
         if "loss" in e:
             x = e["loss"]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,6 +130,14 @@ def generate_hourglass(spec: LayeredGraphSpec) -> HourglassGraph:
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     graph: LayeredGraphSpec = LayeredGraphSpec()
@@ -149,19 +158,39 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimConfig":
-        seed = int(data.get("seed", 0))
+        """Config from a parsed JSON object; absent fields take defaults,
+        and a field of the wrong type raises SimError."""
+        if not isinstance(data, Mapping):
+            raise SimError("simulation config must be a JSON object")
+
+        def get(key, default, ok, what):
+            if key not in data:
+                return default
+            if not ok(data[key]):
+                raise SimError(f"config field {key!r} must be {what}")
+            return data[key]
+
+        def number(key, default):
+            return float(get(key, default, _is_number, "a finite number"))
+
+        def list_of(ok):
+            return lambda x: isinstance(x, list) and all(map(ok, x))
+
+        seed = get("seed", 0, _is_int, "an integer")
         spec = LayeredGraphSpec(
-            sizes=tuple(data.get("layers", (30, 20, 15, 10, 15, 20))),
-            p_next=float(data.get("p_next", 0.4)),
-            p_skip=float(data.get("p_skip", 0.1)),
+            sizes=tuple(get("layers", (30, 20, 15, 10, 15, 20), list_of(_is_int),
+                            "a list of integers")),
+            p_next=number("p_next", 0.4),
+            p_skip=number("p_skip", 0.1),
             seed=seed,
         )
         return cls(
             graph=spec,
-            draws=int(data.get("draws", 10_000)),
-            loss_low=float(data.get("loss_low", 0.0)),
-            loss_high=float(data.get("loss_high", 100.0)),
-            rules=tuple(data.get("rules", ("fixed:wstar", "local"))),
+            draws=get("draws", 10_000, _is_int, "an integer"),
+            loss_low=number("loss_low", 0.0),
+            loss_high=number("loss_high", 100.0),
+            rules=tuple(get("rules", ("fixed:wstar", "local"),
+                            list_of(lambda r: isinstance(r, str)), "a list of rule specs")),
             seed=seed,
         )
 

@@ -4,10 +4,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from liabnet.io import load_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Property tests replay the same examples on every run and have no
+# per-example deadline, so a slow phase of the host cannot fail them.
+settings.register_profile(
+    "liabnet", derandomize=True, deadline=None, max_examples=150, database=None
+)
+settings.load_profile("liabnet")
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from liabnet.graph import (
     efficient_paths,
     enumerate_paths,
     path_loss,
+    validate,
 )
 from liabnet.io import load_graph_file
 from liabnet.rules import fixed_rule, irreducible_extension, make_rule
@@ -88,8 +89,12 @@ def test_criterion_02_closed_form_fixtures_and_large_graph_speed():
     # 1001-node layered graph with an astronomically large path count
     spec = LayeredGraphSpec(sizes=(1,) + (20,) * 50, p_next=0.4, p_skip=0.0, seed=20240403)
     hg = generate_hourglass(spec)
-    big = build_dag(list(hg.labels), [(hg.labels[u], hg.labels[v]) for u, v in hg.edges])
+    big_edges = [(hg.labels[u], hg.labels[v]) for u, v in hg.edges]
+    big = build_dag(list(hg.labels), big_edges)
     assert big.n == 1001
+    report = validate(list(hg.labels), big_edges)
+    assert report.valid
+    assert report.warnings == ()  # no node lies on every path of this graph
     assert count_paths(big) >= 10**15
     t0 = time.perf_counter()
     wv = wstar_dp(big)

@@ -293,6 +293,47 @@ class TestMalformedJson:
         assert bad in err
 
 
+class TestShapeErrors:
+    """Graph files and simulate configs that parse as JSON but have the wrong
+    shape fail with exit 2 and one `error:` line."""
+
+    @pytest.mark.parametrize("command", ["validate", "paths"])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (5, "'edges' must be a list"),
+            ([{"from": "s", "to": "a"}, {"from": ["s"], "to": "a"}], "edge #1"),
+        ],
+        ids=["edges-not-list", "from-not-string"],
+    )
+    def test_graph_file(self, capsys, tmp_path, command, edges, message):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": ["s", "a", "t"], "edges": edges}))
+        code, data, err = run(capsys, command, str(graph))
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([], "must be a JSON object"),
+            ({"draws": "x"}, "'draws' must be an integer"),
+            ({"layers": 5}, "'layers' must be a list of integers"),
+        ],
+        ids=["list", "draws-string", "layers-int"],
+    )
+    def test_simulate_config(self, capsys, tmp_path, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, data, err = run(capsys, "simulate", str(path))
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 class TestDeepChain:
     def test_paths_on_1500_node_chain(self, capsys, tmp_path):
         labels = ["s"] + [f"n{k}" for k in range(1, 1499)] + ["t"]

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import liabnet.graph
 from liabnet.graph import (
     GraphError,
     GraphValidationError,
@@ -76,6 +79,47 @@ class TestValidate:
     def test_declared_source_mismatch(self):
         rep = validate(["s", "i", "t"], [("s", "i"), ("i", "t")], source="i")
         assert not rep.valid
+
+    def test_structural_checks_run_once(self, monkeypatch):
+        calls = []
+        real = liabnet.graph._structural_checks
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(liabnet.graph, "_structural_checks", spy)
+        assert validate(["s", "i", "t"], [("s", "i"), ("i", "t")]).valid
+        assert len(calls) == 1
+
+
+@st.composite
+def listed_dags(draw):
+    """A `random_dag` from a drawn seed, as (nodes, edges) label lists in a
+    drawn order, so its topological numbering differs from the generator's."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 10, draw(st.sampled_from([0.05, 0.15, 0.3, 0.5])))
+    return draw(st.permutations(dag.labels)), draw(st.permutations(dag.edge_labels()))
+
+
+class TestPathCountProperties:
+    """Path counting checked against enumerate_paths as the oracle."""
+
+    @given(listed_dags())
+    def test_bottleneck_warnings_name_nodes_on_every_path(self, listed):
+        nodes, edges = listed
+        dag = build_dag(nodes, edges)
+        on_every = set.intersection(*(set(p.nodes) for p in enumerate_paths(dag)))
+        expected = tuple(
+            f"bottleneck: node {dag.labels[i]!r} lies on every source-sink path"
+            for i in sorted(on_every - {dag.source} - dag.sinks)
+        )
+        assert validate(nodes, edges).warnings == expected
+
+    @given(listed_dags())
+    def test_count_matches_enumeration(self, listed):
+        dag = build_dag(*listed)
+        assert count_paths(dag) == len(enumerate_paths(dag))
 
 
 class TestTopology:

@@ -148,6 +148,34 @@ class TestConfig:
         assert cfg.seed == 20240817
         assert cfg.graph.seed == 20240817
 
+    def test_numbers_parse_to_floats(self):
+        cfg = SimConfig.from_dict({"p_next": 1, "p_skip": 0, "loss_low": 0, "loss_high": 7})
+        values = (cfg.graph.p_next, cfg.graph.p_skip, cfg.loss_low, cfg.loss_high)
+        assert values == (1.0, 0.0, 0.0, 7.0)
+        assert all(type(x) is float for x in values)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            "config",
+            {"draws": "x"},
+            {"draws": 2.5},
+            {"seed": True},
+            {"layers": 5},
+            {"layers": [3, "a"]},
+            {"p_next": None},
+            {"loss_high": "100"},
+            {"loss_high": math.inf},
+            {"p_next": math.nan},
+            {"rules": "local"},
+            {"rules": ["local", 3]},
+        ],
+    )
+    def test_shape_errors_raise(self, data):
+        with pytest.raises(SimError):
+            SimConfig.from_dict(data)
+
     def test_defaults(self):
         cfg = SimConfig.from_dict({})
         assert cfg.graph.sizes == (30, 20, 15, 10, 15, 20)
