@@ -190,7 +190,8 @@ def _draw_instance(rng, dag, losses):
 
 def _trial_ei(rng, dag, losses, rule):
     spe = {p.nodes for p in spe_outcomes(dag, losses, rule)}
-    eff = efficient_paths(dag, losses).path_set()
+    efficient = efficient_paths(dag, losses)
+    eff = efficient.path_set()
     if spe == eff:
         return None
     return {
@@ -200,7 +201,7 @@ def _trial_ei(rng, dag, losses, rule):
         "spe_totals": sorted(
             float(path_loss(losses, Path(p))) for p in spe
         ),
-        "efficient_total": float(efficient_paths(dag, losses).min_cost),
+        "efficient_total": float(efficient.min_cost),
     }
 
 

@@ -10,10 +10,14 @@ some SPE realizes.
 `spe_outcomes` computes that set by set-valued backward induction:
 an outcome surviving at a node must be no worse for the mover than the
 worst credible continuation of every alternative edge (the continuations
-of the alternative act as threats). `spe_bruteforce` is the definitional
-oracle: enumerate every pure strategy profile over all histories and keep
-the ones with no profitable one-shot deviation anywhere, on or off the
-realized path.
+of the alternative act as threats). It solves each subgame state once.
+For rules that rank continuations by their total or by the mover's own
+edge, the state is the node. For other rules it is the rule's
+`subgame_key` of the history: the history itself by default, or a
+coarser key (punish-first uses the node and whether play is still on an
+efficient path). `spe_bruteforce` is the definitional oracle: enumerate
+every pure strategy profile over all histories and keep the ones with no
+profitable one-shot deviation anywhere, on or off the realized path.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from .graph import (
     Dag,
@@ -53,12 +57,15 @@ def _upper(bound_value: Num, tol: float) -> Num:
     return bound_value if tol == 0 else bound_value + tol
 
 
-def history_count(dag: Dag) -> int:
-    """Number of subpaths starting at the source (game histories)."""
+def history_count(dag: Dag, start: Optional[int] = None) -> int:
+    """Number of subpaths starting at `start`, the source by default: the
+    histories of the game, or of the subgame after any history ending at
+    `start`."""
+    start = dag.source if start is None else start
     counts = [0] * dag.n
-    counts[dag.source] = 1
+    counts[start] = 1
     total = 0
-    for i in range(dag.n):
+    for i in range(start, dag.n):
         total += counts[i]
         for j in dag.succ[i]:
             counts[j] += counts[i]
@@ -133,9 +140,11 @@ def _node_memo_own_edge(dag: Dag, losses, tol):
 class SpeSolution:
     """Solved game: SPE outcome sets for the whole game and every subgame.
 
-    Subgames of total-monotone and own-edge rules share per-node suffix
-    sets, so continuation queries are cheap; history-dependent rules fall
-    back to per-history memoization bounded by `history_cap`.
+    Total-monotone and own-edge rules share one suffix set per node, so
+    continuation queries are cheap. Other rules share one suffix set per
+    subgame state, the rule's `subgame_key` of a history (the history
+    itself unless the rule says otherwise). Those are solved only for a
+    subgame of at most `history_cap` histories, however few states it has.
     """
 
     def __init__(
@@ -161,7 +170,9 @@ class SpeSolution:
         elif self.bound.mode == MODE_OWN_EDGE:
             self._node_memo = _node_memo_own_edge(dag, losses, self.tol)
         else:
-            self._hist_memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            # subgame key -> (length of the first history to reach the
+            # state, SPE outcome paths after that history)
+            self._state_memo: dict[Hashable, tuple[int, list[tuple[int, ...]]]] = {}
             self._pay_cache: dict[tuple[int, ...], tuple[Num, ...]] = {}
 
     def _pay(self, path_nodes: tuple[int, ...], agent: int) -> Num:
@@ -171,46 +182,73 @@ class SpeSolution:
             self._pay_cache[path_nodes] = vec
         return vec[agent]
 
-    def _solve_history(self, hist: tuple[int, ...]) -> list[tuple[int, ...]]:
-        # depth-first over histories with an explicit stack, children in
-        # successor order, so depth is not bounded by the recursion limit;
-        # every history entered counts against the cap before it is solved
-        memo = self._hist_memo
-        if hist in memo:
-            return memo[hist]
+    def _solve_state(
+        self, hist: tuple[int, ...], key: Hashable
+    ) -> tuple[int, list[tuple[int, ...]]]:
+        # Depth-first over subgame states with an explicit stack, children
+        # in successor order, so depth is not bounded by the recursion
+        # limit. The first history to reach a state stands for all of
+        # them: the mover's payments are read off its outcome paths.
+        memo = self._state_memo
+        if key in memo:
+            return memo[key]
+        # the cap bounds the subgame, not the memo: a coarse key memoizes
+        # few states, but their outcome sets still grow with the subgame
+        histories = history_count(self.dag, hist[-1])
+        if histories > self._history_cap:
+            raise HistoryCapExceeded(
+                f"{histories} histories exceed the cap of {self._history_cap}; "
+                "raise history_cap"
+            )
         succ = self.dag.succ
-        self._check_cap()
-        stack = [(hist, iter(succ[hist[-1]]))]
+        subgame_key = self.bound.subgame_key
+        path = list(hist)
+        stack = [(key, iter(succ[hist[-1]]), set())]
         while stack:
-            h, untried = stack[-1]
+            k, untried, pushed = stack[-1]
+            mover = path[-1]
             for j in untried:
-                child = h + (j,)
+                child = subgame_key(k, mover, j)
                 if child not in memo:
-                    self._check_cap()
-                    stack.append((child, iter(succ[j])))
+                    pushed.add(child)
+                    path.append(j)
+                    stack.append((child, iter(succ[j]), set()))
                     break
             else:
                 stack.pop()
-                mover = h[-1]
                 if not succ[mover]:
-                    memo[h] = [h]
-                    continue
-                per_action = [memo[h + (j,)] for j in succ[mover]]
-                caps = [max(self._pay(o, mover) for o in cont) for cont in per_action]
-                limit = _upper(min(caps), self.tol)
-                memo[h] = [
-                    o
-                    for cont in per_action
-                    for o in cont
-                    if self._pay(o, mover) <= limit
-                ]
-        return memo[hist]
+                    memo[k] = (len(path), [tuple(path)])
+                else:
+                    memo[k] = (len(path), self._keep(k, path, pushed))
+                path.pop()
+        return memo[key]
 
-    def _check_cap(self) -> None:
-        if len(self._hist_memo) >= self._history_cap:
-            raise HistoryCapExceeded(
-                f"more than {self._history_cap} histories; raise history_cap"
-            )
+    def _keep(
+        self, key: Hashable, path: list[int], pushed: set[Hashable]
+    ) -> list[tuple[int, ...]]:
+        """SPE outcomes after history `path` (state `key`) from its
+        children's: each costs the mover no more than the costliest
+        outcome of every action would."""
+        mover = path[-1]
+        hist = None
+        per_action = []
+        for j in self.dag.succ[mover]:
+            child = self.bound.subgame_key(key, mover, j)
+            rep_len, outs = self._state_memo[child]
+            # a child first reached from here has this history as the
+            # prefix of its paths already; another child's are re-rooted
+            if child not in pushed:
+                hist = tuple(path) if hist is None else hist
+                outs = [hist + o[rep_len - 1:] for o in outs]
+            per_action.append(outs)
+        pays = [[self._pay(o, mover) for o in outs] for outs in per_action]
+        limit = _upper(min(max(p) for p in pays), self.tol)
+        return [
+            o
+            for outs, outs_pays in zip(per_action, pays)
+            for o, pay in zip(outs, outs_pays)
+            if pay <= limit
+        ]
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -222,10 +260,16 @@ class SpeSolution:
     def continuations(self, history: tuple[int, ...]) -> set[Path]:
         """SPE outcomes of the subgame after `history`, as full paths."""
         self._check_history(history)
+        prefix = history[:-1]
         if self._node_memo is not None:
-            prefix = history[:-1]
-            return {Path(prefix + sfx) for sfx in self._node_memo[history[-1]]}
-        return {Path(p) for p in self._solve_history(history)}
+            suffixes = self._node_memo[history[-1]]
+        else:
+            key = self.bound.subgame_key(None, None, history[0])
+            for i, j in zip(history, history[1:]):
+                key = self.bound.subgame_key(key, i, j)
+            rep_len, outs = self._solve_state(history, key)
+            suffixes = [o[rep_len - 1:] for o in outs]
+        return {Path(prefix + sfx) for sfx in suffixes}
 
     def outcomes(self) -> set[Path]:
         return self.continuations((self.dag.source,))
@@ -249,9 +293,11 @@ def spe_outcomes(
     """Exact set of SPE outcome paths, minimizing each agent's liability.
 
     Comparisons are exact when losses are exact-valued, else use a 1e-9
-    tolerance. Rules whose payments are monotone in the realized total are
-    solved with per-node suffix sets; history-dependent rules fall back to
-    a per-history recursion bounded by `history_cap`.
+    tolerance. Rules whose payments are monotone in the realized total or
+    depend on the mover's own edge only are solved with per-node suffix
+    sets; other rules with one suffix set per subgame state (see
+    `Rule.subgame_key`), and raise HistoryCapExceeded on a game of more
+    than `history_cap` histories.
     """
     return SpeSolution(dag, losses, rule, history_cap).outcomes()
 

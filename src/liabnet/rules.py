@@ -41,7 +41,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Hashable, Mapping, Union
 
 from .graph import (
     Dag,
@@ -146,6 +146,11 @@ class Rule:
       - MODE_OWN_EDGE: by the loss of the mover's own chosen edge only;
       - MODE_GENERAL: no structure, evaluate full outcome paths.
 
+    In MODE_GENERAL the solver memoizes subgames by `subgame_key`: two
+    histories with equal keys must end at the same node, and the mover at
+    that node must rank every continuation alike after either history. The
+    default key is the history itself, which is always sound.
+
     `weights` is the per-graph weight vector of a rule that pays w_i times
     the realized total under every loss function, and None for every other
     rule; the simulator and the DOWNSTREAM_MONO checker read it.
@@ -182,6 +187,12 @@ class Rule:
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         raise NotImplementedError
+
+    def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
+        """Key of the history that extends the history keyed `key`, which
+        ends at i, by the edge (i, j). With `key` and i None, the key of
+        the one-node history (j,) at the source."""
+        return (j,) if key is None else key + (j,)
 
     def __repr__(self) -> str:
         return f"<Rule {self.spec_string} on {self.dag.n} nodes>"
@@ -308,15 +319,29 @@ class PunishFirstRule(Rule):
     def _derive(self) -> None:
         self._cont = continuation_costs(self.dag, self.losses)
 
+    def forecloses(self, i: int, j: int) -> bool:
+        """True iff the step (i, j) leaves only inefficient continuations."""
+        return self.losses[(i, j)] + self._cont[j] > self._cont[i]
+
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
         n = self.dag.n
         # blame the first mover whose step left only inefficient continuations
         for (i, j) in path.edges:
-            if self.losses[(i, j)] + self._cont[j] > self._cont[i]:
-                return tuple(total if a == i else 0 for a in range(n))
-        share = Fraction(1, n) * total
-        return tuple(share for _ in range(n))
+            if self.forecloses(i, j):
+                values = [0] * n
+                values[i] = total
+                return tuple(values)
+        return (Fraction(1, n) * total,) * n
+
+    def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
+        # (node, on_track). On track, every step so far was efficient, so
+        # the prefix cost is cont[source] - cont[node] whatever the route;
+        # off track, an earlier agent is blamed and the mover pays 0 on
+        # every continuation.
+        if key is None:
+            return (j, True)
+        return (j, key[1] and not self.forecloses(i, j))
 
 
 # ---------------------------------------------------------------------------

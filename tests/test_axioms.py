@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import liabnet.axioms
 from liabnet.axioms import (
     AXIOMS,
     AxiomError,
@@ -36,6 +37,20 @@ class TestEfficientImplementation:
         assert cex["spe"] == [["s", "n1", "n2", "t"]]
         assert cex["spe_totals"] == [3.0]
         assert cex["efficient_total"] == 1.5
+
+    def test_counterexample_finds_efficient_paths_once(self, chain3, monkeypatch):
+        calls = []
+        real = liabnet.axioms.efficient_paths
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(liabnet.axioms, "efficient_paths", spy)
+        dag, losses = chain3
+        rep = check_axiom("EI", "local", dag=dag, trials=1, seed=0, losses=losses)
+        assert rep.counterexample["efficient_total"] == 1.5
+        assert len(calls) == 1
 
     def test_wstar_passes_on_bypass_chain(self, chain3):
         dag, losses = chain3

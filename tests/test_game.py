@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from liabnet.game import (
     HistoryCapExceeded,
@@ -13,6 +15,7 @@ from liabnet.game import (
     profile_count,
     spe_bruteforce,
     spe_outcomes,
+    spe_solve,
 )
 from liabnet.generators import random_dag, random_losses, random_simplex_weights
 from liabnet.graph import Path, build_dag, efficient_paths, enumerate_paths
@@ -26,6 +29,12 @@ from liabnet.rules import (
 from liabnet.weights import WeightVector
 
 ORACLE_RULES = ["fixed:equal", "fixed:wstar", "local", "punish-first"]
+# every rule kind the grammar names except fixed:file, which reads weights
+# from a file; fixed-custom is covered by fixed_rule below
+ALL_RULE_SPECS = [
+    "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
+    "punish-first",
+]
 
 
 def nodeset(paths) -> set[tuple[int, ...]]:
@@ -40,23 +49,57 @@ def sample_game(rng: random.Random, max_profiles: int = 3000):
 
 
 class _GeneralView(Rule):
-    """Wraps a rule but forces the per-history solver."""
+    """Wraps a rule but forces the per-history solver: the general mode
+    keyed by the default subgame key, the history itself."""
+
+    mode = MODE_GENERAL
 
     def __init__(self, inner: Rule):
         super().__init__(inner.dag, inner.spec_string + "|general")
         self.inner = inner
 
-    def bind(self, losses):
-        bound = self.inner.bind(losses)
+    def _derive(self):
+        self._inner_bound = self.inner.bind(self.losses)
 
-        class _View:
-            mode = MODE_GENERAL
-            cares = None
+    def vector(self, path):
+        return self._inner_bound.vector(path)
 
-            def vector(self, path):
-                return bound.vector(path)
 
-        return _View()
+def all_histories(dag) -> list[tuple[int, ...]]:
+    histories, stack = [], [(dag.source,)]
+    while stack:
+        hist = stack.pop()
+        histories.append(hist)
+        stack.extend(hist + (j,) for j in dag.succ[hist[-1]])
+    return histories
+
+
+def ladder(stages: int):
+    """All-ties ladder: s, two nodes per stage, t, complete links between
+    consecutive stages, unit losses; every one of its 2^stages paths ties."""
+    labels = ["s"] + [f"{c}{k}" for k in range(1, stages + 1) for c in "ab"] + ["t"]
+    edges = [("s", "a1"), ("s", "b1"), (f"a{stages}", "t"), (f"b{stages}", "t")]
+    edges += [
+        (f"{c}{k}", f"{d}{k + 1}") for k in range(1, stages) for c in "ab" for d in "ab"
+    ]
+    dag = build_dag(labels, edges)
+    return dag, {e: 1 for e in dag.edges}
+
+
+# exact losses: ints and small-denominator fractions, few distinct values so
+# ties and indifferences are common
+exact_losses = st.integers(0, 6) | st.fractions(0, 6, max_denominator=3)
+
+
+@st.composite
+def small_games(draw, max_profiles: int = 300):
+    """A `random_dag` from a drawn seed with exact losses drawn per edge,
+    small enough for `spe_bruteforce`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 6, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    assume(profile_count(dag) <= max_profiles)
+    losses = {e: draw(exact_losses) for e in dag.edges}
+    return dag, losses
 
 
 class TestCounts:
@@ -187,6 +230,62 @@ class TestSolverAgainstOracle:
                 assert fast == general, spec
 
 
+class TestSolverProperties:
+    @given(small_games())
+    def test_every_rule_kind_matches_bruteforce(self, game):
+        dag, losses = game
+        for spec in ALL_RULE_SPECS:
+            rule = make_rule(spec, dag)
+            got = nodeset(spe_outcomes(dag, losses, rule))
+            assert got == nodeset(spe_bruteforce(dag, losses, rule)), spec
+
+    @given(small_games(), st.integers(0, 2**32 - 1))
+    def test_fixed_custom_weights_match_bruteforce(self, game, seed):
+        dag, losses = game
+        w = random_simplex_weights(random.Random(seed), dag, positive_deciders=False)
+        rule = fixed_rule(dag, WeightVector.from_mapping(dag, w))
+        got = nodeset(spe_outcomes(dag, losses, rule))
+        assert got == nodeset(spe_bruteforce(dag, losses, rule))
+
+
+class TestSubgameKeys:
+    """punish-first memoizes by (node, on_track) instead of by history."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "tied-float"])
+    def test_punish_first_every_history_matches_history_key(self, kind):
+        draw = {
+            "int": lambda rng: rng.randint(0, 4),
+            "fraction": lambda rng: Fraction(rng.randint(0, 6), rng.randint(1, 3)),
+            "tied-float": lambda rng: rng.choice((0.1, 0.2, 0.3)),
+        }[kind]
+        rng = random.Random(404)
+        for _ in range(300):
+            dag = random_dag(rng, 4, 9, rng.choice((0.3, 0.5)))
+            losses = {e: draw(rng) for e in dag.edges}
+            rule = make_rule("punish-first", dag)
+            keyed = spe_solve(dag, losses, rule)
+            per_history = spe_solve(dag, losses, _GeneralView(rule))
+            histories = all_histories(dag)
+            # the first history to reach a state stands for it, so vary
+            # which one comes first
+            rng.shuffle(histories)
+            for hist in histories:
+                got = keyed.continuations(hist)
+                assert got == per_history.continuations(hist), (hist, losses)
+
+    def test_punish_first_memo_holds_at_most_two_states_per_node(self):
+        dag, losses = ladder(16)
+        sol = spe_solve(dag, losses, make_rule("punish-first", dag))
+        assert len(sol.outcomes()) == 2**16
+        assert len(sol._state_memo) <= 2 * dag.n
+
+    def test_history_key_memoizes_every_history(self, fork):
+        losses = {e: 1 for e in fork.edges}
+        sol = spe_solve(fork, losses, _GeneralView(make_rule("punish-first", fork)))
+        sol.outcomes()
+        assert len(sol._state_memo) == history_count(fork)
+
+
 class TestPositiveWeightEfficiency:
     def test_positive_decider_weights_give_exactly_efficient_set(self):
         rng = random.Random(515151)
@@ -271,6 +370,30 @@ class TestCaps:
         losses = {e: 1 for e in fork.edges}
         with pytest.raises(HistoryCapExceeded):
             spe_outcomes(fork, losses, make_rule("punish-first", fork), history_cap=2)
+
+    def test_history_cap_is_the_history_count(self, fork):
+        losses = {e: 1 for e in fork.edges}
+        rule = make_rule("punish-first", fork)
+        cap = history_count(fork)
+        assert spe_outcomes(fork, losses, rule, history_cap=cap)
+        with pytest.raises(HistoryCapExceeded, match="7 histories exceed the cap of 6"):
+            spe_outcomes(fork, losses, rule, history_cap=cap - 1)
+
+    def test_history_cap_bounds_the_game_not_the_memo(self, grid20):
+        # punish-first memoizes at most two states per node, but the 20x20
+        # grid has more paths than could ever be listed: refused up front
+        losses = {e: 1 for e in grid20.edges}
+        with pytest.raises(HistoryCapExceeded):
+            spe_outcomes(grid20, losses, make_rule("punish-first", grid20))
+
+    def test_subgame_cap_counts_the_subgame(self, fork):
+        losses = {e: 1 for e in fork.edges}
+        sol = spe_solve(fork, losses, make_rule("punish-first", fork), history_cap=3)
+        s, j, k = (fork.index(x) for x in "sjk")
+        assert history_count(fork, k) == 2 and history_count(fork, j) == 4
+        assert nodeset(sol.continuations((s, j, k)))
+        with pytest.raises(HistoryCapExceeded):
+            sol.continuations((s, j))
 
 
 class TestDeepChain:
