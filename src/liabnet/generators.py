@@ -1,7 +1,10 @@
 """Seeded random instance generators shared by the checkers and the tests.
 
 All generators take a `random.Random` so callers control determinism; the
-axiom checkers derive one per trial from a master seed.
+axiom checkers derive one per trial from a master seed. Random graphs are
+drawn in topological index order and built from their index edges
+(`graph.dag_from_indices`), with the structural checks in integer form,
+not sent through the label-based `build_dag`.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Dag, Edge, build_dag, count_paths
+from .graph import Dag, Edge, count_paths, dag_from_indices
 
 
 def random_dag(
@@ -24,18 +27,20 @@ def random_dag(
     kept with probability `density`, and every node after the first gets a
     fallback incoming edge so the source is unique and everything is
     reachable. Node n-1 never has outgoing edges, so a sink always exists.
+    The indices are therefore already topological, so the Dag is built
+    from the index edges by `dag_from_indices`, which checks them in
+    integer form; it equals `build_dag` on the same labels and label edges.
     """
     n = rng.randint(min_nodes, max_nodes)
     labels = [f"n{i}" for i in range(n)]
     labels[0] = "s"
-    edges: list[tuple[str, str]] = []
+    edges: list[Edge] = []
     for j in range(1, n):
         preds = [i for i in range(j) if rng.random() < density]
         if not preds:
             preds = [rng.randrange(j)]
-        for i in preds:
-            edges.append((labels[i], labels[j]))
-    return build_dag(labels, edges)
+        edges.extend((i, j) for i in preds)
+    return dag_from_indices(labels, edges)
 
 
 def random_losses(

@@ -51,6 +51,7 @@ from .graph import (
     Path,
     check_losses,
     continuation_costs,
+    default_tolerance,
     path_loss,
 )
 from .weights import WeightVector, wstar_dp
@@ -318,10 +319,12 @@ class PunishFirstRule(Rule):
 
     def _derive(self) -> None:
         self._cont = continuation_costs(self.dag, self.losses)
+        self._tol = default_tolerance(self.losses)
 
     def forecloses(self, i: int, j: int) -> bool:
-        """True iff the step (i, j) leaves only inefficient continuations."""
-        return self.losses[(i, j)] + self._cont[j] > self._cont[i]
+        """True iff the step (i, j) leaves only inefficient continuations,
+        under the tie tolerance `efficient_paths` uses."""
+        return self.losses[(i, j)] + self._cont[j] > self._cont[i] + self._tol
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
@@ -425,7 +428,10 @@ def apply_rule(
     values = rule.bind(losses).vector(path)
     total = path_loss(losses, path)
     slack = 1e-9 * max(1.0, abs(float(total)))
-    if not all(x >= -1e-12 for x in values):
+    # `x >= 0` is exact and cheap for int and Fraction values; only a
+    # negative value (or NaN) pays for the float comparison, whose
+    # threshold alone decides the outcome
+    if not all(x >= 0 or x >= -1e-12 for x in values):
         raise RuleSpecError(f"negative liability from {rule.spec_string}")
     if not abs(float(sum(values) - total)) <= slack:
         raise RuleSpecError(

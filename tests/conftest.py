@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
+from liabnet.game import profile_count
+from liabnet.generators import random_dag
 from liabnet.io import load_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -16,6 +20,28 @@ settings.register_profile(
     "liabnet", derandomize=True, deadline=None, max_examples=150, database=None
 )
 settings.load_profile("liabnet")
+
+# every rule kind the grammar names except fixed:file, which reads weights
+# from a file; fixed-custom is built with `rules.fixed_rule`
+ALL_RULE_SPECS = [
+    "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
+    "punish-first",
+]
+
+# exact losses: ints and small-denominator fractions, few distinct values so
+# ties and indifferences are common
+exact_losses = st.integers(0, 6) | st.fractions(0, 6, max_denominator=3)
+
+
+@st.composite
+def small_games(draw, max_profiles: int = 300):
+    """A `random_dag` from a drawn seed with exact losses drawn per edge,
+    small enough for `spe_bruteforce`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 6, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    assume(profile_count(dag) <= max_profiles)
+    losses = {e: draw(exact_losses) for e in dag.edges}
+    return dag, losses
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,15 @@ class TestEfficientImplementation:
         rep = check_axiom("EI", "fixed:wstar", dag=dag, trials=1, seed=0, losses=losses)
         assert rep.passed
 
+    def test_punish_first_keeps_float_tie(self):
+        # 0.1 + 0.2 exceeds 0.3 in floats; within the default tie tolerance
+        # both paths are efficient, so punish-first blames nobody on either
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
+        s, a, t = (dag.index(x) for x in "sat")
+        losses = {(s, a): 0.1, (a, t): 0.2, (s, t): 0.3}
+        rep = check_axiom("EI", "punish-first", dag=dag, trials=1, losses=losses)
+        assert rep.passed, rep.counterexample
+
     def test_source_all_fails_somewhere(self):
         rep = check_axiom("EI", "phi1", trials=400, seed=21)
         assert not rep.passed

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from liabnet.game import (
@@ -28,13 +28,9 @@ from liabnet.rules import (
 )
 from liabnet.weights import WeightVector
 
+from conftest import ALL_RULE_SPECS, small_games
+
 ORACLE_RULES = ["fixed:equal", "fixed:wstar", "local", "punish-first"]
-# every rule kind the grammar names except fixed:file, which reads weights
-# from a file; fixed-custom is covered by fixed_rule below
-ALL_RULE_SPECS = [
-    "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
-    "punish-first",
-]
 
 
 def nodeset(paths) -> set[tuple[int, ...]]:
@@ -84,22 +80,6 @@ def ladder(stages: int):
     ]
     dag = build_dag(labels, edges)
     return dag, {e: 1 for e in dag.edges}
-
-
-# exact losses: ints and small-denominator fractions, few distinct values so
-# ties and indifferences are common
-exact_losses = st.integers(0, 6) | st.fractions(0, 6, max_denominator=3)
-
-
-@st.composite
-def small_games(draw, max_profiles: int = 300):
-    """A `random_dag` from a drawn seed with exact losses drawn per edge,
-    small enough for `spe_bruteforce`."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    dag = random_dag(rng, 3, 6, draw(st.sampled_from([0.2, 0.4, 0.6])))
-    assume(profile_count(dag) <= max_profiles)
-    losses = {e: draw(exact_losses) for e in dag.edges}
-    return dag, losses
 
 
 class TestCounts:

@@ -14,6 +14,7 @@ from liabnet.graph import (
     PathCapExceeded,
     build_dag,
     count_paths,
+    dag_from_indices,
     efficient_paths,
     enumerate_paths,
     path_loss,
@@ -120,6 +121,41 @@ class TestPathCountProperties:
     def test_count_matches_enumeration(self, listed):
         dag = build_dag(*listed)
         assert count_paths(dag) == len(enumerate_paths(dag))
+
+
+DAG_FIELDS = ("labels", "edges", "succ", "pred", "source", "sinks", "_index", "_edge_set")
+
+
+class TestDagFromIndices:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 12),
+        st.integers(0, 9),
+        st.floats(0.0, 1.0),
+    )
+    def test_random_dag_equals_build_dag(self, seed, lo, extra, density):
+        dag = random_dag(random.Random(seed), lo, min(lo + extra, 12), density)
+        built = build_dag(list(dag.labels), list(dag.edge_labels()))
+        for name in DAG_FIELDS:
+            assert getattr(dag, name) == getattr(built, name), name
+
+    @pytest.mark.parametrize(
+        "labels, edges, check",
+        [
+            (["s", "a", "a"], [(0, 1), (1, 2)], "labels: duplicate node labels"),
+            (["s", "t"], [(0, 1)], "min_size"),
+            (["s", "a", "t"], [(0, 1), (1, 2), (2, 1)], "topological"),
+            (["s", "a", "t"], [(0, 1), (1, 1), (1, 2)], "topological"),
+            (["s", "a", "t"], [(0, 1), (1, 3)], "topological"),
+            (["s", "a", "t"], [(0, 1), (1, 2), (0, 1)], "labels: duplicate edge"),
+            (["s", "a", "t"], [(0, 2)], "unique_source"),
+        ],
+        ids=["dup-label", "too-small", "backward", "self-loop", "out-of-range",
+             "dup-edge", "no-predecessor"],
+    )
+    def test_breach_raises(self, labels, edges, check):
+        with pytest.raises(GraphValidationError, match=check):
+            dag_from_indices(labels, edges)
 
 
 class TestTopology:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given
 
 from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
@@ -33,6 +34,8 @@ from liabnet.rules import (
     make_rule,
 )
 from liabnet.weights import WeightsError, WeightVector
+
+from conftest import ALL_RULE_SPECS, small_games
 
 GRAMMAR = [
     "fixed:wstar",
@@ -295,21 +298,75 @@ except RuleSpecError as exc:
 """
 
 
-def test_unbalanced_rule_raises_under_optimize():
-    # the balance guard must not be an assert, which python -O strips
+def _run_script(script: str, *flags: str) -> str:
+    """Stdout of `script` run by a fresh interpreter with `flags`."""
     src = FsPath(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNBALANCED_SCRIPT],
+        [sys.executable, *flags, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: unbalanced liabilities from leaky")
+    return done.stdout
+
+
+def test_unbalanced_rule_raises_under_optimize():
+    # the balance guard must not be an assert, which python -O strips
+    out = _run_script(_UNBALANCED_SCRIPT, "-O")
+    assert out.startswith("raised: unbalanced liabilities from leaky")
+
+
+_SIGN_GUARD_SCRIPT = """
+from fractions import Fraction
+from liabnet.graph import Path, build_dag
+from liabnet.rules import Rule, RuleSpecError, apply_rule
+
+
+class Leaky(Rule):
+    # balanced: the agent at index 1 holds a tiny negative share
+    def vector(self, path):
+        return (2 - self.eps, self.eps, 0)
+
+
+dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+for eps in (Fraction(-1, 10**13), Fraction(-1, 10**11)):
+    rule = Leaky(dag, "leaky")
+    rule.eps = eps
+    try:
+        apply_rule(rule, Path((0, 1, 2)), {(0, 1): 1, (1, 2): 1})
+        print("accepted")
+    except RuleSpecError as exc:
+        print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_sign_guard_threshold(flags):
+    # the guard admits rounding residue down to -1e-12, compared exactly
+    # against Fraction values; python -O must not drop it
+    assert _run_script(_SIGN_GUARD_SCRIPT, *flags).splitlines() == [
+        "accepted", "raised: negative liability from leaky"
+    ]
 
 
 class TestBalanceEverywhere:
+    @given(small_games())
+    def test_every_rule_kind_balanced_nonnegative(self, game):
+        # int and Fraction losses: every split is exact except phi5's floats
+        dag, losses = game
+        for spec in ALL_RULE_SPECS:
+            rule = make_rule(spec, dag).bind(losses)
+            for p in enumerate_paths(dag):
+                values = apply_rule(rule, p, losses).values
+                assert all(x >= 0 for x in values), spec
+                total = path_loss(losses, p)
+                if spec == "phi5":
+                    assert float(sum(values)) == pytest.approx(float(total)), spec
+                else:
+                    assert sum(values) == total, spec
+
     def test_all_rules_balanced_nonnegative_on_randoms(self):
         rng = random.Random(4021)
         specs = ["fixed:wstar", "fixed:equal", "phi1", "phi2", "phi3", "phi5", "local", "punish-first"]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liabnet.generators import random_dag, random_dag_with_paths
 from liabnet.graph import build_dag, count_paths, enumerate_paths
@@ -188,6 +190,12 @@ class TestThreeWayAgreement:
             b = shapley_bruteforce(dag)
             c = wstar_dp(dag)
             assert a.values == b.values == c.values  # exact rationals
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_drawn_graphs(self, seed):
+        dag = random_dag_with_paths(random.Random(seed), 3, 9, 2000)
+        dp = wstar_dp(dag).values
+        assert dp == wstar_enumerate(dag).values == shapley_bruteforce(dag).values
 
 
 class TestCoreCheck:
