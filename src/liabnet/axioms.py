@@ -292,6 +292,17 @@ _AXIOM_TRIALS = {
 }
 
 
+def _check_run(
+    trials: int, dag: Optional[Dag], losses: Optional[Mapping[Edge, Num]]
+) -> None:
+    """Reject a run that could only pass vacuously or has no graph to fix
+    its losses on."""
+    if trials < 1:
+        raise AxiomError(f"trials must be at least 1, got {trials}")
+    if losses is not None and dag is None:
+        raise AxiomError("fixed losses require a fixed graph")
+
+
 def check_axiom(
     axiom_id: str,
     rule: RuleLike,
@@ -308,8 +319,7 @@ def check_axiom(
     """
     if axiom_id not in AXIOMS:
         raise AxiomError(f"unknown axiom {axiom_id!r}; expected one of {AXIOMS}")
-    if losses is not None and dag is None:
-        raise AxiomError("fixed losses require a fixed graph")
+    _check_run(trials, dag, losses)
     factory = _as_factory(rule)
     body = _AXIOM_TRIALS[axiom_id]
     rule_name = None
@@ -534,8 +544,7 @@ def check_property(
         raise AxiomError(
             f"unknown property {property_id!r}; expected one of {PROPERTIES}"
         )
-    if losses is not None and dag is None:
-        raise AxiomError("fixed losses require a fixed graph")
+    _check_run(trials, dag, losses)
     factory = _as_factory(rule)
     rule_name = None
     passes = 0

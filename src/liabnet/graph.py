@@ -10,6 +10,7 @@ there is an edge i -> j.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -534,13 +535,17 @@ def efficient_paths(
     is 1e-9 absolute.
 
     Args:
-        tie_tolerance: override for the tie comparison; None picks the
-            default described above.
+        tie_tolerance: override for the tie comparison, a finite
+            non-negative number; None picks the default described above.
         cap: optional bound on the number of efficient paths returned.
     """
     check_losses(dag, losses)
     if tie_tolerance is None:
         tie_tolerance = default_tolerance(losses)
+    elif not 0 <= tie_tolerance < math.inf:
+        raise GraphError(
+            f"tie tolerance must be a finite non-negative number, got {tie_tolerance}"
+        )
     L = continuation_costs(dag, losses)
     out = _paths_along(
         dag,

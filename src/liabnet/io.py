@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path as FsPath
-from typing import Mapping
 
-from .graph import Dag, Edge, GraphError, Num, build_dag, validate
+from .graph import Dag, Edge, GraphError, build_dag, validate
 
 
 class FormatError(GraphError):
@@ -116,12 +115,6 @@ def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
             raise FormatError(f"weight for {label!r} must be a number")
         weights[dag.index(label)] = float(x)
     return weights
-
-
-def losses_to_labels(dag: Dag, losses: Mapping[Edge, Num]) -> dict[str, float]:
-    return {
-        f"{dag.labels[u]}->{dag.labels[v]}": float(x) for (u, v), x in sorted(losses.items())
-    }
 
 
 def dump_json(obj, pretty: bool = False) -> str:

@@ -200,7 +200,15 @@ class Rule:
 
 
 class FixedWeightRule(Rule):
-    """Pay w_i * total realized loss; weights fixed per graph."""
+    """Pay w_i * total realized loss; weights fixed per graph.
+
+    Weights that carry integer numerators over one denominator (the
+    canonical weights of `wstar_dp`) split an int or `Fraction` total in
+    integers, one reduced `Fraction` per agent; every other weight vector,
+    and a float total, is split as `w_i * total`.
+    """
+
+    _nums: tuple[int, ...] | None = None
 
     def __init__(self, dag: Dag, weights: WeightVector, spec_string: str):
         super().__init__(dag, spec_string)
@@ -209,10 +217,20 @@ class FixedWeightRule(Rule):
             raise RuleSpecError("weight vector length does not match graph")
         self.weights = weights
         self._shares = weights.values
-        self.cares = tuple(w > 0 for w in weights.values)
+        self._nums, self._den = weights.nums, weights.den
+        exact = weights.values if weights.nums is None else weights.nums
+        self.cares = tuple(w > 0 for w in exact)
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
+        nums = self._nums
+        if nums is not None:
+            if isinstance(total, int):
+                den = self._den
+                return tuple(Fraction(a * total, den) for a in nums)
+            if isinstance(total, Fraction):
+                num, den = total.numerator, total.denominator * self._den
+                return tuple(Fraction(a * num, den) for a in nums)
         return tuple(w * total for w in self._shares)
 
 

@@ -391,9 +391,11 @@ def run_simulation(
 ) -> SimStats:
     """Run the full comparison and optionally write CSV/JSON artifacts.
 
-    Results are independent of `workers`; it only sets process-level
-    parallelism across sources.
+    Results are independent of `workers`, a positive count; it only sets
+    process-level parallelism across sources.
     """
+    if workers < 1:
+        raise SimError(f"workers must be at least 1, got {workers}")
     hg = graph if graph is not None else generate_hourglass(config.graph)
     sources = hg.sources
     specs = tuple(config.rules)

@@ -8,16 +8,21 @@ provided so they can cross-check each other:
 
 - `wstar_enumerate`: direct sum over enumerated paths.
 - `shapley_bruteforce`: exact Shapley value over all coalitions.
-- `wstar_dp`: subpath-count tables plus a per-node convolution, which scales
-  to graphs far beyond enumeration (thousands of nodes, 1e17 paths).
+- `wstar_dp`: one forward and one backward pass that give every node a run
+  of subpath counts by length, then a per-node convolution of the two runs
+  in integers, which scales to graphs far beyond enumeration (thousands of
+  nodes, 1e17 paths).
 
-All three return exact rationals.
+All three return exact rationals; `wstar_dp` also returns them as integer
+numerators over one common denominator, which `check_simplex` and the
+fixed-weight rule read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -34,9 +39,16 @@ class WeightsError(Exception):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Point of the simplex over all nodes, aligned with dag indices."""
+    """Point of the simplex over all nodes, aligned with dag indices.
+
+    `nums` and `den`, when set, are the same weights as integer numerators
+    over one common denominator: Fraction(nums[i], den) == values[i].
+    Equality compares `values` only.
+    """
 
     values: tuple[Num, ...]
+    nums: tuple[int, ...] | None = field(default=None, compare=False)
+    den: int = field(default=1, compare=False)
 
     def __getitem__(self, i: int) -> Num:
         return self.values[i]
@@ -48,11 +60,20 @@ class WeightVector:
         return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
 
     def check_simplex(self, tol: float = 1e-12) -> None:
-        if any(x < 0 for x in self.values):
+        """Raise unless the weights are non-negative and sum to 1: exactly
+        when `nums` are set, else within `tol`."""
+        if self.nums is not None:
+            negative = min(self.nums) < 0
+            total, one = sum(self.nums), self.den
+            off = total != one
+        else:
+            negative = any(x < 0 for x in self.values)
+            total, one = sum(self.values), 1
+            off = abs(total - 1) > tol
+        if negative:
             raise WeightsError("weights must be non-negative")
-        total = sum(self.values)
-        if abs(total - 1) > tol:
-            raise WeightsError(f"weights must sum to 1 (got {float(total)})")
+        if off:
+            raise WeightsError(f"weights must sum to 1 (got {float(total / one)})")
 
     def in_delta_star(self, dag: Dag) -> bool:
         """True iff every node with two or more outgoing edges has positive
@@ -79,77 +100,93 @@ class PathCountTables:
     total_paths: int
 
 
-def path_count_tables(dag: Dag) -> PathCountTables:
+def _length_counts(dag: Dag, forward: bool) -> tuple[list[int], list[list[int]]]:
+    """Subpath counts by length, as one run per node.
+
+    Returns (lo, counts): counts[i][k] subpaths with lo[i] + k edges run
+    from the source to i (forward) or from i to any sink (backward). One
+    pass in topological order (reverse order for backward); each edge
+    shifts its tail's run by one and adds it in, so a node all of whose
+    subpaths have one length costs one add per edge.
+    """
     n = dag.n
-    forward: list[list[int]] = []
-    row = [0] * n
-    row[dag.source] = 1
-    while any(row):
-        forward.append(row)
-        nxt = [0] * n
-        for j in range(n):
-            acc = 0
-            for i in dag.pred[j]:
-                acc += row[i]
-            nxt[j] = acc
-        row = nxt
+    order, links = (range(n), dag.pred) if forward else (range(n - 1, -1, -1), dag.succ)
+    lo = [0] * n
+    counts: list[list[int]] = [[1]] * n  # the source (forward), the sinks (backward)
+    for i in order:
+        nbrs = links[i]
+        if not nbrs:
+            continue
+        first = min(lo[j] for j in nbrs)
+        run = [0] * (max(lo[j] + len(counts[j]) for j in nbrs) - first)
+        for j in nbrs:
+            k = lo[j] - first
+            for c in counts[j]:
+                run[k] += c
+                k += 1
+        lo[i] = first + 1
+        counts[i] = run
+    return lo, counts
 
-    backward: list[list[int]] = []
-    row = [1 if i in dag.sinks else 0 for i in range(n)]
-    while any(row):
-        backward.append(row)
-        nxt = [0] * n
+
+def path_count_tables(dag: Dag) -> PathCountTables:
+    """The dense tables, laid out from the `_length_counts` runs."""
+    n = dag.n
+    flo, fwd = _length_counts(dag, True)
+    blo, bwd = _length_counts(dag, False)
+
+    def dense(lo: list[int], runs: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        rows = [[0] * n for _ in range(max(l + len(r) for l, r in zip(lo, runs)))]
         for i in range(n):
-            acc = 0
-            for j in dag.succ[i]:
-                acc += row[j]
-            nxt[i] = acc
-        row = nxt
+            for k, c in enumerate(runs[i], lo[i]):
+                rows[k][i] = c
+        return tuple(tuple(r) for r in rows)
 
+    forward, backward = dense(flo, fwd), dense(blo, bwd)
     max_len = len(forward) + len(backward) - 2
     through: list[tuple[int, ...]] = []
     for i in range(n):
         conv = [0] * (max_len + 1)
-        xs = [(x, forward[x][i]) for x in range(len(forward)) if forward[x][i]]
-        ys = [(y, backward[y][i]) for y in range(len(backward)) if backward[y][i]]
-        for x, f in xs:
-            for y, b in ys:
-                conv[x + y] += f * b
+        for x, f in enumerate(fwd[i], flo[i]):
+            for y, b in enumerate(bwd[i], x + blo[i]):
+                conv[y] += f * b
         through.append(tuple(conv))
-
-    total = sum(backward[y][dag.source] for y in range(len(backward)))
     return PathCountTables(
-        forward=tuple(tuple(r) for r in forward),
-        backward=tuple(tuple(r) for r in backward),
+        forward=forward,
+        backward=backward,
         through=tuple(through),
-        total_paths=total,
+        total_paths=sum(bwd[dag.source]),
     )
 
 
 def wstar_dp(dag: Dag) -> WeightVector:
-    """Canonical weights from subpath-count tables; scales to large graphs.
+    """Canonical weights from per-node path-length runs; scales to large graphs.
 
-    For every non-sink i the weight is (1/|paths|) * sum_y through[i][y] / y,
-    where y is the path's edge count (= its non-sink node count). Computed
-    over a common denominator so the result is an exact rational.
+    For every non-sink i the weight is (1/|paths|) * sum_y through_i(y) / y,
+    where through_i(y) counts the paths through i with y edges (= y non-sink
+    nodes): the product of i's forward and backward runs (`_length_counts`).
+    With D = lcm(1..longest path), every weight is an integer numerator over
+    the one denominator D * |paths|; the result carries both (`nums`, `den`)
+    next to the exact rationals.
     """
-    tables = path_count_tables(dag)
-    max_len = len(tables.through[0]) - 1
-    denom = math.lcm(*range(1, max_len + 1))
-    per_len = [0] * (max_len + 1)
-    for y in range(1, max_len + 1):
-        per_len[y] = denom // y
-    values: list[Num] = []
+    flo, fwd = _length_counts(dag, True)
+    blo, bwd = _length_counts(dag, False)
+    src = dag.source
+    longest = blo[src] + len(bwd[src]) - 1
+    denom = math.lcm(*range(1, longest + 1))
+    per_len = [0] + [denom // y for y in range(1, longest + 1)]
+    nums: list[int] = []
     for i in range(dag.n):
-        if i in dag.sinks:
-            values.append(Fraction(0))
-            continue
         acc = 0
-        for y, cnt in enumerate(tables.through[i]):
-            if cnt:
-                acc += cnt * per_len[y]
-        values.append(Fraction(acc, denom * tables.total_paths))
-    return WeightVector(tuple(values))
+        if i not in dag.sinks:
+            # f subpaths of x edges reach i; bwd[i][k] go on with blo[i] + k
+            # more, and a path of y edges adds D // y = per_len[y]
+            for x, f in enumerate(fwd[i], flo[i]):
+                if f:
+                    acc += f * sum(map(operator.mul, bwd[i], per_len[x + blo[i]:]))
+        nums.append(acc)
+    den = denom * sum(bwd[src])
+    return WeightVector(tuple(Fraction(a, den) for a in nums), tuple(nums), den)
 
 
 def wstar_enumerate(dag: Dag, cap: int | None = None) -> WeightVector:

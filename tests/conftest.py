@@ -28,6 +28,9 @@ ALL_RULE_SPECS = [
     "punish-first",
 ]
 
+# every field of a Dag, for field-by-field comparisons
+DAG_FIELDS = ("labels", "edges", "succ", "pred", "source", "sinks", "_index", "_edge_set")
+
 # exact losses: ints and small-denominator fractions, few distinct values so
 # ties and indifferences are common
 exact_losses = st.integers(0, 6) | st.fractions(0, 6, max_denominator=3)

@@ -213,6 +213,14 @@ class TestValidation:
         with pytest.raises(AxiomError):
             check_property("MONOTONE", "fixed:wstar", trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        # zero trials used to report a vacuous pass
+        with pytest.raises(AxiomError, match="trials must be at least 1"):
+            check_axiom("EI", "fixed:wstar", trials=trials)
+        with pytest.raises(AxiomError, match="trials must be at least 1"):
+            check_property("PATH_INDEP", "fixed:wstar", trials=trials)
+
     def test_losses_require_graph(self):
         with pytest.raises(AxiomError):
             check_axiom("EI", "fixed:wstar", losses={(0, 1): 1}, trials=1)

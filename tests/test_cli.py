@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -332,6 +335,58 @@ class TestShapeErrors:
         assert data is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+GUARD_ARGV = {
+    "efficient-tol-negative": (("efficient", CHAIN3, "--tol", "-1"), "tie tolerance"),
+    "efficient-tol-nan": (("efficient", CHAIN3, "--tol", "nan"), "tie tolerance"),
+    "spe-tol-negative": (("spe", CHAIN3, "--rule", "local", "--tol", "-1"), "tie tolerance"),
+    "spe-tol-inf": (("spe", CHAIN3, "--rule", "local", "--tol", "inf"), "tie tolerance"),
+    "axiom-trials-negative": (
+        ("check", "--axiom", "EI", "--rule", "fixed:wstar", "--trials", "-3"), "trials"
+    ),
+    "property-trials-zero": (
+        ("check", "--property", "PATH_INDEP", "--rule", "fixed:wstar", "--trials", "0"),
+        "trials",
+    ),
+    "simulate-workers-zero": (("simulate", "--workers", "0"), "workers"),
+    "simulate-workers-negative": (("simulate", "--workers", "-1"), "workers"),
+}
+
+
+class TestGuards:
+    """A bad tie tolerance, trial count or worker count fails with exit 2
+    and one `error:` line instead of an empty or vacuous report."""
+
+    @pytest.mark.parametrize("argv, message", GUARD_ARGV.values(), ids=GUARD_ARGV.keys())
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        code, data, err = run(capsys, *argv)
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_under_optimize(self):
+        # the guards must not be asserts, which python -O strips
+        script = (
+            "import contextlib, io, sys\n"
+            "from liabnet.cli import main\n"
+            f"for argv in {[list(a) for a, _ in GUARD_ARGV.values()]!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    print(code, err.getvalue().count('\\n'), err.getvalue().startswith('error: '))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["2 1 True"] * len(GUARD_ARGV)
 
 
 class TestDeepChain:

@@ -23,6 +23,8 @@ from liabnet.graph import (
 )
 from liabnet.generators import random_dag, random_losses
 
+from conftest import DAG_FIELDS
+
 
 def names(dag, path):
     return list(path.labels(dag))
@@ -121,9 +123,6 @@ class TestPathCountProperties:
     def test_count_matches_enumeration(self, listed):
         dag = build_dag(*listed)
         assert count_paths(dag) == len(enumerate_paths(dag))
-
-
-DAG_FIELDS = ("labels", "edges", "succ", "pred", "source", "sinks", "_index", "_edge_set")
 
 
 class TestDagFromIndices:
@@ -271,6 +270,13 @@ class TestEfficient:
         dag, losses = chain3
         res = efficient_paths(dag, losses, tie_tolerance=1.5)
         assert len(res.paths) == 2
+
+    @pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, chain3, tol):
+        # a negative or NaN tolerance used to give an empty efficient set
+        dag, losses = chain3
+        with pytest.raises(GraphError, match="tie tolerance"):
+            efficient_paths(dag, losses, tie_tolerance=tol)
 
 
 class TestReachable:

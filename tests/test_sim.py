@@ -298,6 +298,11 @@ class TestRunSimulation:
         with pytest.raises(SimError):
             run_simulation(small_config(rules=("phi1",), draws=1))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(SimError, match="workers must be at least 1"):
+            run_simulation(small_config(draws=1), workers=workers)
+
     def test_worker_independence_and_artifacts(self, tmp_path):
         out1 = tmp_path / "w1"
         out2 = tmp_path / "w2"

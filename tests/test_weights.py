@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,8 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liabnet.generators import random_dag, random_dag_with_paths
-from liabnet.graph import build_dag, count_paths, enumerate_paths
+from liabnet.generators import random_dag, random_dag_with_paths, random_losses
+from liabnet.graph import (
+    build_dag,
+    count_paths,
+    dag_from_indices,
+    enumerate_paths,
+    path_loss,
+)
+from liabnet.rules import make_rule
+from liabnet.sim import LayeredGraphSpec, generate_hourglass
 from liabnet.weights import (
     PathCountTables,
     WeightVector,
@@ -158,6 +167,65 @@ class TestTables:
                     assert cnt == exact
 
 
+def layer_sweep_tables(dag):
+    """The tables as first built: dense rows, one sweep over every node and
+    edge per path length, and a dense convolution per node."""
+    n = dag.n
+    forward, row = [], [int(i == dag.source) for i in range(n)]
+    while any(row):
+        forward.append(row)
+        row = [sum(row[i] for i in dag.pred[j]) for j in range(n)]
+    backward, row = [], [int(i in dag.sinks) for i in range(n)]
+    while any(row):
+        backward.append(row)
+        row = [sum(row[j] for j in dag.succ[i]) for i in range(n)]
+    max_len = len(forward) + len(backward) - 2
+    through = []
+    for i in range(n):
+        conv = [0] * (max_len + 1)
+        for x in range(len(forward)):
+            for y in range(len(backward)):
+                conv[x + y] += forward[x][i] * backward[y][i]
+        through.append(tuple(conv))
+    return PathCountTables(
+        forward=tuple(map(tuple, forward)),
+        backward=tuple(map(tuple, backward)),
+        through=tuple(through),
+        total_paths=sum(r[dag.source] for r in backward),
+    )
+
+
+@st.composite
+def spread_dags(draw):
+    """Graphs whose path lengths spread: `random_dag`s, and single-source
+    layered graphs from `sim.generate_hourglass` with skip edges."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return random_dag(random.Random(seed), 3, 10, draw(st.sampled_from([0.15, 0.3, 0.5])))
+    sizes = (1,) + tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=6)))
+    spec = LayeredGraphSpec(
+        sizes=sizes,
+        p_next=draw(st.sampled_from([0.3, 0.6])),
+        p_skip=draw(st.sampled_from([0.2, 0.5])),
+        seed=seed,
+    )
+    hg = generate_hourglass(spec)
+    return dag_from_indices(hg.labels, hg.edges)
+
+
+class TestLengthRuns:
+    @given(spread_dags())
+    def test_tables_equal_layer_sweep(self, dag):
+        assert path_count_tables(dag) == layer_sweep_tables(dag)
+
+    @given(spread_dags())
+    def test_numerators_over_one_denominator(self, dag):
+        wv = wstar_dp(dag)
+        assert len(wv.nums) == dag.n
+        assert sum(wv.nums) == wv.den
+        assert all(Fraction(a, wv.den) == x for a, x in zip(wv.nums, wv.values))
+
+
 class TestDpWeights:
     def test_fork(self, fork):
         assert by_label(fork, wstar_dp(fork)) == FORK_EXPECT
@@ -234,6 +302,25 @@ class TestWeightVector:
         with pytest.raises(WeightsError):
             WeightVector((F(3, 2), F(-1, 2), F(0))).check_simplex()
 
+    def test_check_simplex_integer(self, grid20):
+        wv = wstar_dp(grid20)
+        wv.check_simplex()
+        nums = list(wv.nums)
+        nums[0] += 1  # off by 1/den: inside the float tolerance, still not 1
+        with pytest.raises(WeightsError, match="sum to 1"):
+            dataclasses.replace(wv, nums=tuple(nums)).check_simplex()
+        nums[0] -= 2
+        with pytest.raises(WeightsError, match="sum to 1"):
+            dataclasses.replace(wv, nums=tuple(nums)).check_simplex()
+        negative = (-1, wv.nums[1] + wv.nums[0] + 1) + wv.nums[2:]
+        with pytest.raises(WeightsError, match="non-negative"):
+            dataclasses.replace(wv, nums=negative).check_simplex()
+
+    def test_numerators_not_compared(self, fork):
+        wv = wstar_dp(fork)
+        assert wv == WeightVector(wv.values)
+        assert hash(wv) == hash(WeightVector(wv.values))
+
     def test_in_delta_star(self, fork):
         assert wstar_dp(fork).in_delta_star(fork)
         w = WeightVector.from_mapping(fork, {fork.index("i"): 1})
@@ -242,3 +329,27 @@ class TestWeightVector:
     def test_as_dict(self, shortcut):
         d = wstar_dp(shortcut).as_dict(shortcut)
         assert d == {"s": 0.75, "i": 0.25, "t": 0.0}
+
+
+class TestFixedWeightSplit:
+    """`FixedWeightRule.vector` with integer numerators gives what
+    `w * total` gives, value and type, for every kind of total."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["int", "fraction", "float"]))
+    def test_equals_w_times_total(self, seed, kind):
+        rng = random.Random(seed)
+        dag = random_dag(rng, 3, 8, 0.4)
+        losses = random_losses(rng, dag)
+        if kind == "fraction":
+            losses = {e: F(x, rng.randint(1, 7)) for e, x in losses.items()}
+        elif kind == "float":
+            losses = {e: x / 7 for e, x in losses.items()}
+        rule = make_rule("fixed:wstar", dag).bind(losses)
+        assert rule.weights.nums is not None
+        assert rule.cares == tuple(w > 0 for w in rule.weights.values)
+        for p in enumerate_paths(dag):
+            total = path_loss(losses, p)
+            got = rule.vector(p)
+            want = tuple(w * total for w in rule.weights.values)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
