@@ -20,6 +20,17 @@ Properties:
                       nothing
   PATH_INDEP          equal-total paths under one loss function tie
   TOTAL_LOSS_DEP      equal totals across instances yield equal vectors
+
+All nine run on one driver, `_run_check`. A trial is called as
+`trial(rng, dag, losses, rule)` on one drawn instance and returns None on
+a pass, a counterexample dict on a failure, or `_NO_PREMISE` when this
+draw cannot supply the trial's premise (say, no two efficient paths). The
+driver then redraws, up to `_DRAWS` times, and counts a trial that never
+finds its premise as a vacuous pass. A fixed graph with fixed losses gets
+one draw, unless the trial draws part of its premise itself. `rule` is a
+zero-argument callable that builds the rule for the drawn graph; a trial
+calls it at most once, where its RNG sequence needs the rule, so draws
+that lack the premise build none. The report names the first rule built.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from functools import cache, partial
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .game import spe_outcomes, spe_solve
 from .generators import random_dag, random_losses
@@ -164,32 +176,17 @@ def _lt(a: Num, b: Num, tol: float) -> bool:
     return float(a) < float(b) - tol
 
 
-def _pay_table(rule: Rule, losses: Mapping[Edge, Num]):
-    bound = rule.bind(losses)
-    cache: dict[tuple[int, ...], tuple[Num, ...]] = {}
-
-    def pay(nodes: tuple[int, ...]) -> tuple[Num, ...]:
-        vec = cache.get(nodes)
-        if vec is None:
-            vec = tuple(bound.vector(Path(nodes)))
-            cache[nodes] = vec
-        return vec
-
-    return pay
-
-
-def _draw_instance(rng, dag, losses):
-    g = dag if dag is not None else random_dag(rng)
-    lo = losses if losses is not None else random_losses(rng, g)
-    return g, lo
+# a trial's return when this draw cannot supply its premise
+_NO_PREMISE = object()
+_DRAWS = 60  # draws per trial before it counts as vacuous
 
 
 # ---------------------------------------------------------------------------
-# axiom trial bodies; each returns None on pass or a counterexample dict
+# axioms
 
 
 def _trial_ei(rng, dag, losses, rule):
-    spe = {p.nodes for p in spe_outcomes(dag, losses, rule)}
+    spe = {p.nodes for p in spe_outcomes(dag, losses, rule())}
     efficient = efficient_paths(dag, losses)
     eff = efficient.path_set()
     if spe == eff:
@@ -206,6 +203,7 @@ def _trial_ei(rng, dag, losses, rule):
 
 
 def _trial_rld(rng, dag, losses, rule):
+    rule = rule()
     paths = enumerate_paths(dag)
     path = rng.choice(paths)
     onpath = set(path.edges)
@@ -226,6 +224,7 @@ def _trial_rld(rng, dag, losses, rule):
 
 
 def _trial_si(rng, dag, losses, rule):
+    rule = rule()
     paths = enumerate_paths(dag)
     path = rng.choice(paths)
     alpha = rng.choice([Fraction(1, 2), 2, 10])
@@ -245,11 +244,11 @@ def _trial_si(rng, dag, losses, rule):
 
 
 def _trial_pcp(rng, dag, losses, rule):
-    rule = rule.bind(losses)
+    rule = rule().bind(losses)
     sol = spe_solve(dag, losses, rule)
     spe = sol.outcomes()
     eff = efficient_paths(dag, losses).path_set()
-    pay = _pay_table(rule, losses)
+    pay = cache(lambda nodes: tuple(rule.vector(Path(nodes))))
     tol = default_tolerance(losses)
     equilibria = sorted((p.nodes for p in spe if p.nodes in eff))
     for p_nodes in equilibria:
@@ -282,72 +281,6 @@ def _trial_pcp(rng, dag, losses, rule):
                                 "pair_sum_after": _num_repr(moved[i] + moved[j]),
                             }
     return None
-
-
-_AXIOM_TRIALS = {
-    "EI": _trial_ei,
-    "RLD": _trial_rld,
-    "SI": _trial_si,
-    "PCP": _trial_pcp,
-}
-
-
-def _check_run(
-    trials: int, dag: Optional[Dag], losses: Optional[Mapping[Edge, Num]]
-) -> None:
-    """Reject a run that could only pass vacuously or has no graph to fix
-    its losses on."""
-    if trials < 1:
-        raise AxiomError(f"trials must be at least 1, got {trials}")
-    if losses is not None and dag is None:
-        raise AxiomError("fixed losses require a fixed graph")
-
-
-def check_axiom(
-    axiom_id: str,
-    rule: RuleLike,
-    dag: Optional[Dag] = None,
-    trials: int = 100,
-    seed: int = 0,
-    losses: Optional[Mapping[Edge, Num]] = None,
-) -> CheckReport:
-    """Search for a counterexample to an axiom over seeded random trials.
-
-    With `dag` given, only losses are redrawn each trial (or held fixed if
-    `losses` is also given); otherwise each trial draws a fresh graph.
-    Stops at the first counterexample.
-    """
-    if axiom_id not in AXIOMS:
-        raise AxiomError(f"unknown axiom {axiom_id!r}; expected one of {AXIOMS}")
-    _check_run(trials, dag, losses)
-    factory = _as_factory(rule)
-    body = _AXIOM_TRIALS[axiom_id]
-    rule_name = None
-    passes = 0
-    ran = 0
-    counterexample = None
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        g, lo = _draw_instance(rng, dag, losses)
-        r = factory(g, rng)
-        if rule_name is None:
-            rule_name = r.spec_string
-        ran += 1
-        cex = body(rng, g, lo, r)
-        if cex is None:
-            passes += 1
-        else:
-            cex["trial"] = t
-            counterexample = cex
-            break
-    return CheckReport(
-        id=axiom_id,
-        rule=rule_name or "",
-        trials=ran,
-        passes=passes,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,58 +320,69 @@ def _efficient_suffix(dag: Dag, losses, cont, start: int) -> tuple[int, ...]:
     return tuple(nodes)
 
 
-def _trial_downstream_mono(rng, dag, losses, rule, eligible):
-    pay = _pay_table(rule, losses)
+def _mono_applicable(probe: Rule, dag: Optional[Dag]) -> Optional[str]:
+    """Why DOWNSTREAM_MONO cannot apply to this rule, or None."""
+    eligible = _mono_eligible(probe)
+    if eligible is None:
+        return "mover payments are not strictly increasing in the total"
+    if dag is not None and not eligible:
+        return "no mover with a positive stake and several options in this graph"
+    return None
+
+
+def _trial_downstream_mono(rng, dag, losses, rule):
+    rule = rule()
+    eligible = _mono_eligible(rule)
+    if not eligible:
+        return _NO_PREMISE
+    bound = rule.bind(losses)
     cont = continuation_costs(dag, losses)
     i = rng.choice(eligible)
     history = _random_history(rng, dag, i)
     j, k = rng.sample(dag.succ[i], 2)
-    path_j = history + _efficient_suffix(dag, losses, cont, j)
-    path_k = history + _efficient_suffix(dag, losses, cont, k)
-    lhs = losses[(i, j)] + cont[j] < losses[(i, k)] + cont[k]
-    rhs = pay(path_j)[i] < pay(path_k)[i]
-    lhs_rev = losses[(i, k)] + cont[k] < losses[(i, j)] + cont[j]
-    rhs_rev = pay(path_k)[i] < pay(path_j)[i]
-    if lhs == rhs and lhs_rev == rhs_rev:
+    cost = [losses[(i, x)] + cont[x] for x in (j, k)]
+    pay = [
+        bound.vector(Path(history + _efficient_suffix(dag, losses, cont, x)))[i]
+        for x in (j, k)
+    ]
+    if (cost[0] < cost[1]) == (pay[0] < pay[1]) and (cost[1] < cost[0]) == (pay[1] < pay[0]):
         return None
     return {
         "graph": _graph_dict(dag, losses),
         "mover": dag.labels[i],
         "history": _path_labels(dag, history),
         "branches": [dag.labels[j], dag.labels[k]],
-        "continuation_costs": [
-            _num_repr(losses[(i, j)] + cont[j]),
-            _num_repr(losses[(i, k)] + cont[k]),
-        ],
-        "mover_liabilities": [_num_repr(pay(path_j)[i]), _num_repr(pay(path_k)[i])],
+        "continuation_costs": [_num_repr(c) for c in cost],
+        "mover_liabilities": [_num_repr(x) for x in pay],
     }
 
 
-def _trial_eff_path_inv(rng, dag_opt, losses_opt, factory, state):
-    for _ in range(60):
-        g, lo = _draw_instance(rng, dag_opt, losses_opt)
-        eff = efficient_paths(g, lo).paths
-        if len(eff) >= 2:
-            rule = factory(g, rng)
-            pay = _pay_table(rule, lo)
-            p1, p2 = rng.sample(list(eff), 2)
-            if _vec_close(pay(p1.nodes), pay(p2.nodes)):
-                return None
-            return {
-                "graph": _graph_dict(g, lo),
-                "paths": [_path_labels(g, p1.nodes), _path_labels(g, p2.nodes)],
-                "liabilities": [
-                    _vec_dict(g, pay(p1.nodes)),
-                    _vec_dict(g, pay(p2.nodes)),
-                ],
-            }
-        if dag_opt is not None and losses_opt is not None:
-            break
-    state["vacuous"] += 1
-    return None
+def _same_split(dag, losses, rule, p1: Path, p2: Path, key: str, **extra):
+    """None if p1 and p2 split the losses alike, else a counterexample
+    that names the two paths under `key`."""
+    bound = rule.bind(losses)
+    a, b = tuple(bound.vector(p1)), tuple(bound.vector(p2))
+    if _vec_close(a, b):
+        return None
+    return {
+        "graph": _graph_dict(dag, losses),
+        key: [_path_labels(dag, p1.nodes), _path_labels(dag, p2.nodes)],
+        "liabilities": [_vec_dict(dag, a), _vec_dict(dag, b)],
+        **extra,
+    }
+
+
+def _trial_eff_path_inv(rng, dag, losses, rule):
+    eff = efficient_paths(dag, losses).paths
+    if len(eff) < 2:
+        return _NO_PREMISE
+    rule = rule()
+    p1, p2 = rng.sample(list(eff), 2)
+    return _same_split(dag, losses, rule, p1, p2, "paths")
 
 
 def _trial_redistribution_inv(rng, dag, losses, rule):
+    rule = rule()
     paths = enumerate_paths(dag)
     path = rng.choice(paths)
     vals = [losses[e] for e in path.edges]
@@ -464,64 +408,161 @@ def _trial_redistribution_inv(rng, dag, losses, rule):
     }
 
 
-def _trial_path_indep(rng, dag_opt, losses_opt, factory, state):
-    for _ in range(60):
-        g, lo = _draw_instance(rng, dag_opt, losses_opt)
-        groups: dict = {}
-        for p in enumerate_paths(g):
-            groups.setdefault(path_loss(lo, p), []).append(p)
-        tied = [ps for ps in groups.values() if len(ps) >= 2]
-        if tied:
-            rule = factory(g, rng)
-            pay = _pay_table(rule, lo)
-            p1, p2 = rng.sample(rng.choice(tied), 2)
-            if _vec_close(pay(p1.nodes), pay(p2.nodes)):
-                return None
-            return {
-                "graph": _graph_dict(g, lo),
-                "equal_total_paths": [
-                    _path_labels(g, p1.nodes),
-                    _path_labels(g, p2.nodes),
-                ],
-                "total": _num_repr(path_loss(lo, p1)),
-                "liabilities": [
-                    _vec_dict(g, pay(p1.nodes)),
-                    _vec_dict(g, pay(p2.nodes)),
-                ],
-            }
-        if dag_opt is not None and losses_opt is not None:
+def _trial_path_indep(rng, dag, losses, rule):
+    groups: dict = {}
+    for p in enumerate_paths(dag):
+        groups.setdefault(path_loss(losses, p), []).append(p)
+    tied = [ps for ps in groups.values() if len(ps) >= 2]
+    if not tied:
+        return _NO_PREMISE
+    rule = rule()
+    p1, p2 = rng.sample(rng.choice(tied), 2)
+    return _same_split(
+        dag, losses, rule, p1, p2, "equal_total_paths",
+        total=_num_repr(path_loss(losses, p1)),
+    )
+
+
+def _trial_total_loss_dep(rng, dag, losses, rule):
+    paths = enumerate_paths(dag)
+    p1 = rng.choice(paths)
+    target = path_loss(losses, p1)
+    second = random_losses(rng, dag)
+    matches = [p for p in paths if path_loss(second, p) == target]
+    if not matches:
+        return _NO_PREMISE
+    others = [p for p in matches if p.nodes != p1.nodes]
+    p2 = rng.choice(others) if others else matches[0]
+    rule = rule()
+    base = apply_rule(rule, p1, losses).values
+    other = apply_rule(rule, p2, second).values
+    if _vec_close(base, other):
+        return None
+    return {
+        "graph": _graph_dict(dag, losses),
+        "path": _path_labels(dag, p1.nodes),
+        "second_losses": _graph_dict(dag, second)["edges"],
+        "second_path": _path_labels(dag, p2.nodes),
+        "total": _num_repr(target),
+        "liabilities": [_vec_dict(dag, base), _vec_dict(dag, other)],
+    }
+
+
+# ---------------------------------------------------------------------------
+# the driver
+
+
+class _Check(NamedTuple):
+    trial: Callable
+    # why the check cannot apply to the probe rule, or None
+    precondition: Optional[Callable[[Rule, Optional[Dag]], Optional[str]]] = None
+    # the trial draws part of its premise, so a fixed instance is redrawn too
+    redraw_fixed: bool = False
+
+
+_CHECKS = {
+    "EI": _Check(_trial_ei),
+    "RLD": _Check(_trial_rld),
+    "PCP": _Check(_trial_pcp),
+    "SI": _Check(_trial_si),
+    "DOWNSTREAM_MONO": _Check(_trial_downstream_mono, precondition=_mono_applicable),
+    "EFF_PATH_INV": _Check(_trial_eff_path_inv),
+    "REDISTRIBUTION_INV": _Check(_trial_redistribution_inv),
+    "PATH_INDEP": _Check(_trial_path_indep),
+    "TOTAL_LOSS_DEP": _Check(_trial_total_loss_dep, redraw_fixed=True),
+}
+
+
+def _probe_rule(factory, dag: Optional[Dag], seed: int) -> Rule:
+    """The rule on the fixed graph, or on trial 0's first random graph."""
+    rng = _trial_rng(seed, 0)
+    return factory(dag if dag is not None else random_dag(rng), rng)
+
+
+def _run_check(
+    check_id: str,
+    rule: RuleLike,
+    dag: Optional[Dag],
+    trials: int,
+    seed: int,
+    losses: Optional[Mapping[Edge, Num]],
+) -> CheckReport:
+    if trials < 1:
+        raise AxiomError(f"trials must be at least 1, got {trials}")
+    if losses is not None and dag is None:
+        raise AxiomError("fixed losses require a fixed graph")
+    check = _CHECKS[check_id]
+    factory = _as_factory(rule)
+    if check.precondition is not None:
+        probe = _probe_rule(factory, dag, seed)
+        reason = check.precondition(probe, dag)
+        if reason is not None:
+            return CheckReport(
+                id=check_id,
+                rule=probe.spec_string,
+                trials=0,
+                passes=0,
+                seed=seed,
+                applicable=False,
+                detail={"reason": reason},
+            )
+
+    names: list[str] = []  # spec string of the first rule built
+
+    def build(g: Dag, rng: random.Random) -> Rule:
+        r = factory(g, rng)
+        if not names:
+            names.append(r.spec_string)
+        return r
+
+    fixed = dag is not None and losses is not None and not check.redraw_fixed
+    draws = 1 if fixed else _DRAWS
+    passes = vacuous = 0
+    counterexample = None
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        for _ in range(draws):
+            g = dag if dag is not None else random_dag(rng)
+            lo = losses if losses is not None else random_losses(rng, g)
+            cex = check.trial(rng, g, lo, partial(build, g, rng))
+            if cex is not _NO_PREMISE:
+                break
+        else:
+            vacuous += 1
+            cex = None
+        if cex is not None:
+            cex["trial"] = t
+            counterexample = cex
             break
-    state["vacuous"] += 1
-    return None
+        passes += 1
+    return CheckReport(
+        id=check_id,
+        rule=names[0] if names else _probe_rule(factory, dag, seed).spec_string,
+        trials=passes + (counterexample is not None),
+        passes=passes,
+        seed=seed,
+        counterexample=counterexample,
+        detail={"vacuous": vacuous} if vacuous else {},
+    )
 
 
-def _trial_total_loss_dep(rng, dag_opt, losses_opt, factory, state):
-    for _ in range(60):
-        g, lo = _draw_instance(rng, dag_opt, losses_opt)
-        paths = enumerate_paths(g)
-        p1 = rng.choice(paths)
-        target = path_loss(lo, p1)
-        second = random_losses(rng, g)
-        matches = [p for p in paths if path_loss(second, p) == target]
-        if not matches:
-            continue
-        others = [p for p in matches if p.nodes != p1.nodes]
-        p2 = rng.choice(others) if others else matches[0]
-        rule = factory(g, rng)
-        base = apply_rule(rule, p1, lo).values
-        other = apply_rule(rule, p2, second).values
-        if _vec_close(base, other):
-            return None
-        return {
-            "graph": _graph_dict(g, lo),
-            "path": _path_labels(g, p1.nodes),
-            "second_losses": _graph_dict(g, second)["edges"],
-            "second_path": _path_labels(g, p2.nodes),
-            "total": _num_repr(target),
-            "liabilities": [_vec_dict(g, base), _vec_dict(g, other)],
-        }
-    state["vacuous"] += 1
-    return None
+def check_axiom(
+    axiom_id: str,
+    rule: RuleLike,
+    dag: Optional[Dag] = None,
+    trials: int = 100,
+    seed: int = 0,
+    losses: Optional[Mapping[Edge, Num]] = None,
+) -> CheckReport:
+    """Search for a counterexample to an axiom over seeded random trials.
+
+    With `dag` given, only losses are redrawn each trial (or held fixed if
+    `losses` is also given); otherwise each trial draws a fresh graph.
+    Stops at the first counterexample.
+    """
+    if axiom_id not in AXIOMS:
+        raise AxiomError(f"unknown axiom {axiom_id!r}; expected one of {AXIOMS}")
+    return _run_check(axiom_id, rule, dag, trials, seed, losses)
 
 
 def check_property(
@@ -544,88 +585,7 @@ def check_property(
         raise AxiomError(
             f"unknown property {property_id!r}; expected one of {PROPERTIES}"
         )
-    _check_run(trials, dag, losses)
-    factory = _as_factory(rule)
-    rule_name = None
-    passes = 0
-    ran = 0
-    counterexample = None
-    state = {"vacuous": 0}
-
-    if property_id == "DOWNSTREAM_MONO":
-        probe_rng = _trial_rng(seed, 0)
-        probe = factory(dag if dag is not None else random_dag(probe_rng), probe_rng)
-        elig = _mono_eligible(probe)
-        reason = None
-        if elig is None:
-            reason = "mover payments are not strictly increasing in the total"
-        elif dag is not None and not elig:
-            reason = "no mover with a positive stake and several options in this graph"
-        if reason is not None:
-            return CheckReport(
-                id=property_id,
-                rule=probe.spec_string,
-                trials=0,
-                passes=0,
-                seed=seed,
-                applicable=False,
-                detail={"reason": reason},
-            )
-
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        cex = None
-        if property_id == "DOWNSTREAM_MONO":
-            g = lo = r = eligible = None
-            for _ in range(60):
-                g, lo = _draw_instance(rng, dag, losses)
-                r = factory(g, rng)
-                eligible = _mono_eligible(r)
-                if eligible:
-                    break
-                if dag is not None:
-                    eligible = None
-                    break
-            if not eligible:
-                state["vacuous"] += 1
-            else:
-                cex = _trial_downstream_mono(rng, g, lo, r, eligible)
-            if rule_name is None and r is not None:
-                rule_name = r.spec_string
-        elif property_id == "EFF_PATH_INV":
-            cex = _trial_eff_path_inv(rng, dag, losses, factory, state)
-        elif property_id == "REDISTRIBUTION_INV":
-            g, lo = _draw_instance(rng, dag, losses)
-            r = factory(g, rng)
-            if rule_name is None:
-                rule_name = r.spec_string
-            cex = _trial_redistribution_inv(rng, g, lo, r)
-        elif property_id == "PATH_INDEP":
-            cex = _trial_path_indep(rng, dag, losses, factory, state)
-        else:
-            cex = _trial_total_loss_dep(rng, dag, losses, factory, state)
-        ran += 1
-        if cex is None:
-            passes += 1
-        else:
-            cex["trial"] = t
-            counterexample = cex
-            break
-
-    if rule_name is None:
-        probe_rng = _trial_rng(seed, 0)
-        rule_name = factory(
-            dag if dag is not None else random_dag(probe_rng), probe_rng
-        ).spec_string
-    return CheckReport(
-        id=property_id,
-        rule=rule_name,
-        trials=ran,
-        passes=passes,
-        seed=seed,
-        counterexample=counterexample,
-        detail={"vacuous": state["vacuous"]} if state["vacuous"] else {},
-    )
+    return _run_check(property_id, rule, dag, trials, seed, losses)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,8 @@ def _cmd_check(args) -> int:
     chosen = [x for x in (args.axiom, args.property, args.scenario) if x]
     if len(chosen) != 1:
         raise CliError("pick exactly one of --axiom, --property, --scenario")
+    if args.losses and not args.graph:
+        raise CliError("--losses needs a graph file: fixed losses require a fixed graph")
     dag = losses = None
     if args.graph:
         dag, embedded = load_graph_file(args.graph)

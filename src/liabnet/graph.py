@@ -418,8 +418,8 @@ def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
     """All source-to-sink paths in lexicographic order of node indices.
 
     Args:
-        cap: optional upper bound; exceeding it raises PathCapExceeded
-            instead of blowing up memory.
+        cap: optional non-negative upper bound; exceeding it raises
+            PathCapExceeded instead of blowing up memory.
     """
     return _paths_along(dag, None, cap, f"more than {cap} paths")
 
@@ -436,6 +436,8 @@ def _paths_along(
     Depth-first with an explicit stack, so path length is not bounded by
     the interpreter's recursion limit.
     """
+    if cap is not None and cap < 0:
+        raise GraphError(f"path cap must be non-negative, got {cap}")
     out: list[Path] = []
     nodes = [dag.source]
     pending = [iter(dag.succ[dag.source])]  # untried successors per level

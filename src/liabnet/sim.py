@@ -310,13 +310,16 @@ def _simulate_source(args):
         done += ch
         U = rng.uniform(low, high, size=(ch, m))
         L = np.zeros((ch, n))
-        best = [None] * n
+        # edges on the tight-argmin path from each node: the fixed rules' path length
+        depth = np.zeros((ch, n), dtype=np.int64)
+        all_rows = np.arange(ch)
         for i in range(n - 1, -1, -1):
             if is_sink[i]:
                 continue
             cand = U[:, succ_cols[i]] + L[:, succ_nodes[i]]
-            L[:, i] = cand.min(axis=1)
-            best[i] = cand.argmin(axis=1)
+            best = cand.argmin(axis=1)
+            L[:, i] = cand[all_rows, best]
+            depth[:, i] = 1 + depth[all_rows, succ_nodes[i][best]]
         teff = L[:, sub.source]
         out["eff"] += float(teff.sum())
 
@@ -329,20 +332,7 @@ def _simulate_source(args):
                 sub_sq = (weights * weights) * sum_t2
                 np.add.at(out["liab"][spec], gmap, sub_liab)
                 np.add.at(out["sq"][spec], gmap, sub_sq)
-                # walk the tight-argmin path only for its length
-                visit = np.zeros((ch, n), dtype=bool)
-                visit[:, sub.source] = True
-                length = np.zeros(ch, dtype=np.int64)
-                for i in range(n):
-                    if is_sink[i]:
-                        continue
-                    rows = np.nonzero(visit[:, i])[0]
-                    if rows.size == 0:
-                        continue
-                    nxt = succ_nodes[i][best[i][rows]]
-                    visit[rows, nxt] = True
-                    length[rows] += 1
-                out["len"][spec] += int(length.sum())
+                out["len"][spec] += int(depth[:, sub.source].sum())
                 positive = weights > 0
                 if positive.any():
                     vals = np.clip(

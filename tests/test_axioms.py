@@ -15,7 +15,7 @@ from liabnet.axioms import (
 )
 from liabnet.generators import random_simplex_weights
 from liabnet.graph import build_dag
-from liabnet.rules import fixed_rule
+from liabnet.rules import fixed_rule, make_rule
 from liabnet.weights import WeightVector
 
 
@@ -190,6 +190,81 @@ class TestOtherProperties:
     def test_total_loss_dependence(self):
         assert check_property("TOTAL_LOSS_DEP", "fixed:equal", trials=60, seed=17).passed
         assert not check_property("TOTAL_LOSS_DEP", "local", trials=200, seed=17).passed
+
+
+def _spy(monkeypatch, name):
+    """Count the calls `liabnet.axioms` makes to one of its imports."""
+    calls = []
+    real = getattr(liabnet.axioms, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liabnet.axioms, name, spy)
+    return calls
+
+
+def _instance(losses):
+    """A graph on s, a, b, t with the given labelled edge losses."""
+    dag = build_dag(["s", "a", "b", "t"], list(losses))
+    return dag, {(dag.index(u), dag.index(v)): x for (u, v), x in losses.items()}
+
+
+class TestTrialDriver:
+    """How the one trial driver draws instances, builds rules and tallies
+    vacuous trials."""
+
+    @pytest.mark.parametrize("prop", ["EFF_PATH_INV", "PATH_INDEP", "TOTAL_LOSS_DEP"])
+    def test_one_rule_per_non_vacuous_trial(self, monkeypatch, prop):
+        draws = _spy(monkeypatch, "random_dag")
+        built = []
+
+        def factory(dag, rng):
+            built.append(dag)
+            return make_rule("fixed:wstar", dag)
+
+        rep = check_property(prop, factory, trials=100, seed=202408)
+        assert rep.passed and rep.trials == 100 and rep.rule == "fixed:wstar"
+        ran = rep.trials - rep.detail.get("vacuous", 0)
+        # draws that lack the premise build no rule; at most one more build
+        # may name the rule
+        assert ran <= len(built) <= ran + 1
+        assert len(draws) > 2 * len(built)
+
+    def test_fixed_instance_without_premise_draws_once(self, monkeypatch):
+        # one efficient path, s->a->t, so no pair to compare
+        dag, losses = _instance({("s", "a"): 1, ("s", "b"): 2, ("a", "t"): 1, ("b", "t"): 1})
+        calls = _spy(monkeypatch, "efficient_paths")
+        rep = check_property("EFF_PATH_INV", "local", dag=dag, trials=5, seed=0, losses=losses)
+        assert len(calls) == 5
+        assert rep.passed and rep.passes == rep.trials == 5
+        assert rep.detail == {"vacuous": 5}
+
+    def test_total_loss_dep_on_fixed_instance(self):
+        dag, losses = _instance(
+            {("s", "a"): 1, ("s", "b"): 2, ("a", "b"): 1, ("a", "t"): 2, ("b", "t"): 1}
+        )
+        rep = check_property("TOTAL_LOSS_DEP", "local", dag=dag, trials=20, seed=1, losses=losses)
+        cex = rep.counterexample
+        assert (rep.rule, rep.trials, rep.passes, rep.detail) == ("local", 2, 1, {})
+        assert cex["trial"] == 1 and cex["total"] == 3
+        assert cex["path"] == cex["second_path"] == ["s", "a", "b", "t"]
+        assert [e["loss"] for e in cex["second_losses"]] == [0, 2, 3, 7, 0]
+        assert cex["liabilities"] == [
+            {"s": 1, "a": 1, "b": 1, "t": 0},
+            {"s": 0, "a": 3, "b": 0, "t": 0},
+        ]
+
+    def test_total_loss_dep_redraws_a_fixed_instance(self, monkeypatch):
+        # no second loss function of 0-9 per edge reaches a total of 100
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+        redraws = _spy(monkeypatch, "random_losses")
+        rep = check_property(
+            "TOTAL_LOSS_DEP", "local", dag=dag, trials=4, seed=0, losses={(0, 1): 50, (1, 2): 50}
+        )
+        assert rep.passed and rep.detail == {"vacuous": 4}
+        assert len(redraws) == 4 * 60
 
 
 class TestScenario:

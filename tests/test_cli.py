@@ -66,6 +66,12 @@ class TestPaths:
         assert data is None
         assert "cap" in err or "paths" in err
 
+    def test_zero_cap_is_a_cap(self, capsys):
+        code, data, err = run(capsys, "paths", FORK, "--cap-paths", "0")
+        assert code == 2
+        assert data is None
+        assert err == "error: more than 0 paths\n"
+
 
 class TestWeights:
     def test_dp_on_fork(self, capsys):
@@ -351,12 +357,25 @@ GUARD_ARGV = {
     ),
     "simulate-workers-zero": (("simulate", "--workers", "0"), "workers"),
     "simulate-workers-negative": (("simulate", "--workers", "-1"), "workers"),
+    "paths-cap-negative": (
+        ("paths", FORK, "--cap-paths", "-1"), "path cap must be non-negative, got -1"
+    ),
+    "weights-cap-negative": (
+        ("weights", FORK, "--method", "enumerate", "--cap-paths", "-1"),
+        "path cap must be non-negative, got -1",
+    ),
+    "check-losses-without-graph": (
+        ("check", "--property", "PATH_INDEP", "--rule", "fixed:wstar",
+         "--losses", "/nonexistent.json"),
+        "fixed losses require a fixed graph",
+    ),
 }
 
 
 class TestGuards:
-    """A bad tie tolerance, trial count or worker count fails with exit 2
-    and one `error:` line instead of an empty or vacuous report."""
+    """A bad tie tolerance, trial count, worker count or path cap, or fixed
+    losses without a graph, fails with exit 2 and one `error:` line instead
+    of an empty or vacuous report."""
 
     @pytest.mark.parametrize("argv, message", GUARD_ARGV.values(), ids=GUARD_ARGV.keys())
     def test_exits_2_with_one_line(self, capsys, argv, message):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liabnet.graph import build_dag, continuation_costs, reachable_subgraph
+from liabnet.graph import build_dag, continuation_costs, efficient_paths, reachable_subgraph
 from liabnet.game import spe_outcomes
 from liabnet.rules import make_rule
 from liabnet.sim import (
@@ -224,6 +224,8 @@ class TestEngineAgainstSolver:
             caps = continuation_costs(sub, losses)
             assert out["eff"] == pytest.approx(caps[sub.source], abs=1e-9)
             assert out["real"]["fixed:wstar"] == pytest.approx(caps[sub.source], abs=1e-9)
+            (eff,) = efficient_paths(sub, losses).paths
+            assert out["len"]["fixed:wstar"] == len(eff) - 1
             spe_local = spe_outcomes(sub, losses, make_rule("local", sub))
             assert len(spe_local) == 1
             path = next(iter(spe_local))
