@@ -22,15 +22,17 @@ Properties:
   TOTAL_LOSS_DEP      equal totals across instances yield equal vectors
 
 All nine run on one driver, `_run_check`. A trial is called as
-`trial(rng, dag, losses, rule)` on one drawn instance and returns None on
-a pass, a counterexample dict on a failure, or `_NO_PREMISE` when this
-draw cannot supply the trial's premise (say, no two efficient paths). The
-driver then redraws, up to `_DRAWS` times, and counts a trial that never
-finds its premise as a vacuous pass. A fixed graph with fixed losses gets
-one draw, unless the trial draws part of its premise itself. `rule` is a
-zero-argument callable that builds the rule for the drawn graph; a trial
-calls it at most once, where its RNG sequence needs the rule, so draws
-that lack the premise build none. The report names the first rule built.
+`trial(rng, dag, losses, rule, paths)` on one drawn instance and returns
+None on a pass, a counterexample dict on a failure, or `_NO_PREMISE` when
+this draw cannot supply the trial's premise (say, no two efficient
+paths). The driver then redraws, up to `_DRAWS` times, and counts a trial
+that never finds its premise as a vacuous pass. A fixed graph with fixed
+losses gets one draw, unless the trial draws part of its premise itself.
+`rule` is a zero-argument callable that builds the rule for the drawn
+graph; a trial calls it at most once, where its RNG sequence needs the
+rule, so draws that lack the premise build none. The report names the
+first rule built. `paths(dag)` gives the graph's source-to-sink paths as
+a tuple; a fixed graph is enumerated once per check.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ _DRAWS = 60  # draws per trial before it counts as vacuous
 # axioms
 
 
-def _trial_ei(rng, dag, losses, rule):
+def _trial_ei(rng, dag, losses, rule, paths):
     spe = {p.nodes for p in spe_outcomes(dag, losses, rule())}
     efficient = efficient_paths(dag, losses)
     eff = efficient.path_set()
@@ -202,10 +204,9 @@ def _trial_ei(rng, dag, losses, rule):
     }
 
 
-def _trial_rld(rng, dag, losses, rule):
+def _trial_rld(rng, dag, losses, rule, paths):
     rule = rule()
-    paths = enumerate_paths(dag)
-    path = rng.choice(paths)
+    path = rng.choice(paths(dag))
     onpath = set(path.edges)
     second = {
         e: (v if e in onpath else rng.randint(0, 9)) for e, v in losses.items()
@@ -223,10 +224,9 @@ def _trial_rld(rng, dag, losses, rule):
     }
 
 
-def _trial_si(rng, dag, losses, rule):
+def _trial_si(rng, dag, losses, rule, paths):
     rule = rule()
-    paths = enumerate_paths(dag)
-    path = rng.choice(paths)
+    path = rng.choice(paths(dag))
     alpha = rng.choice([Fraction(1, 2), 2, 10])
     scaled = {e: alpha * v for e, v in losses.items()}
     base = apply_rule(rule, path, losses).values
@@ -243,7 +243,7 @@ def _trial_si(rng, dag, losses, rule):
     }
 
 
-def _trial_pcp(rng, dag, losses, rule):
+def _trial_pcp(rng, dag, losses, rule, paths):
     rule = rule().bind(losses)
     sol = spe_solve(dag, losses, rule)
     spe = sol.outcomes()
@@ -330,7 +330,7 @@ def _mono_applicable(probe: Rule, dag: Optional[Dag]) -> Optional[str]:
     return None
 
 
-def _trial_downstream_mono(rng, dag, losses, rule):
+def _trial_downstream_mono(rng, dag, losses, rule, paths):
     rule = rule()
     eligible = _mono_eligible(rule)
     if not eligible:
@@ -372,7 +372,7 @@ def _same_split(dag, losses, rule, p1: Path, p2: Path, key: str, **extra):
     }
 
 
-def _trial_eff_path_inv(rng, dag, losses, rule):
+def _trial_eff_path_inv(rng, dag, losses, rule, paths):
     eff = efficient_paths(dag, losses).paths
     if len(eff) < 2:
         return _NO_PREMISE
@@ -381,10 +381,9 @@ def _trial_eff_path_inv(rng, dag, losses, rule):
     return _same_split(dag, losses, rule, p1, p2, "paths")
 
 
-def _trial_redistribution_inv(rng, dag, losses, rule):
+def _trial_redistribution_inv(rng, dag, losses, rule, paths):
     rule = rule()
-    paths = enumerate_paths(dag)
-    path = rng.choice(paths)
+    path = rng.choice(paths(dag))
     vals = [losses[e] for e in path.edges]
     shuffled = vals[:]
     for _ in range(10):
@@ -408,9 +407,9 @@ def _trial_redistribution_inv(rng, dag, losses, rule):
     }
 
 
-def _trial_path_indep(rng, dag, losses, rule):
+def _trial_path_indep(rng, dag, losses, rule, paths):
     groups: dict = {}
-    for p in enumerate_paths(dag):
+    for p in paths(dag):
         groups.setdefault(path_loss(losses, p), []).append(p)
     tied = [ps for ps in groups.values() if len(ps) >= 2]
     if not tied:
@@ -423,8 +422,8 @@ def _trial_path_indep(rng, dag, losses, rule):
     )
 
 
-def _trial_total_loss_dep(rng, dag, losses, rule):
-    paths = enumerate_paths(dag)
+def _trial_total_loss_dep(rng, dag, losses, rule, paths):
+    paths = paths(dag)
     p1 = rng.choice(paths)
     target = path_loss(losses, p1)
     second = random_losses(rng, dag)
@@ -473,6 +472,10 @@ _CHECKS = {
 }
 
 
+def _all_paths(dag: Dag) -> tuple[Path, ...]:
+    return tuple(enumerate_paths(dag))
+
+
 def _probe_rule(factory, dag: Optional[Dag], seed: int) -> Rule:
     """The rule on the fixed graph, or on trial 0's first random graph."""
     rng = _trial_rng(seed, 0)
@@ -515,6 +518,8 @@ def _run_check(
             names.append(r.spec_string)
         return r
 
+    # a fixed graph is enumerated on first use and dropped with the check
+    paths_of = cache(_all_paths) if dag is not None else _all_paths
     fixed = dag is not None and losses is not None and not check.redraw_fixed
     draws = 1 if fixed else _DRAWS
     passes = vacuous = 0
@@ -524,7 +529,7 @@ def _run_check(
         for _ in range(draws):
             g = dag if dag is not None else random_dag(rng)
             lo = losses if losses is not None else random_losses(rng, g)
-            cex = check.trial(rng, g, lo, partial(build, g, rng))
+            cex = check.trial(rng, g, lo, partial(build, g, rng), paths_of)
             if cex is not _NO_PREMISE:
                 break
         else:

@@ -10,12 +10,13 @@ some SPE realizes.
 `spe_outcomes` computes that set by set-valued backward induction:
 an outcome surviving at a node must be no worse for the mover than the
 worst credible continuation of every alternative edge (the continuations
-of the alternative act as threats). It solves each subgame state once.
-For rules that rank continuations by their total or by the mover's own
-edge, the state is the node. For other rules it is the rule's
-`subgame_key` of the history: the history itself by default, or a
-coarser key (punish-first uses the node and whether play is still on an
-efficient path). `spe_bruteforce` is the definitional oracle: enumerate
+of the alternative act as threats). It solves each subgame state once
+and memoizes its SPE suffixes, the paths from the state's node on. For
+rules that rank continuations by their total or by the mover's own edge,
+the state is the node. For other rules it is the rule's `subgame_key` of
+the history: the history itself by default, or a coarser key
+(punish-first uses the node and whether play is still on an efficient
+path). `spe_bruteforce` is the definitional oracle: enumerate
 every pure strategy profile over all histories and keep the ones with no
 profitable one-shot deviation anywhere, on or off the realized path.
 """
@@ -23,6 +24,7 @@ profitable one-shot deviation anywhere, on or off the realized path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional
@@ -32,9 +34,12 @@ from .graph import (
     Edge,
     Num,
     Path,
+    _forward_ways,
     continuation_costs,
     default_tolerance,
     exact_valued,
+    tight_step,
+    widen,
 )
 from .rules import MODE_OWN_EDGE, MODE_TOTALS, Rule
 
@@ -51,39 +56,21 @@ class ProfileCapExceeded(GameError):
     pass
 
 
-def _upper(bound_value: Num, tol: float) -> Num:
-    # adding a float tol to a Fraction would silently coerce to float and
-    # break exact comparisons, so only widen when a tolerance is in force
-    return bound_value if tol == 0 else bound_value + tol
-
-
 def history_count(dag: Dag, start: Optional[int] = None) -> int:
     """Number of subpaths starting at `start`, the source by default: the
     histories of the game, or of the subgame after any history ending at
     `start`."""
-    start = dag.source if start is None else start
-    counts = [0] * dag.n
-    counts[start] = 1
-    total = 0
-    for i in range(start, dag.n):
-        total += counts[i]
-        for j in dag.succ[i]:
-            counts[j] += counts[i]
-    return total
+    return sum(_forward_ways(dag, start))
 
 
 def profile_count(dag: Dag) -> int:
     """Number of pure strategy profiles: every history ending at a node
     with outgoing edges picks one of them independently."""
-    counts = [0] * dag.n
-    counts[dag.source] = 1
-    result = 1
-    for i in range(dag.n):
-        for j in dag.succ[i]:
-            counts[j] += counts[i]
-        if dag.succ[i]:
-            result *= len(dag.succ[i]) ** counts[i]
-    return result
+    return math.prod(
+        len(succ) ** ways
+        for succ, ways in zip(dag.succ, _forward_ways(dag))
+        if succ
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +94,7 @@ def _node_memo_totals(dag: Dag, losses, cares, tol):
             per_action.append(cont)
             caps.append(max(total for _, total in cont))
         if cares[i]:
-            limit = _upper(min(caps), tol)
+            limit = widen(min(caps), tol)
             memo[i] = [
                 item
                 for cont in per_action
@@ -127,7 +114,7 @@ def _node_memo_own_edge(dag: Dag, losses, tol):
         if not dag.succ[i]:
             memo[i] = [(i,)]
             continue
-        cheapest = _upper(min(losses[(i, j)] for j in dag.succ[i]), tol)
+        cheapest = widen(min(losses[(i, j)] for j in dag.succ[i]), tol)
         memo[i] = [
             (i,) + suffix
             for j in dag.succ[i]
@@ -140,11 +127,12 @@ def _node_memo_own_edge(dag: Dag, losses, tol):
 class SpeSolution:
     """Solved game: SPE outcome sets for the whole game and every subgame.
 
-    Total-monotone and own-edge rules share one suffix set per node, so
-    continuation queries are cheap. Other rules share one suffix set per
-    subgame state, the rule's `subgame_key` of a history (the history
-    itself unless the rule says otherwise). Those are solved only for a
-    subgame of at most `history_cap` histories, however few states it has.
+    Every memo maps a state to the SPE suffixes that start at its node.
+    Total-monotone and own-edge rules key theirs by the node, so
+    continuation queries are cheap. Other rules key it by the rule's
+    `subgame_key` of a history (the history itself unless the rule says
+    otherwise). Those are solved only for a subgame of at most
+    `history_cap` histories, however few states it has.
     """
 
     def __init__(
@@ -170,9 +158,7 @@ class SpeSolution:
         elif self.bound.mode == MODE_OWN_EDGE:
             self._node_memo = _node_memo_own_edge(dag, losses, self.tol)
         else:
-            # subgame key -> (length of the first history to reach the
-            # state, SPE outcome paths after that history)
-            self._state_memo: dict[Hashable, tuple[int, list[tuple[int, ...]]]] = {}
+            self._state_memo: dict[Hashable, list[tuple[int, ...]]] = {}
             self._pay_cache: dict[tuple[int, ...], tuple[Num, ...]] = {}
 
     def _pay(self, path_nodes: tuple[int, ...], agent: int) -> Num:
@@ -184,11 +170,11 @@ class SpeSolution:
 
     def _solve_state(
         self, hist: tuple[int, ...], key: Hashable
-    ) -> tuple[int, list[tuple[int, ...]]]:
+    ) -> list[tuple[int, ...]]:
         # Depth-first over subgame states with an explicit stack, children
         # in successor order, so depth is not bounded by the recursion
-        # limit. The first history to reach a state stands for all of
-        # them: the mover's payments are read off its outcome paths.
+        # limit. `path` is the history being solved; by the subgame_key
+        # contract any history with the same key would price alike.
         memo = self._state_memo
         if key in memo:
             return memo[key]
@@ -203,52 +189,41 @@ class SpeSolution:
         succ = self.dag.succ
         subgame_key = self.bound.subgame_key
         path = list(hist)
-        stack = [(key, iter(succ[hist[-1]]), set())]
+        stack = [(key, iter(succ[hist[-1]]))]
         while stack:
-            k, untried, pushed = stack[-1]
+            k, untried = stack[-1]
             mover = path[-1]
             for j in untried:
                 child = subgame_key(k, mover, j)
                 if child not in memo:
-                    pushed.add(child)
                     path.append(j)
-                    stack.append((child, iter(succ[j]), set()))
+                    stack.append((child, iter(succ[j])))
                     break
             else:
                 stack.pop()
-                if not succ[mover]:
-                    memo[k] = (len(path), [tuple(path)])
-                else:
-                    memo[k] = (len(path), self._keep(k, path, pushed))
+                memo[k] = self._keep(k, path) if succ[mover] else [(mover,)]
                 path.pop()
         return memo[key]
 
-    def _keep(
-        self, key: Hashable, path: list[int], pushed: set[Hashable]
-    ) -> list[tuple[int, ...]]:
-        """SPE outcomes after history `path` (state `key`) from its
-        children's: each costs the mover no more than the costliest
-        outcome of every action would."""
+    def _keep(self, key: Hashable, path: list[int]) -> list[tuple[int, ...]]:
+        """SPE suffixes at the mover ending history `path` (state `key`)
+        from its children's: each costs the mover no more than the
+        costliest outcome of every action would."""
         mover = path[-1]
-        hist = None
-        per_action = []
-        for j in self.dag.succ[mover]:
-            child = self.bound.subgame_key(key, mover, j)
-            rep_len, outs = self._state_memo[child]
-            # a child first reached from here has this history as the
-            # prefix of its paths already; another child's are re-rooted
-            if child not in pushed:
-                hist = tuple(path) if hist is None else hist
-                outs = [hist + o[rep_len - 1:] for o in outs]
-            per_action.append(outs)
-        pays = [[self._pay(o, mover) for o in outs] for outs in per_action]
-        limit = _upper(min(max(p) for p in pays), self.tol)
-        return [
-            o
-            for outs, outs_pays in zip(per_action, pays)
-            for o, pay in zip(outs, outs_pays)
-            if pay <= limit
+        per_action = [
+            self._state_memo[self.bound.subgame_key(key, mover, j)]
+            for j in self.dag.succ[mover]
         ]
+        if len(per_action) > 1:
+            hist = tuple(path)
+            pays = [[self._pay(hist + s, mover) for s in outs] for outs in per_action]
+            limit = widen(min(max(p) for p in pays), self.tol)
+            per_action = [
+                [s for s, pay in zip(outs, outs_pays) if pay <= limit]
+                for outs, outs_pays in zip(per_action, pays)
+            ]
+        # a lone action is kept whole: its costliest outcome bounds itself
+        return [(mover,) + s for outs in per_action for s in outs]
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -260,15 +235,14 @@ class SpeSolution:
     def continuations(self, history: tuple[int, ...]) -> set[Path]:
         """SPE outcomes of the subgame after `history`, as full paths."""
         self._check_history(history)
-        prefix = history[:-1]
         if self._node_memo is not None:
             suffixes = self._node_memo[history[-1]]
         else:
             key = self.bound.subgame_key(None, None, history[0])
             for i, j in zip(history, history[1:]):
                 key = self.bound.subgame_key(key, i, j)
-            rep_len, outs = self._solve_state(history, key)
-            suffixes = [o[rep_len - 1:] for o in outs]
+            suffixes = self._solve_state(history, key)
+        prefix = history[:-1]
         return {Path(prefix + sfx) for sfx in suffixes}
 
     def outcomes(self) -> set[Path]:
@@ -431,20 +405,14 @@ def check_robust_efficiency(
     edge is not on a cheapest continuation.
     """
     cont = continuation_costs(dag, losses)
-    tol = default_tolerance(losses)
+    tight = tight_step(losses, cont, default_tolerance(losses))
     for tables, choices, _play in _spe_profiles(dag, losses, rule, profile_cap):
         for k, d in enumerate(tables.decisions):
             hist = tables.histories[d]
             mover = hist[-1]
             chosen = dag.succ[mover][choices[k]]
-            step = losses[(mover, chosen)] + cont[chosen]
-            limit = _upper(cont[mover], tol)
-            if step > limit:
-                optimal = [
-                    dag.labels[j]
-                    for j in dag.succ[mover]
-                    if losses[(mover, j)] + cont[j] <= limit
-                ]
+            if not tight(mover, chosen):
+                optimal = [dag.labels[j] for j in dag.succ[mover] if tight(mover, j)]
                 profile = {
                     "->".join(dag.labels[x] for x in tables.histories[dd]): dag.labels[
                         dag.succ[tables.histories[dd][-1]][choices[kk]]

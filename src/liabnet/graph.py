@@ -402,11 +402,12 @@ def count_paths(dag: Dag) -> int:
     return sum(ways[t] for t in dag.sinks)
 
 
-def _forward_ways(dag: Dag) -> list[int]:
-    """ways[i] = number of source-to-i paths."""
+def _forward_ways(dag: Dag, start: int | None = None) -> list[int]:
+    """ways[i] = number of start-to-i paths, from the source by default."""
+    start = dag.source if start is None else start
     ways = [0] * dag.n
-    ways[dag.source] = 1
-    for i in range(dag.n):
+    ways[start] = 1
+    for i in range(start, dag.n):
         w = ways[i]
         if w:
             for j in dag.succ[i]:
@@ -492,6 +493,12 @@ def default_tolerance(losses: Mapping[Edge, Num]) -> int | float:
     return 0 if exact_valued(losses) else 1e-9
 
 
+def widen(bound: Num, tol: float) -> Num:
+    """`bound` plus the tie tolerance `tol`; a zero `tol` leaves it exact,
+    where adding 0.0 would turn an int or `Fraction` into a float."""
+    return bound if tol == 0 else bound + tol
+
+
 @dataclass(frozen=True)
 class EfficiencyResult:
     """Cheapest total loss, the set of paths achieving it, and per-node
@@ -523,6 +530,15 @@ def continuation_costs(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
     return L
 
 
+def tight_step(
+    losses: Mapping[Edge, Num], cont: Sequence[Num], tol: float
+) -> Callable[[int, int], bool]:
+    """Whether a step (i, j) is onto a cheapest continuation from i, given
+    the continuation costs `cont`: loss(i,j) + cont[j] <= cont[i] + tol."""
+    limit = [widen(c, tol) for c in cont]
+    return lambda i, j: losses[(i, j)] + cont[j] <= limit[i]
+
+
 def efficient_paths(
     dag: Dag,
     losses: Mapping[Edge, Num],
@@ -551,7 +567,7 @@ def efficient_paths(
     L = continuation_costs(dag, losses)
     out = _paths_along(
         dag,
-        lambda i, j: losses[(i, j)] + L[j] <= L[i] + tie_tolerance,
+        tight_step(losses, L, tie_tolerance),
         cap,
         f"more than {cap} efficient paths",
     )

@@ -53,6 +53,7 @@ from .graph import (
     continuation_costs,
     default_tolerance,
     path_loss,
+    tight_step,
 )
 from .weights import WeightVector, wstar_dp
 
@@ -336,20 +337,18 @@ class PunishFirstRule(Rule):
     mode = MODE_GENERAL
 
     def _derive(self) -> None:
-        self._cont = continuation_costs(self.dag, self.losses)
-        self._tol = default_tolerance(self.losses)
-
-    def forecloses(self, i: int, j: int) -> bool:
-        """True iff the step (i, j) leaves only inefficient continuations,
-        under the tie tolerance `efficient_paths` uses."""
-        return self.losses[(i, j)] + self._cont[j] > self._cont[i] + self._tol
+        # the steps that leave only inefficient continuations, under the
+        # tie tolerance `efficient_paths` uses
+        cont = continuation_costs(self.dag, self.losses)
+        tight = tight_step(self.losses, cont, default_tolerance(self.losses))
+        self._foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
         n = self.dag.n
         # blame the first mover whose step left only inefficient continuations
         for (i, j) in path.edges:
-            if self.forecloses(i, j):
+            if (i, j) in self._foreclosing:
                 values = [0] * n
                 values[i] = total
                 return tuple(values)
@@ -362,7 +361,7 @@ class PunishFirstRule(Rule):
         # every continuation.
         if key is None:
             return (j, True)
-        return (j, key[1] and not self.forecloses(i, j))
+        return (j, key[1] and (i, j) not in self._foreclosing)
 
 
 # ---------------------------------------------------------------------------

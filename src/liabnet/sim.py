@@ -155,6 +155,8 @@ class SimConfig:
             raise SimError("need 0 <= loss_low <= loss_high")
         if len(self.rules) < 1:
             raise SimError("need at least one rule")
+        if self.seed < 0:
+            raise SimError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimConfig":

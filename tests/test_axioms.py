@@ -266,6 +266,29 @@ class TestTrialDriver:
         assert rep.passed and rep.detail == {"vacuous": 4}
         assert len(redraws) == 4 * 60
 
+    @pytest.mark.parametrize(
+        "check, check_id",
+        [
+            (check_axiom, "RLD"),
+            (check_axiom, "SI"),
+            (check_property, "REDISTRIBUTION_INV"),
+            (check_property, "PATH_INDEP"),
+            (check_property, "TOTAL_LOSS_DEP"),
+        ],
+    )
+    def test_fixed_graph_enumerated_once(self, monkeypatch, fork, check, check_id):
+        calls = _spy(monkeypatch, "enumerate_paths")
+        rep = check(check_id, "fixed:wstar", dag=fork, trials=30, seed=5)
+        assert rep.passed and rep.trials == 30
+        assert calls == [(fork,)]
+
+    def test_random_graphs_enumerated_per_draw(self, monkeypatch):
+        calls = _spy(monkeypatch, "enumerate_paths")
+        draws = _spy(monkeypatch, "random_dag")
+        check_axiom("RLD", "local", trials=30, seed=5)
+        # RLD never lacks its premise: one graph drawn and enumerated per trial
+        assert len(calls) == len(draws) == 30
+
 
 class TestScenario:
     def test_impossibility_reproduces(self):

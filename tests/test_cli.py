@@ -357,6 +357,7 @@ GUARD_ARGV = {
     ),
     "simulate-workers-zero": (("simulate", "--workers", "0"), "workers"),
     "simulate-workers-negative": (("simulate", "--workers", "-1"), "workers"),
+    "simulate-seed-negative": (("simulate", "--seed", "-1"), "seed must be non-negative"),
     "paths-cap-negative": (
         ("paths", FORK, "--cap-paths", "-1"), "path cap must be non-negative, got -1"
     ),
@@ -373,9 +374,9 @@ GUARD_ARGV = {
 
 
 class TestGuards:
-    """A bad tie tolerance, trial count, worker count or path cap, or fixed
-    losses without a graph, fails with exit 2 and one `error:` line instead
-    of an empty or vacuous report."""
+    """A bad tie tolerance, trial count, worker count, seed or path cap, or
+    fixed losses without a graph, fails with exit 2 and one `error:` line
+    instead of an empty or vacuous report or a traceback."""
 
     @pytest.mark.parametrize("argv, message", GUARD_ARGV.values(), ids=GUARD_ARGV.keys())
     def test_exits_2_with_one_line(self, capsys, argv, message):

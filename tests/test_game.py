@@ -104,6 +104,25 @@ class TestCounts:
                     stack.extend(hist + (j,) for j in succ)
             assert profile_count(dag) == expect
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.4, 0.6]))
+    def test_counts_match_enumerated_histories(self, seed, density):
+        dag = random_dag(random.Random(seed), 3, 9, density)
+
+        def histories(start):
+            out, stack = [], [(start,)]
+            while stack:
+                hist = stack.pop()
+                out.append(hist)
+                stack.extend(hist + (j,) for j in dag.succ[hist[-1]])
+            return out
+
+        for k in range(dag.n):
+            assert history_count(dag, k) == len(histories(k))
+        expect = 1
+        for hist in histories(dag.source):
+            expect *= len(dag.succ[hist[-1]]) or 1
+        assert profile_count(dag) == expect
+
     def test_counts_on_chain(self, chain3):
         dag, _ = chain3
         # histories: s, s-n1, s-t, s-n1-n2, s-n1-n2-t

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -270,6 +271,20 @@ class TestEfficient:
         dag, losses = chain3
         res = efficient_paths(dag, losses, tie_tolerance=1.5)
         assert len(res.paths) == 2
+
+    def test_zero_float_tolerance_keeps_exact_ties(self):
+        # L + 0.0 used to turn an exact bound into a float: 1/3 + 1/3 and 2/3
+        # each failed their own tie, and 2**60 + 1 rounded down to 2**60
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
+        s, a, t = (dag.index(x) for x in "sat")
+        third = Fraction(1, 3)
+        ties = {(s, a): third, (a, t): third, (s, t): 2 * third}
+        big = {(s, a): 2**60, (a, t): 1, (s, t): 2**61}
+        for tol in (0, 0.0):
+            res = efficient_paths(dag, ties, tie_tolerance=tol)
+            assert res.path_set() == {(s, a, t), (s, t)}
+            res = efficient_paths(dag, big, tie_tolerance=tol)
+            assert res.path_set() == {(s, a, t)}
 
     @pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, chain3, tol):

@@ -162,6 +162,7 @@ class TestConfig:
             {"draws": "x"},
             {"draws": 2.5},
             {"seed": True},
+            {"seed": -3},
             {"layers": 5},
             {"layers": [3, "a"]},
             {"p_next": None},

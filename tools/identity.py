@@ -1,0 +1,161 @@
+"""Hash the output of a fixed list of liabnet commands.
+
+Run from a checkout as
+
+    python tools/identity.py
+
+It runs every command in-process through `liabnet.cli.main`, against the
+`src/` next to this script, and prints one sha256 per command (over its
+exit code, stdout and stderr) and a last line hashing all of them. Run it
+on two checkouts and compare: equal lines mean the commands behaved
+byte-for-byte alike. The list:
+
+- `validate`, `paths`, `efficient` and `weights --method dp` (without
+  its `runtime_ms`) on every fixture graph;
+- `spe` for all 8 rule specs on every fixture graph but grid20, and on
+  the 8- and 10-stage all-ties ladders;
+- `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
+  202408 at 300 trials;
+- the default `simulate` at `--workers 1`, with its 4 artifacts.
+
+`efficient` and `spe` run under the graph's own losses where it has them,
+and under a seeded integer and a seeded float losses file. Paths in the
+temporary directory they are written to read `<tmp>` before hashing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from liabnet.axioms import AXIOMS, PROPERTIES  # noqa: E402
+from liabnet.cli import main as liabnet_main  # noqa: E402
+
+RULES = (
+    "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
+    "punish-first",
+)
+SEEDS = (7, 202408)
+TRIALS = "300"
+LADDERS = (8, 10)
+
+
+def run(argv: list[str], tmp: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = liabnet_main(argv)
+    return code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")
+
+
+def digest(*parts: str | bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode() if isinstance(part, str) else part)
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def ladder(stages: int) -> dict:
+    """s, two nodes per stage, t; complete links between consecutive
+    stages; unit loss on every edge."""
+    nodes = ["s"] + [f"{c}{k}" for k in range(1, stages + 1) for c in "ab"] + ["t"]
+    edges = [("s", "a1"), ("s", "b1")]
+    for k in range(1, stages):
+        edges += [(f"{c}{k}", f"{d}{k + 1}") for c in "ab" for d in "ab"]
+    edges += [(f"a{stages}", "t"), (f"b{stages}", "t")]
+    return {
+        "nodes": nodes,
+        "edges": [{"from": u, "to": v, "loss": 1} for u, v in edges],
+        "source": "s",
+    }
+
+
+def loss_files(graph: Path, tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, extra argv) per loss function to run `graph` under."""
+    data = json.loads(graph.read_text())
+    keys = [f"{e['from']}->{e['to']}" for e in data["edges"]]
+    rng = random.Random(graph.name)
+    variants = []
+    if all("loss" in e for e in data["edges"]):
+        variants.append(("own", []))
+    for kind, draw in (
+        ("int", lambda: rng.randint(0, 3)),
+        ("float", lambda: rng.choice([0.1, 0.2, 0.3])),
+    ):
+        path = tmp / f"{graph.stem}.{kind}.json"
+        path.write_text(json.dumps({k: draw() for k in keys}))
+        variants.append((kind, ["--losses", str(path)]))
+    return variants
+
+
+def commands(tmp: Path):
+    """Yield (label, argv, post) for every command; `post` rewrites stdout."""
+    fixtures = sorted(
+        p for p in (ROOT / "fixtures").glob("*.json") if "nodes" in json.loads(p.read_text())
+    )
+    ladders = []
+    for stages in LADDERS:
+        path = tmp / f"ladder{stages}.json"
+        path.write_text(json.dumps(ladder(stages)))
+        ladders.append(path)
+
+    def no_runtime(stdout: str) -> str:
+        data = json.loads(stdout)
+        data["metadata"].pop("runtime_ms")
+        return json.dumps(data, sort_keys=True)
+
+    for graph in fixtures:
+        name = graph.name
+        yield f"validate {name}", ["validate", str(graph)], None
+        yield f"paths {name}", ["paths", str(graph)], None
+        yield f"weights {name}", ["weights", str(graph), "--method", "dp"], no_runtime
+        for kind, extra in loss_files(graph, tmp):
+            yield f"efficient {name} {kind}", ["efficient", str(graph), *extra], None
+            if name != "grid20.json":
+                for rule in RULES:
+                    yield f"spe {name} {kind} {rule}", ["spe", str(graph), "--rule", rule, *extra], None
+    for graph in ladders:
+        for rule in RULES:
+            yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
+    for flag, ids in (("--axiom", AXIOMS), ("--property", PROPERTIES)):
+        for check_id in ids:
+            for rule in RULES:
+                for seed in SEEDS:
+                    yield (
+                        f"check {check_id} {rule} {seed}",
+                        ["check", flag, check_id, "--rule", rule, "--trials", TRIALS,
+                         "--seed", str(seed)],
+                        None,
+                    )
+
+
+def main() -> None:
+    hashes = []
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        for label, argv, post in commands(tmp):
+            code, out, err = run(argv, tmp_dir)
+            if post is not None and code == 0:
+                out = post(out)
+            hashes.append((digest(str(code), out, err), label))
+            print(*hashes[-1], sep="  ", flush=True)
+        sim_dir = tmp / "simulate"
+        code, out, err = run(["simulate", "--workers", "1", "--out", str(sim_dir)], tmp_dir)
+        artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
+        parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
+        hashes.append((digest(*parts), f"simulate ({len(artifacts)} artifacts)"))
+        print(*hashes[-1], sep="  ")
+    print(digest(*(h for h, _ in hashes)), f"all {len(hashes)} commands", sep="  ")
+
+
+if __name__ == "__main__":
+    main()
