@@ -91,10 +91,6 @@ def _parse_path(dag: Dag, text: str) -> Path:
     return Path(nodes)
 
 
-def _vec_to_labels(dag: Dag, vec) -> dict:
-    return {dag.labels[i]: float(vec[i]) for i in range(dag.n)}
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -164,7 +160,7 @@ def _cmd_liability(args) -> int:
         "rule": rule.spec_string,
         "path": _label_path(dag, path),
         "total": float(vec.total),
-        "liabilities": _vec_to_labels(dag, vec),
+        "liabilities": vec.as_dict(dag),
     }
     _emit(out, args.pretty)
     return EXIT_OK
@@ -177,13 +173,15 @@ def _cmd_spe(args) -> int:
     outcomes = spe_outcomes(dag, losses, rule)
     eff = efficient_paths(dag, losses, tie_tolerance=args.tol)
     coincide = {p.nodes for p in outcomes} == {p.nodes for p in eff.paths}
-    liab = {}
-    for p in sorted(outcomes, key=lambda p: p.nodes):
-        key = "->".join(_label_path(dag, p))
-        liab[key] = _vec_to_labels(dag, apply_rule(rule, p, losses))
+    ordered = sorted(outcomes, key=lambda p: p.nodes)
+    labelled = [_label_path(dag, p) for p in ordered]
+    liab = {
+        "->".join(labels): apply_rule(rule, p, losses).as_dict(dag)
+        for p, labels in zip(ordered, labelled)
+    }
     out = {
         "rule": rule.spec_string,
-        "outcomes": _sorted_paths(dag, outcomes),
+        "outcomes": labelled,
         "efficient": _sorted_paths(dag, eff.paths),
         "min_cost": float(eff.min_cost),
         "coincide": coincide,

@@ -478,6 +478,25 @@ def path_loss(losses: Mapping[Edge, Num], path: Path) -> Num:
     return sum(losses[e] for e in path.edges)
 
 
+def path_totals(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
+    """`path_loss` of every source-to-sink path, in `enumerate_paths` order.
+
+    One depth-first walk carries each prefix's sum, so every total is
+    `0 + l1 + l2 + ...` added left to right, as `path_loss`'s `sum` adds
+    it on CPython before 3.12 (3.12's `sum` compensates float rounding).
+    """
+    out: list[Num] = []
+    stack: list[tuple[int, Num]] = [(dag.source, 0)]
+    while stack:
+        i, acc = stack.pop()
+        succ = dag.succ[i]
+        if not succ:
+            out.append(acc)
+        for j in reversed(succ):
+            stack.append((j, acc + losses[(i, j)]))
+    return out
+
+
 def exact_valued(losses: Mapping[Edge, Num]) -> bool:
     """True when every loss is an integer or rational (exact comparisons)."""
     for x in losses.values():

@@ -18,8 +18,11 @@ what depends on it (phi2's weights, punish-first's continuation costs);
 the equilibrium solver then calls `vector` once per outcome path.
 `apply_rule(rule, path, losses)` is the checked single-path call: it also
 rejects a path that is not source-to-sink and a split that is negative or
-unbalanced. Each class declares its solver `mode` and `cares` (see
-`Rule`); neither depends on the losses.
+unbalanced. It tests an int or `Fraction` split first in integers, over
+one common denominator, and any other split within float tolerances.
+A fixed-weight split depends on the realized total alone, so a bound
+fixed-weight rule splits each distinct total once. Each class declares
+its solver `mode` and `cares` (see `Rule`); neither depends on the losses.
 
 Rule-spec string grammar::
 
@@ -82,10 +85,17 @@ class LiabilityVector:
         return sum(self.values)
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.values)
+        return tuple(map(_to_float, self.values))
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
-        return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
+        return dict(zip(dag.labels, map(_to_float, self.values)))
+
+
+def _to_float(x: Num) -> float:
+    # the correctly rounded float `float(x)` gives; CPython 3.11 converts a
+    # Fraction through `numbers.Rational.__float__`, which adds two property
+    # reads and two int() calls
+    return x.numerator / x.denominator if type(x) is Fraction else float(x)
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,12 @@ class Rule:
 class FixedWeightRule(Rule):
     """Pay w_i * total realized loss; weights fixed per graph.
 
+    The split depends on the realized total alone, so a bound rule splits
+    each distinct total once and returns the same tuple for every path
+    with that total. The memo is keyed by the total's type as well, since
+    `3`, `3.0` and `Fraction(3)` are equal but split to different types,
+    and it starts empty at every `bind`.
+
     Weights that carry integer numerators over one denominator (the
     canonical weights of `wstar_dp`) split an int or `Fraction` total in
     integers, one reduced `Fraction` per agent; every other weight vector,
@@ -222,8 +238,18 @@ class FixedWeightRule(Rule):
         exact = weights.values if weights.nums is None else weights.nums
         self.cares = tuple(w > 0 for w in exact)
 
+    def _derive(self) -> None:
+        self._splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
+
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
+        key = (type(total), total)
+        split = self._splits.get(key)
+        if split is None:
+            split = self._splits[key] = self._split(total)
+        return split
+
+    def _split(self, total: Num) -> tuple[Num, ...]:
         nums = self._nums
         if nums is not None:
             if isinstance(total, int):
@@ -250,6 +276,7 @@ class MaxOutWeightsRule(FixedWeightRule):
         Rule.__init__(self, dag, spec_string)
 
     def _derive(self) -> None:
+        super()._derive()
         dag, losses = self.dag, self.losses
         scale = max(losses[e] for e in dag.edges)
         if scale == 0:
@@ -418,7 +445,8 @@ def fixed_rule(dag: Dag, weights: WeightVector) -> FixedWeightRule:
 def check_path(dag: Dag, path: Path) -> None:
     nodes = path.nodes
     if len(nodes) < 2 or nodes[0] != dag.source or nodes[-1] not in dag.sinks:
-        raise GraphError(f"not a source-to-sink path: {nodes}")
+        names = tuple(dag.labels[i] if 0 <= i < dag.n else i for i in nodes)
+        raise GraphError(f"not a source-to-sink path: {names}")
     if len(set(nodes)) != len(nodes):
         raise GraphError("path repeats a node")
     for u, v in path.edges:
@@ -437,6 +465,17 @@ def apply_rule(
     is not bound again, so a caller evaluating many paths under one loss
     function binds once and passes the bound rule.
 
+    A split of ints and `Fraction`s, with an int or `Fraction` total, is
+    tested in integers first: over the common denominator of the values
+    and the total, it passes when no numerator is negative and the
+    numerators sum to the total's exactly. Every other split (a float, a
+    NaN, a tiny negative `Fraction`, an imbalance inside the slack) goes to
+    the float test, which admits values down to -1e-12 and an imbalance of
+    up to 1e-9 * max(1, |total|). A split the integer test passes passes
+    the float test too, so the two accept what the float test alone
+    accepts; the one exception is a total beyond the float range, on which
+    the float test raises OverflowError.
+
     Raises GraphError when the path is not a source-to-sink path of the
     rule's graph or losses are not total, and RuleSpecError when the rule
     yields a negative or unbalanced split.
@@ -444,6 +483,8 @@ def apply_rule(
     check_path(rule.dag, path)
     values = rule.bind(losses).vector(path)
     total = path_loss(losses, path)
+    if type(total) is not float and _exactly_balanced(values, total):
+        return LiabilityVector(values)
     slack = 1e-9 * max(1.0, abs(float(total)))
     # `x >= 0` is exact and cheap for int and Fraction values; only a
     # negative value (or NaN) pays for the float comparison, whose
@@ -456,6 +497,27 @@ def apply_rule(
             f"{float(sum(values))} vs {float(total)}"
         )
     return LiabilityVector(values)
+
+
+# the value types `_exactly_balanced` tests in integers
+_INTS = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
+
+
+def _exactly_balanced(values: tuple[Num, ...], total: Num) -> bool:
+    """True when `values` and `total` are ints and `Fraction`s, no value is
+    negative and the values sum to `total` exactly; False otherwise."""
+    kinds = set(map(type, values))
+    kinds.add(type(total))
+    if kinds == _INTS:
+        return sum(values) == total and (not values or min(values) >= 0)
+    if not kinds <= _EXACT:
+        return False
+    ratios = [x.as_integer_ratio() for x in values]
+    num, den = total.as_integer_ratio()
+    common = math.lcm(den, *{d for _, d in ratios})
+    nums = [a * (common // d) for a, d in ratios]
+    return sum(nums) == num * (common // den) and (not nums or min(nums) >= 0)
 
 
 def irreducible_extension(

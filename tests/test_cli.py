@@ -137,6 +137,18 @@ class TestLiability:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "path, names",
+        [("s", "('s',)"), ("n1,n2,t", "('n1', 'n2', 't')"), ("s,n1", "('s', 'n1')")],
+    )
+    def test_not_a_path_names_labels(self, capsys, path, names):
+        code, data, err = run(
+            capsys, "liability", CHAIN3, "--rule", "fixed:wstar", "--path", path
+        )
+        assert code == 2
+        assert data is None
+        assert err == f"error: not a source-to-sink path: {names}\n"
+
 
 class TestSpe:
     def test_local_rule_inefficient(self, capsys):

@@ -19,6 +19,7 @@ from liabnet.graph import (
     efficient_paths,
     enumerate_paths,
     path_loss,
+    path_totals,
     reachable_subgraph,
     validate,
 )
@@ -194,6 +195,27 @@ class TestEnumerate:
         with pytest.raises(PathCapExceeded):
             enumerate_paths(grid3, cap=7)
         assert len(enumerate_paths(grid3, cap=8)) == 8
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.sampled_from(["int", "fraction", "float", "mixed"]),
+    )
+    def test_path_totals_are_path_losses(self, seed, density, kind):
+        # same order, same types, same float roundings
+        rng = random.Random(seed)
+        dag = random_dag(rng, 3, 9, density)
+        draw = {
+            "int": lambda: rng.randint(0, 9),
+            "fraction": lambda: Fraction(rng.randint(0, 9), rng.randint(1, 7)),
+            "float": lambda: rng.random() * 10,
+            "mixed": lambda: rng.choice([1, Fraction(1, 3), 0.1]),
+        }[kind]
+        losses = {e: draw() for e in dag.edges}
+        want = [path_loss(losses, p) for p in enumerate_paths(dag)]
+        got = path_totals(dag, losses)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
 
 
 class TestCount:

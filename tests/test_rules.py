@@ -9,7 +9,8 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
@@ -26,6 +27,7 @@ from liabnet.rules import (
     MODE_OWN_EDGE,
     MODE_TOTALS,
     LiabilityVector,
+    Rule,
     RuleSpec,
     RuleSpecError,
     apply_rule,
@@ -349,6 +351,158 @@ def test_sign_guard_threshold(flags):
     assert _run_script(_SIGN_GUARD_SCRIPT, *flags).splitlines() == [
         "accepted", "raised: negative liability from leaky"
     ]
+
+
+class _Given(Rule):
+    """Returns the split it was given, whatever the path."""
+
+    def vector(self, path):
+        return self.split
+
+
+def _float_verdict(values, total) -> str | None:
+    """The balance and sign test `apply_rule` ran on every split before it
+    tested int and `Fraction` splits in integers: the message it raised, or
+    None when it accepted the split."""
+    slack = 1e-9 * max(1.0, abs(float(total)))
+    if not all(x >= 0 or x >= -1e-12 for x in values):
+        return "negative liability from given"
+    if not abs(float(sum(values) - total)) <= slack:
+        return (
+            "unbalanced liabilities from given: "
+            f"{float(sum(values))} vs {float(total)}"
+        )
+    return None
+
+
+# shifts around and across the float test's thresholds: -1e-12 for a value,
+# 1e-9 * max(1, |total|) for the balance
+_SHIFTS = [
+    Fraction(1, 10**13), Fraction(-1, 10**13), Fraction(1, 10**11), Fraction(-1, 10**11),
+    Fraction(1, 10**10), Fraction(-1, 10**8), Fraction(3, 10**4), Fraction(1, 10),
+    Fraction(-1, 10), 1, -1, 1e-13, -1e-10, 1e-8, float("nan"),
+]
+_LOSSES = {
+    "int": st.integers(0, 100),
+    "fraction": st.fractions(0, 100, max_denominator=97),
+    "float": st.floats(0, 100),
+}
+
+
+@st.composite
+def drawn_splits(draw):
+    """(losses on s->a->t, a split of the path's total over s, a, t): a
+    balanced split of ints, `Fraction`s, floats or a mix, then shifted at
+    one value, or moved from one value to another."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed", "float"]))
+    loss = _LOSSES[kind if kind != "mixed" else draw(st.sampled_from(sorted(_LOSSES)))]
+    losses = {(0, 1): draw(loss), (1, 2): draw(loss)}
+    total = losses[(0, 1)] + losses[(1, 2)]
+    if kind == "int":
+        first = draw(st.integers(0, total))
+        parts = [first, draw(st.integers(0, total - first))]
+    else:
+        a = draw(st.fractions(0, 1, max_denominator=12))
+        b = draw(st.fractions(0, 1 - a, max_denominator=12))
+        parts = [a * total, b * total]
+    parts.append(total - parts[0] - parts[1])
+    if kind == "mixed":
+        casts = draw(st.lists(st.sampled_from([int, float, None]), min_size=3, max_size=3))
+        parts = [
+            cast(x) if cast is float or (cast is int and x == int(x)) else x
+            for cast, x in zip(casts, parts)
+        ]
+    shift = draw(st.one_of(st.just(0), st.sampled_from(_SHIFTS)))
+    i, j = draw(st.permutations(range(3)))[:2]
+    parts[i] += shift
+    if draw(st.booleans()):
+        parts[j] -= shift
+    return losses, tuple(parts)
+
+
+_ONE_EACH = {(0, 1): 1, (1, 2): 1}
+
+
+@given(drawn_splits())
+@example((_ONE_EACH, (3, -1, 0)))
+@example((_ONE_EACH, (1, 1, 1)))
+@example((_ONE_EACH, (Fraction(5, 2), Fraction(-1, 2), 0)))
+@example((_ONE_EACH, (Fraction(1, 3), Fraction(2, 3), Fraction(1))))
+@example((_ONE_EACH, (2 + Fraction(1, 10**13), Fraction(-1, 10**13), 0)))
+def test_verdict_matches_float_test(drawn):
+    # the integer test accepts only what the float test accepts, and every
+    # split it does not accept meets the float test unchanged
+    losses, split = drawn
+    dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+    rule = _Given(dag, "given")
+    rule.split = split
+    path = Path((0, 1, 2))
+    want = _float_verdict(split, path_loss(losses, path))
+    try:
+        got = apply_rule(rule, path, losses)
+    except RuleSpecError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert got.values is split
+
+
+class TestPerTotalSplits:
+    """A bound fixed-weight rule splits each distinct total once."""
+
+    @staticmethod
+    def parallel():
+        # three two-edge paths whose totals are 3, 3.0 and Fraction(3)
+        dag = build_dag(
+            ["s", "a", "b", "c", "t"],
+            [("s", "a"), ("s", "b"), ("s", "c"), ("a", "t"), ("b", "t"), ("c", "t")],
+        )
+        x = dag.index
+        losses = {
+            (x("s"), x("a")): 1, (x("a"), x("t")): 2,
+            (x("s"), x("b")): 1.0, (x("b"), x("t")): 2,
+            (x("s"), x("c")): Fraction(1), (x("c"), x("t")): 2,
+        }
+        return dag, losses, [path_of(dag, "s", m, "t") for m in "abc"]
+
+    @pytest.mark.parametrize("spec", ["fixed:wstar", "fixed:equal", "phi1", "phi2"])
+    def test_equal_totals_of_each_type(self, spec):
+        dag, losses, paths = self.parallel()
+        rule = make_rule(spec, dag)
+        # a split from a fresh binding, before anything is memoized
+        want = [rule.bind(dict(losses)).vector(p) for p in paths]
+        assert [type(x) for x in want[1]] != [type(x) for x in want[0]]
+        for order in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
+            bound = rule.bind(dict(losses))
+            got = {k: bound.vector(paths[k]) for k in order}
+            for k in order:
+                assert got[k] == want[k]
+                assert [type(x) for x in got[k]] == [type(x) for x in want[k]]
+
+    def test_one_split_per_total(self, fork):
+        losses = {e: 1 for e in fork.edges}
+        bound = make_rule("fixed:wstar", fork).bind(losses)
+        paths = enumerate_paths(fork)
+        ties = [p for p in paths if path_loss(losses, p) == 2]
+        assert len(ties) == 2
+        assert bound.vector(ties[0]) is bound.vector(ties[1])
+
+    @pytest.mark.parametrize("spec", ["fixed:wstar", "phi2"])
+    def test_rebinding_splits_anew(self, fork, spec):
+        p = path_of(fork, "s", "i", "t")
+        first = fork_losses(fork, si=2, sj=1, jk=3, it=4, jt=0, kt=5)
+        # the same total on p, another off p; then another total on p
+        for second in (
+            {**first, (fork.index("k"), fork.index("t")): 11},
+            {**first, (fork.index("i"), fork.index("t")): 7},
+        ):
+            bound = make_rule(spec, fork).bind(first)
+            before = bound.vector(p)
+            fresh = make_rule(spec, fork).bind(second).vector(p)
+            if spec == "phi2" or path_loss(second, p) != path_loss(first, p):
+                assert fresh != before
+            assert bound.bind(second).vector(p) == fresh
+            assert bound.vector(p) == before
 
 
 class TestBalanceEverywhere:

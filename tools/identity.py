@@ -14,13 +14,16 @@ byte-for-byte alike. The list:
   its `runtime_ms`) on every fixture graph;
 - `spe` for all 8 rule specs on every fixture graph but grid20, and on
   the 8- and 10-stage all-ties ladders;
+- `liability` for all 8 rule specs on every fixture graph but grid20, on
+  its first and last enumerated path;
 - `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
   202408 at 300 trials;
 - the default `simulate` at `--workers 1`, with its 4 artifacts.
 
-`efficient` and `spe` run under the graph's own losses where it has them,
-and under a seeded integer and a seeded float losses file. Paths in the
-temporary directory they are written to read `<tmp>` before hashing.
+`efficient`, `spe` and `liability` run under the graph's own losses where
+it has them, and under a seeded integer and a seeded float losses file.
+Paths in the temporary directory they are written to read `<tmp>` before
+hashing.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from liabnet.axioms import AXIOMS, PROPERTIES  # noqa: E402
 from liabnet.cli import main as liabnet_main  # noqa: E402
+from liabnet.graph import enumerate_paths  # noqa: E402
+from liabnet.io import load_graph_file  # noqa: E402
 
 RULES = (
     "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
@@ -115,6 +120,10 @@ def commands(tmp: Path):
 
     for graph in fixtures:
         name = graph.name
+        dag, _ = load_graph_file(graph)
+        paths = enumerate_paths(dag) if name != "grid20.json" else []
+        # the first and the last path, once each
+        ends = dict.fromkeys(",".join(p.labels(dag)) for p in paths[:1] + paths[-1:])
         yield f"validate {name}", ["validate", str(graph)], None
         yield f"paths {name}", ["paths", str(graph)], None
         yield f"weights {name}", ["weights", str(graph), "--method", "dp"], no_runtime
@@ -123,6 +132,12 @@ def commands(tmp: Path):
             if name != "grid20.json":
                 for rule in RULES:
                     yield f"spe {name} {kind} {rule}", ["spe", str(graph), "--rule", rule, *extra], None
+                    for path in ends:
+                        yield (
+                            f"liability {name} {kind} {rule} {path}",
+                            ["liability", str(graph), "--rule", rule, "--path", path, *extra],
+                            None,
+                        )
     for graph in ladders:
         for rule in RULES:
             yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
