@@ -6,7 +6,13 @@ those networks, computes liability allocations for the realized path under
 a family of rules, solves the induced sequential game for its exact
 subgame-perfect outcome set, property-checks the axioms the rules are
 built on, and ships a Monte-Carlo comparison on layered supply networks.
+
+The simulation is the only part that needs numpy and a process pool.
+`liabnet.sim` and its exports (`run_simulation`, `SimConfig`, ...) load on
+first access, so importing the package or its CLI loads neither.
 """
+
+import importlib
 
 from .axioms import (
     AXIOMS,
@@ -57,16 +63,6 @@ from .rules import (
     irreducible_extension,
     make_rule,
 )
-from .sim import (
-    HourglassGraph,
-    LayeredGraphSpec,
-    SimConfig,
-    SimError,
-    SimStats,
-    generate_hourglass,
-    gini,
-    run_simulation,
-)
 from .weights import (
     PathCountTables,
     WeightVector,
@@ -80,3 +76,28 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_SIM_EXPORTS = frozenset({
+    "HourglassGraph",
+    "LayeredGraphSpec",
+    "SimConfig",
+    "SimError",
+    "SimStats",
+    "generate_hourglass",
+    "gini",
+    "run_simulation",
+})
+
+
+def __getattr__(name):
+    # PEP 562: reached only for names not yet in the module's globals
+    if name != "sim" and name not in _SIM_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    sim = importlib.import_module(".sim", __name__)
+    value = sim if name == "sim" else getattr(sim, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SIM_EXPORTS, "sim"})

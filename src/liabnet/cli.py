@@ -41,7 +41,6 @@ from .io import (
     load_raw_graph_file,
 )
 from .rules import RuleSpecError, apply_rule, make_rule
-from .sim import SimConfig, SimError, run_simulation, summary_dict
 from .weights import WeightsError, shapley_bruteforce, wstar_dp, wstar_enumerate
 
 EXIT_OK = 0
@@ -228,14 +227,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.config:
-        config = SimConfig.from_file(args.config)
-    else:
-        config = SimConfig()
-    if args.seed is not None:
-        graph = dataclasses.replace(config.graph, seed=args.seed)
-        config = dataclasses.replace(config, graph=graph, seed=args.seed)
-    stats = run_simulation(config, workers=args.workers, out_dir=args.out)
+    # imported here so that numpy and the process pool load for this
+    # command only
+    from .sim import SimConfig, SimError, run_simulation, summary_dict
+
+    try:
+        if args.config:
+            config = SimConfig.from_file(args.config)
+        else:
+            config = SimConfig()
+        if args.seed is not None:
+            graph = dataclasses.replace(config.graph, seed=args.seed)
+            config = dataclasses.replace(config, graph=graph, seed=args.seed)
+        stats = run_simulation(config, workers=args.workers, out_dir=args.out)
+    except SimError as exc:
+        raise CliError(str(exc)) from None
     _emit(summary_dict(stats, config), args.pretty)
     return EXIT_OK
 
@@ -335,8 +341,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         WeightsError,
         GameError,
         AxiomError,
-        SimError,
         OSError,
+        OverflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

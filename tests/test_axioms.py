@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,21 @@ def _instance(losses):
     """A graph on s, a, b, t with the given labelled edge losses."""
     dag = build_dag(["s", "a", "b", "t"], list(losses))
     return dag, {(dag.index(u), dag.index(v)): x for (u, v), x in losses.items()}
+
+
+class TestVecClose:
+    def test_identical_tuple(self):
+        vec = (Fraction(1, 3), 0.1, 2)
+        assert liabnet.axioms._vec_close(vec, vec)
+        assert liabnet.axioms._vec_close(vec, tuple(vec))
+
+    def test_mixed_pair_not_equal(self):
+        close = liabnet.axioms._vec_close
+        # 0.1 is not the Fraction 1/10, but within the float slack of it
+        assert (0.1, Fraction(1, 3)) != (Fraction(1, 10), Fraction(1, 3))
+        assert close((0.1, Fraction(1, 3)), (Fraction(1, 10), Fraction(1, 3)))
+        assert not close((0.1, Fraction(1, 3)), (Fraction(1, 10), Fraction(1, 2)))
+        assert not close((0.1, Fraction(1, 3)), (Fraction(1, 10) + 1e-8, Fraction(1, 3)))
 
 
 class TestTrialDriver:

@@ -421,6 +421,31 @@ class TestGuards:
         assert done.stdout.splitlines() == ["2 1 True"] * len(GUARD_ARGV)
 
 
+OVERFLOW_ARGV = {
+    "efficient": ("efficient",),
+    "spe-local": ("spe", "--rule", "local"),
+    "liability-local": ("liability", "--rule", "local", "--path", "s,a,t"),
+    "spe-wstar": ("spe", "--rule", "fixed:wstar"),
+    "liability-wstar": ("liability", "--rule", "fixed:wstar", "--path", "s,a,t"),
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV.values(), ids=OVERFLOW_ARGV.keys())
+def test_loss_too_large_for_float_exits_2(capsys, tmp_path, argv):
+    # exact integer losses are accepted, but the JSON report is in floats
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps({
+        "nodes": ["s", "a", "t"],
+        "edges": [{"from": "s", "to": "a", "loss": 10**400},
+                  {"from": "a", "to": "t", "loss": 1}],
+    }))
+    code, data, err = run(capsys, argv[0], str(graph), *argv[1:])
+    assert code == 2
+    assert data is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
 class TestDeepChain:
     def test_paths_on_1500_node_chain(self, capsys, tmp_path):
         labels = ["s"] + [f"n{k}" for k in range(1, 1499)] + ["t"]

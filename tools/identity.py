@@ -18,6 +18,8 @@ byte-for-byte alike. The list:
   its first and last enumerated path;
 - `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
   202408 at 300 trials;
+- `simulate` on a config with a field of the wrong type, and with
+  `--workers 0`, both refused with exit 2;
 - the default `simulate` at `--workers 1`, with its 4 artifacts.
 
 `efficient`, `spe` and `liability` run under the graph's own losses where
@@ -151,6 +153,10 @@ def commands(tmp: Path):
                          "--seed", str(seed)],
                         None,
                     )
+    bad_config = tmp / "bad_sim.json"
+    bad_config.write_text(json.dumps({"draws": "many"}))
+    yield "simulate bad config", ["simulate", str(bad_config)], None
+    yield "simulate --workers 0", ["simulate", "--workers", "0"], None
 
 
 def main() -> None:
