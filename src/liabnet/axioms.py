@@ -192,11 +192,13 @@ _DRAWS = 60  # draws per trial before it counts as vacuous
 
 
 def _trial_ei(rng, dag, losses, rule, paths):
-    spe = {p.nodes for p in spe_outcomes(dag, losses, rule())}
+    sol = spe_solve(dag, losses, rule())
+    if sol.coincides():
+        return None
+    # only a counterexample lists the two sets
+    spe = {p.nodes for p in sol.outcomes()}
     efficient = efficient_paths(dag, losses)
     eff = efficient.path_set()
-    if spe == eff:
-        return None
     return {
         "graph": _graph_dict(dag, losses),
         "spe": sorted(_path_labels(dag, p) for p in spe),

@@ -23,7 +23,7 @@ from .axioms import (
     check_property,
     impossibility_scenario,
 )
-from .game import GameError, spe_outcomes
+from .game import GameError, spe_solve
 from .graph import (
     Dag,
     GraphError,
@@ -169,9 +169,10 @@ def _cmd_spe(args) -> int:
     dag, embedded = load_graph_file(args.graph)
     losses = _full_losses(dag, embedded, args.losses)
     rule = make_rule(args.rule, dag).bind(losses)
-    outcomes = spe_outcomes(dag, losses, rule)
+    sol = spe_solve(dag, losses, rule)
+    outcomes = sol.outcomes()
     eff = efficient_paths(dag, losses, tie_tolerance=args.tol)
-    coincide = {p.nodes for p in outcomes} == {p.nodes for p in eff.paths}
+    coincide = sol.coincides(args.tol)
     ordered = sorted(outcomes, key=lambda p: p.nodes)
     labelled = [_label_path(dag, p) for p in ordered]
     liab = {

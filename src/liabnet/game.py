@@ -10,13 +10,22 @@ some SPE realizes.
 `spe_outcomes` computes that set by set-valued backward induction:
 an outcome surviving at a node must be no worse for the mover than the
 worst credible continuation of every alternative edge (the continuations
-of the alternative act as threats). It solves each subgame state once
-and memoizes its SPE suffixes, the paths from the state's node on. For
-rules that rank continuations by their total or by the mover's own edge,
-the state is the node. For other rules it is the rule's `subgame_key` of
-the history: the history itself by default, or a coarser key
+of the alternative act as threats). It solves each subgame state once.
+For rules that rank continuations by their total or by the mover's own
+edge, the subgame state is the node, and the solver builds per-node
+outcome states instead of path lists: one per distinct suffix total, or
+one per node for own-edge rules, each keeping the (successor, child state)
+links that survive. The outcome set is the set of paths through those
+states, so its size, and how many of its paths are efficient, are
+backward counts over the table (`SpeSolution.efficiency_counts`); that
+decides whether the outcomes are exactly the efficient paths without
+listing either set. For other rules the state is the rule's `subgame_key`
+of the history: the history itself by default, or a coarser key
 (punish-first uses the node and whether play is still on an efficient
-path). `spe_bruteforce` is the definitional oracle: enumerate
+path), and the solver memoizes the list of SPE suffixes, the paths from
+the state's node on. Outcome paths are enumerated only when asked for
+(`SpeSolution.continuations`, `outcomes`, `spe_outcomes`).
+`spe_bruteforce` is the definitional oracle: enumerate
 every pure strategy profile over all histories and keep the ones with no
 profitable one-shot deviation anywhere, on or off the realized path.
 """
@@ -34,6 +43,7 @@ from .graph import (
     Edge,
     Num,
     Path,
+    _backward_ways,
     _forward_ways,
     continuation_costs,
     default_tolerance,
@@ -77,62 +87,86 @@ def profile_count(dag: Dag) -> int:
 # set-valued backward induction
 
 
-def _node_memo_totals(dag: Dag, losses, cares, tol):
-    # suffix sets per node: the mover's payment is monotone in the final
-    # total, and the prefix cost is a constant inside each subgame, so
-    # suffix totals rank continuations identically at every history
-    memo: dict[int, list[tuple[tuple[int, ...], Num]]] = {}
-    for i in range(dag.n - 1, -1, -1):
-        if not dag.succ[i]:
-            memo[i] = [((i,), 0)]
-            continue
-        per_action: list[list[tuple[tuple[int, ...], Num]]] = []
-        caps: list[Num] = []
-        for j in dag.succ[i]:
-            step = losses[(i, j)]
-            cont = [((i,) + suffix, step + total) for suffix, total in memo[j]]
-            per_action.append(cont)
-            caps.append(max(total for _, total in cont))
-        if cares[i]:
-            limit = widen(min(caps), tol)
-            memo[i] = [
-                item
-                for cont in per_action
-                for item in cont
-                if item[1] <= limit
-            ]
-        else:
-            memo[i] = [item for cont in per_action for item in cont]
-    return memo
+@dataclass
+class _StateTable:
+    """Outcome states of the node-keyed solver modes, numbered in the
+    order they are built: backward by node, so every state's children have
+    smaller numbers than it."""
+
+    at_node: list[list[int]]  # per node: its states, in number order
+    kept: list[list[tuple[int, int]]]  # per state: (successor, child state) links
 
 
-def _node_memo_own_edge(dag: Dag, losses, tol):
-    # the mover pays only for the edge they cancel, so they pick a cheapest
-    # outgoing edge and are indifferent across everything downstream
-    memo: dict[int, list[tuple[int, ...]]] = {}
+def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
+    """Backward induction over per-node outcome states.
+
+    A state holds a set of suffixes from its node: a kept link to a child
+    state at a successor j extends each of the child's suffixes by the
+    step to j; a sink's one state holds the sink alone. In MODE_TOTALS a
+    node has one state per distinct suffix total, summed from the sink
+    back as `step + total`: the mover's payment is monotone in the final
+    total and the prefix cost is a constant inside each subgame, so suffix
+    totals rank continuations identically at every history, and a suffix
+    survives iff its total is within `tol` of the least worst case over
+    the mover's actions. In MODE_OWN_EDGE the mover pays only for the edge
+    they cancel, so a node has one state, which keeps its cheapest
+    outgoing edges and everything downstream of them.
+    """
+    at_node: list[list[int]] = [[] for _ in range(dag.n)]
+    kept: list = []
+    totals: list[Num] = []  # per state, read in MODE_TOTALS only
+    own_edge = bound.mode == MODE_OWN_EDGE
     for i in range(dag.n - 1, -1, -1):
-        if not dag.succ[i]:
-            memo[i] = [(i,)]
+        succ = dag.succ[i]
+        if not succ or own_edge:
+            links = []
+            if succ:
+                steps = [losses[(i, j)] for j in succ]
+                cheapest = widen(min(steps), tol)
+                links = [(j, at_node[j][0]) for j, step in zip(succ, steps) if step <= cheapest]
+            at_node[i] = [len(kept)]
+            kept.append(links)
+            totals.append(0)
             continue
-        cheapest = widen(min(losses[(i, j)] for j in dag.succ[i]), tol)
-        memo[i] = [
-            (i,) + suffix
-            for j in dag.succ[i]
-            if losses[(i, j)] <= cheapest
-            for suffix in memo[j]
-        ]
-    return memo
+        per_action = [[(losses[(i, j)] + totals[c], j, c) for c in at_node[j]] for j in succ]
+        limit = None
+        if bound.cares[i]:
+            limit = widen(min([max(opts)[0] for opts in per_action]), tol)
+        # one state per (total, type): equal totals of different types stay
+        # apart, as 1/3 + 1 and 1/3 + 1.0 differ
+        by_total: dict = {}
+        for opts in per_action:
+            for total, j, c in opts:
+                if limit is None or total <= limit:
+                    key = (total, type(total))
+                    if key in by_total:
+                        by_total[key].append((j, c))
+                    else:
+                        by_total[key] = [(j, c)]
+        at_node[i] = list(range(len(kept), len(kept) + len(by_total)))
+        kept.extend(by_total.values())
+        totals.extend([total for total, _ in by_total])
+    return _StateTable(at_node, kept)
 
 
 class SpeSolution:
     """Solved game: SPE outcome sets for the whole game and every subgame.
 
-    Every memo maps a state to the SPE suffixes that start at its node.
-    Total-monotone and own-edge rules key theirs by the node, so
-    continuation queries are cheap. Other rules key it by the rule's
-    `subgame_key` of a history (the history itself unless the rule says
-    otherwise). Those are solved only for a subgame of at most
-    `history_cap` histories, however few states it has.
+    Total-monotone and own-edge rules are solved into a table of per-node
+    outcome states (see `_node_states`): every state lists the (successor,
+    child state) links it keeps, so the suffixes a node holds are the
+    paths through its states. `continuations` lists them from the table,
+    building each state's suffix list once. Other rules memoize, per the
+    rule's `subgame_key` of a history (the history itself unless the rule
+    says otherwise), the list of SPE suffixes that start at its node.
+    Those are solved only for a subgame of at most `history_cap`
+    histories, however few states it has.
+
+    `efficiency_counts` and `coincides` compare the outcome set with the
+    efficient paths by counting: backward over the state table for the
+    node-keyed modes, over the memoized suffix list otherwise, and over
+    the tight edges for the efficient set. Only `continuations` and
+    `outcomes` list paths.
     """
 
     def __init__(
@@ -147,16 +181,12 @@ class SpeSolution:
         self.bound = rule.bind(losses)
         self.tol = default_tolerance(losses)
         self._history_cap = history_cap
-        self._node_memo = None
-        if self.bound.mode == MODE_TOTALS:
-            self._node_memo = {
-                i: [sfx for sfx, _ in items]
-                for i, items in _node_memo_totals(
-                    dag, losses, self.bound.cares, self.tol
-                ).items()
-            }
-        elif self.bound.mode == MODE_OWN_EDGE:
-            self._node_memo = _node_memo_own_edge(dag, losses, self.tol)
+        self._states = None
+        if self.bound.mode in (MODE_TOTALS, MODE_OWN_EDGE):
+            self._states = _node_states(dag, losses, self.bound, self.tol)
+            # per state, in state order: its suffixes, listed on demand
+            self._suffix_lists: list[list[tuple[int, ...]]] = []
+            self._listed_from = dag.n
         else:
             self._state_memo: dict[Hashable, list[tuple[int, ...]]] = {}
             self._pay_cache: dict[tuple[int, ...], tuple[Num, ...]] = {}
@@ -232,21 +262,85 @@ class SpeSolution:
             if not self.dag.has_edge(u, v):
                 raise GameError(f"history uses missing edge ({u}, {v})")
 
+    def _node_suffixes(self, node: int) -> list[tuple[int, ...]]:
+        """Every suffix the states at `node` hold. The suffix lists of the
+        states at `node` and every later node are built once, backward,
+        and kept for later queries."""
+        table, lists = self._states, self._suffix_lists
+        for i in range(self._listed_from - 1, node - 1, -1):
+            for state in table.at_node[i]:
+                links = table.kept[state]
+                lists.append([(i,) + s for _, c in links for s in lists[c]] or [(i,)])
+        self._listed_from = min(self._listed_from, node)
+        return [s for state in table.at_node[node] for s in lists[state]]
+
+    def _history_key(self, history: tuple[int, ...]) -> Hashable:
+        key = self.bound.subgame_key(None, None, history[0])
+        for i, j in zip(history, history[1:]):
+            key = self.bound.subgame_key(key, i, j)
+        return key
+
     def continuations(self, history: tuple[int, ...]) -> set[Path]:
         """SPE outcomes of the subgame after `history`, as full paths."""
         self._check_history(history)
-        if self._node_memo is not None:
-            suffixes = self._node_memo[history[-1]]
-        else:
-            key = self.bound.subgame_key(None, None, history[0])
-            for i, j in zip(history, history[1:]):
-                key = self.bound.subgame_key(key, i, j)
-            suffixes = self._solve_state(history, key)
         prefix = history[:-1]
+        if self._states is not None:
+            suffixes = self._node_suffixes(history[-1])
+        else:
+            suffixes = self._solve_state(history, self._history_key(history))
         return {Path(prefix + sfx) for sfx in suffixes}
 
     def outcomes(self) -> set[Path]:
         return self.continuations((self.dag.source,))
+
+    def efficiency_counts(
+        self, tie_tolerance: Optional[float] = None
+    ) -> tuple[int, int, int]:
+        """(|SPE|, |EFF|, |SPE & EFF|) for the whole game, without listing
+        either set.
+
+        EFF is the set `efficient_paths` returns under `tie_tolerance`
+        (the solver's own tolerance when None): the paths whose every step
+        is tight (`graph.tight_step`). Its size is a backward count over
+        the tight edges. The intersection counts the outcomes whose every
+        step is tight.
+        """
+        dag, losses = self.dag, self.losses
+        tol = self.tol if tie_tolerance is None else tie_tolerance
+        tight = tight_step(losses, continuation_costs(dag, losses), tol)
+        eff = _backward_ways(dag, tight)[dag.source]
+        if self._states is None:
+            source = (dag.source,)
+            suffixes = self._solve_state(source, self._history_key(source))
+            loose = {e for e in dag.edges if not tight(*e)}
+            both = sum(loose.isdisjoint(zip(s, s[1:])) for s in suffixes)
+            return len(suffixes), eff, both
+        # per state: the suffixes it holds, and those using only tight edges
+        table = self._states
+        every: list[int] = []
+        on_tight: list[int] = []
+        for i in range(dag.n - 1, -1, -1):
+            for state in table.at_node[i]:
+                links = table.kept[state]
+                n_all = n_tight = 0 if links else 1  # a sink ends one suffix
+                for j, c in links:
+                    n_all += every[c]
+                    if tight(i, j):
+                        n_tight += on_tight[c]
+                every.append(n_all)
+                on_tight.append(n_tight)
+        at_source = table.at_node[dag.source]
+        return (
+            sum(every[c] for c in at_source),
+            eff,
+            sum(on_tight[c] for c in at_source),
+        )
+
+    def coincides(self, tie_tolerance: Optional[float] = None) -> bool:
+        """Whether the SPE outcomes are exactly the efficient paths under
+        `tie_tolerance`: both sets and their intersection are equally large."""
+        spe, eff, both = self.efficiency_counts(tie_tolerance)
+        return spe == eff == both
 
 
 def spe_solve(
@@ -268,10 +362,11 @@ def spe_outcomes(
 
     Comparisons are exact when losses are exact-valued, else use a 1e-9
     tolerance. Rules whose payments are monotone in the realized total or
-    depend on the mover's own edge only are solved with per-node suffix
-    sets; other rules with one suffix set per subgame state (see
+    depend on the mover's own edge only are solved into per-node outcome
+    states; other rules with one suffix list per subgame state (see
     `Rule.subgame_key`), and raise HistoryCapExceeded on a game of more
-    than `history_cap` histories.
+    than `history_cap` histories. Either way the returned set lists every
+    outcome; `SpeSolution.efficiency_counts` counts them instead.
     """
     return SpeSolution(dag, losses, rule, history_cap).outcomes()
 

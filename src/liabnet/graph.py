@@ -381,9 +381,7 @@ def validate(
     warnings: list[str] = []
     if order is not None:
         dag = _assemble_dag(order, edge_pairs)
-        fwd, bwd = _forward_ways(dag), [0] * dag.n
-        for i in range(dag.n - 1, -1, -1):
-            bwd[i] = sum(bwd[j] for j in dag.succ[i]) or 1  # a sink ends one path
+        fwd, bwd = _forward_ways(dag), _backward_ways(dag)
         for i in range(dag.n):
             if i != dag.source and i not in dag.sinks and fwd[i] * bwd[i] == bwd[dag.source]:
                 warnings.append(
@@ -412,6 +410,21 @@ def _forward_ways(dag: Dag, start: int | None = None) -> list[int]:
         if w:
             for j in dag.succ[i]:
                 ways[j] += w
+    return ways
+
+
+def _backward_ways(dag: Dag, keep: Callable[[int, int], bool] | None = None) -> list[int]:
+    """ways[i] = number of i-to-sink paths, using only edges (i, j) with
+    keep(i, j), or every edge when keep is None."""
+    ways = [0] * dag.n
+    for i in range(dag.n - 1, -1, -1):
+        succ = dag.succ[i]
+        if not succ:
+            ways[i] = 1  # a sink ends one path
+        elif keep is None:
+            ways[i] = sum(ways[j] for j in succ)
+        else:
+            ways[i] = sum(ways[j] for j in succ if keep(i, j))
     return ways
 
 

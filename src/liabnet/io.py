@@ -54,11 +54,18 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
 
 
 def load_json(path: str | FsPath):
-    """Parse one JSON file; malformed content raises FormatError naming it."""
+    """Parse one JSON file; malformed content raises FormatError naming it.
+
+    Besides syntax and encoding errors (both ValueErrors), that covers
+    nesting too deep for the parser (RecursionError) and an integer literal
+    longer than CPython converts from text (ValueError).
+    """
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except RecursionError:
+            raise FormatError(f"{path}: invalid JSON (nested too deeply)") from None
+        except ValueError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,22 @@ class TestCheck:
         assert data["passed"] is True
         assert data["passes"] == 25
 
+    @pytest.mark.parametrize("rule", ["fixed:wstar", "local"])
+    def test_ei_on_grid20_counts_instead_of_listing(self, capsys, tmp_path, rule):
+        # 2^20 tied paths: listing both sets took 16-23 s, counting them
+        # takes milliseconds
+        grid = json.loads((FIXTURES / "grid20.json").read_text())
+        unit = tmp_path / "unit.json"
+        unit.write_text(json.dumps({f"{e['from']}->{e['to']}": 1 for e in grid["edges"]}))
+        start = time.perf_counter()
+        code, data, _ = run(
+            capsys, "check", str(FIXTURES / "grid20.json"), "--losses", str(unit),
+            "--axiom", "EI", "--rule", rule, "--trials", "1",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert data["passed"] is True and data["passes"] == 1
+
     def test_property_not_applicable_exits_2(self, capsys):
         code, data, _ = run(
             capsys, "check", "--property", "DOWNSTREAM_MONO", "--rule", "local",
@@ -312,6 +329,41 @@ class TestMalformedJson:
         assert data is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert bad in err
+
+
+# every command that reads a file, with that file as its one input
+FILE_COMMANDS = {
+    "validate": ("validate", "{bad}"),
+    "paths": ("paths", "{bad}"),
+    "weights": ("weights", "{bad}"),
+    "efficient": ("efficient", "{bad}"),
+    "liability": ("liability", "{bad}", "--rule", "local", "--path", "s,t"),
+    "spe": ("spe", "{bad}", "--rule", "local"),
+    "check": ("check", "{bad}", "--axiom", "EI", "--rule", "local"),
+    "simulate": ("simulate", "{bad}"),
+}
+
+
+class TestParserLimits:
+    """JSON that the parser itself cannot take, deep nesting or an integer
+    literal too long to convert, exits 2 with one `error:` line instead of
+    a traceback, in every file command."""
+
+    @pytest.fixture(params=["deep", "long-int"])
+    def bad(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.json"
+        if request.param == "deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            path.write_text('{"nodes": [], "edges": [], "x": ' + "9" * 5000 + "}")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", FILE_COMMANDS.values(), ids=FILE_COMMANDS.keys())
+    def test_exits_2_with_one_line(self, capsys, bad, argv):
+        code, data, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 2
+        assert data is None
+        assert err.startswith(f"error: {bad}: invalid JSON") and err.count("\n") == 1
 
 
 class TestShapeErrors:

@@ -332,6 +332,80 @@ class TestRobustEfficiency:
             assert check_robust_efficiency(dag, losses, make_rule(spec, dag)).robust
 
 
+# one loss kind per drawn game, few distinct values so ties are common; the
+# float values sum with rounding error, which the 1e-9 tolerance absorbs
+LOSS_KINDS = {
+    "int": st.integers(0, 4),
+    "fraction": st.fractions(0, 4, max_denominator=3),
+    "float": st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+}
+
+
+@st.composite
+def counted_games(draw):
+    """A `random_dag` of 3-8 nodes with int, Fraction or float losses, and
+    a tie tolerance to count the efficient set under (None: the default)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 8, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    kind = draw(st.sampled_from(sorted(LOSS_KINDS)))
+    losses = {e: draw(LOSS_KINDS[kind]) for e in dag.edges}
+    return dag, losses, draw(st.sampled_from([None, 0, 0.25]))
+
+
+class TestEfficiencyCounts:
+    """`efficiency_counts` counts what enumeration lists, in every solver
+    mode: the node-keyed state tables, punish-first's coarse key and the
+    history key."""
+
+    @given(counted_games())
+    def test_counts_match_enumerated_sets(self, game):
+        dag, losses, tol = game
+        eff = efficient_paths(dag, losses, tie_tolerance=tol).path_set()
+        rules = [make_rule(spec, dag) for spec in ALL_RULE_SPECS]
+        # history-keyed, and not efficient: its SPE and EFF differ
+        rules.append(_GeneralView(make_rule("local", dag)))
+        oracle = profile_count(dag) <= 300
+        for rule in rules:
+            sol = spe_solve(dag, losses, rule)
+            spe = nodeset(sol.outcomes())
+            assert sol.efficiency_counts(tol) == (len(spe), len(eff), len(spe & eff))
+            assert sol.coincides(tol) == (spe == eff)
+            if oracle:
+                assert spe == nodeset(spe_bruteforce(dag, losses, rule)), rule.spec_string
+
+    def test_ladder_counts_without_listing(self):
+        dag, losses = ladder(40)
+        for spec in ("fixed:wstar", "local"):
+            sol = spe_solve(dag, losses, make_rule(spec, dag))
+            assert sol.efficiency_counts() == (2**40, 2**40, 2**40)
+            assert sol.coincides()
+            assert sol._suffix_lists == []
+
+    def test_equal_totals_of_different_types_stay_apart(self):
+        # at n1 the suffixes via n3 (total 0.0) and via n4 (total 0) tie;
+        # 4/3 + 0.0 is the float 1.333..., below 4/3, so one merged state
+        # would make s's worst case via n1 cheaper than s -> n4 and drop it
+        dag = build_dag(
+            ["s", "n1", "n2", "n3", "n4"],
+            [("s", "n1"), ("s", "n4"), ("n1", "n2"), ("n1", "n3"), ("n1", "n4"),
+             ("n2", "n4")],
+        )
+        loss = {("s", "n1"): Fraction(4, 3), ("s", "n4"): Fraction(4, 3),
+                ("n1", "n2"): 0.0, ("n1", "n3"): 0.0, ("n1", "n4"): 0,
+                ("n2", "n4"): Fraction(2, 3)}
+        losses = {(dag.index(u), dag.index(v)): x for (u, v), x in loss.items()}
+        got = spe_outcomes(dag, losses, make_rule("fixed:equal", dag))
+        assert {p.labels(dag) for p in got} == {
+            ("s", "n1", "n3"), ("s", "n1", "n4"), ("s", "n4"),
+        }
+
+    def test_states_share_totals(self):
+        # every ladder suffix from a node has the same total: one state each
+        dag, losses = ladder(16)
+        sol = spe_solve(dag, losses, make_rule("fixed:wstar", dag))
+        assert [len(s) for s in sol._states.at_node] == [1] * dag.n
+
+
 class TestContinuations:
     def test_subgame_sets_fork(self, fork):
         from liabnet.game import GameError, spe_solve

@@ -26,10 +26,19 @@ byte-for-byte alike. The list:
 it has them, and under a seeded integer and a seeded float losses file.
 Paths in the temporary directory they are written to read `<tmp>` before
 hashing.
+
+    python tools/identity.py --baseline tools/identity.sha256
+
+also compares every command's hash with the committed baseline, a saved
+run of this script, then names each command whose hash changed, is new or
+is gone, and exits 1 if there is any. Regenerate the baseline with
+`python tools/identity.py > tools/identity.sha256` when a change to the
+output is intended.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -159,7 +168,31 @@ def commands(tmp: Path):
     yield "simulate --workers 0", ["simulate", "--workers", "0"], None
 
 
-def main() -> None:
+def read_baseline(path: Path) -> dict[str, str]:
+    """label -> hash from a saved run, without its last, all-commands line."""
+    lines = path.read_text().splitlines()
+    return dict(reversed(line.split("  ", 1)) for line in lines[:-1])
+
+
+def compare(baseline: dict[str, str], hashes: list[tuple[str, str]]) -> int:
+    """Print every command whose hash differs from `baseline`; 1 if any."""
+    current = {label: h for h, label in hashes}
+    report = [f"changed: {label}" for label, h in current.items()
+              if label in baseline and baseline[label] != h]
+    report += [f"new: {label}" for label in current if label not in baseline]
+    report += [f"gone: {label}" for label in baseline if label not in current]
+    for line in report:
+        print(line)
+    print(f"{len(report)} of {len(current)} commands differ from the baseline")
+    return 1 if report else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="saved output of this script to compare with")
+    args = parser.parse_args()
+    baseline = read_baseline(args.baseline) if args.baseline else None
     hashes = []
     with tempfile.TemporaryDirectory() as tmp_dir:
         tmp = Path(tmp_dir)
@@ -176,7 +209,8 @@ def main() -> None:
         hashes.append((digest(*parts), f"simulate ({len(artifacts)} artifacts)"))
         print(*hashes[-1], sep="  ")
     print(digest(*(h for h, _ in hashes)), f"all {len(hashes)} commands", sep="  ")
+    return 0 if baseline is None else compare(baseline, hashes)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
