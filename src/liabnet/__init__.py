@@ -56,7 +56,6 @@ from .graph import (
 from .rules import (
     LiabilityVector,
     Rule,
-    RuleSpec,
     RuleSpecError,
     apply_rule,
     fixed_rule,

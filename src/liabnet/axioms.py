@@ -62,7 +62,6 @@ from .graph import (
 from .rules import (
     OnPathAlphaRule,
     Rule,
-    RuleSpec,
     SqrtSourceRule,
     apply_rule,
     make_rule,
@@ -77,7 +76,7 @@ PROPERTIES = (
     "TOTAL_LOSS_DEP",
 )
 
-RuleLike = Union[str, RuleSpec, Rule, Callable[[Dag, random.Random], Rule]]
+RuleLike = Union[str, Rule, Callable[[Dag, random.Random], Rule]]
 
 
 class AxiomError(Exception):
@@ -131,9 +130,8 @@ def _as_factory(rule: RuleLike):
             return fixed
 
         return factory
-    if isinstance(rule, (str, RuleSpec)):
-        spec = RuleSpec.parse(rule) if isinstance(rule, str) else rule
-        return lambda dag, rng: make_rule(spec, dag)
+    if isinstance(rule, str):
+        return lambda dag, rng: make_rule(rule, dag)
     if callable(rule):
         return rule
     raise AxiomError(f"cannot interpret rule {rule!r}")

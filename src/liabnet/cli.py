@@ -60,10 +60,6 @@ def _label_path(dag: Dag, path: Path) -> list[str]:
     return list(path.labels(dag))
 
 
-def _sorted_paths(dag: Dag, paths) -> list[list[str]]:
-    return [_label_path(dag, p) for p in sorted(paths, key=lambda p: p.nodes)]
-
-
 def _full_losses(dag: Dag, embedded, losses_path: Optional[str]):
     losses = dict(embedded)
     if losses_path:
@@ -125,7 +121,7 @@ def _cmd_weights(args) -> int:
         wv = shapley_bruteforce(dag)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     out = {
-        "weights": {dag.labels[i]: float(w) for i, w in enumerate(wv.values)},
+        "weights": wv.as_dict(dag),
         "metadata": {
             "method": args.method,
             "path_count": str(count_paths(dag)),
@@ -140,12 +136,7 @@ def _cmd_efficient(args) -> int:
     dag, embedded = load_graph_file(args.graph)
     losses = _full_losses(dag, embedded, args.losses)
     res = efficient_paths(dag, losses, tie_tolerance=args.tol)
-    out = {
-        "min_cost": float(res.min_cost),
-        "paths": _sorted_paths(dag, res.paths),
-        "continuation": {dag.labels[i]: float(c) for i, c in enumerate(res.continuation)},
-    }
-    _emit(out, args.pretty)
+    _emit(res.to_dict(dag), args.pretty)
     return EXIT_OK
 
 
@@ -171,7 +162,7 @@ def _cmd_spe(args) -> int:
     rule = make_rule(args.rule, dag).bind(losses)
     sol = spe_solve(dag, losses, rule)
     outcomes = sol.outcomes()
-    eff = efficient_paths(dag, losses, tie_tolerance=args.tol)
+    eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
     coincide = sol.coincides(args.tol)
     ordered = sorted(outcomes, key=lambda p: p.nodes)
     labelled = [_label_path(dag, p) for p in ordered]
@@ -182,8 +173,8 @@ def _cmd_spe(args) -> int:
     out = {
         "rule": rule.spec_string,
         "outcomes": labelled,
-        "efficient": _sorted_paths(dag, eff.paths),
-        "min_cost": float(eff.min_cost),
+        "efficient": eff["paths"],
+        "min_cost": eff["min_cost"],
         "coincide": coincide,
         "liabilities": liab,
     }

@@ -511,15 +511,20 @@ def path_totals(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
 
 
 def exact_valued(losses: Mapping[Edge, Num]) -> bool:
-    """True when every loss is an integer or rational (exact comparisons)."""
+    """True when no loss is a float, so sums and splits stay exact.
+
+    An integer-valued float such as 2.0 counts as inexact too: mixed with
+    an int or a `Fraction`, it turns sums and rule splits into rounded
+    floats, and an exact comparison of those can break a tie.
+    """
     for x in losses.values():
-        if isinstance(x, float) and not x.is_integer():
+        if isinstance(x, float):
             return False
     return True
 
 
 def default_tolerance(losses: Mapping[Edge, Num]) -> int | float:
-    """Default tie tolerance: exact (the int 0) for exact-valued losses,
+    """Default tie tolerance: exact (the int 0) when no loss is a float,
     else 1e-9 absolute. An int, not 0.0, so that adding it to Fraction
     sums keeps them exact."""
     return 0 if exact_valued(losses) else 1e-9
@@ -580,9 +585,9 @@ def efficient_paths(
     """Compute the cheapest paths and continuation costs.
 
     A path is kept iff every step (i, j) satisfies
-    loss(i,j) + L_j <= L_i + tie_tolerance. With exact-valued losses the
-    default tolerance is 0 and the set is exact; for float data the default
-    is 1e-9 absolute.
+    loss(i,j) + L_j <= L_i + tie_tolerance. When no loss is a float the
+    default tolerance is 0 and the set is exact; once any loss is a float,
+    integer-valued ones such as 2.0 included, the default is 1e-9 absolute.
 
     Args:
         tie_tolerance: override for the tie comparison, a finite

@@ -12,10 +12,12 @@ Each rule kind is one `Rule` subclass, used in three steps::
     bound = rule.bind(losses)             # checks the losses once
     bound.vector(path)                    # unchecked split of one path
 
-`make_rule` computes what depends on the graph only (canonical weights,
-phi3's on-path share). `bind` checks the loss function once and computes
-what depends on it (phi2's weights, punish-first's continuation costs);
-the equilibrium solver then calls `vector` once per outcome path.
+`make_rule` looks the spec text up in one table of constructors and
+computes what depends on the graph only (canonical weights, phi3's
+on-path share); the text becomes the rule's `spec_string`. `bind`
+checks the loss function once and computes what depends on it (phi2's
+weights, punish-first's continuation costs); the equilibrium solver
+then calls `vector` once per outcome path.
 `apply_rule(rule, path, losses)` is the checked single-path call: it also
 rejects a path that is not source-to-sink and a split that is negative or
 unbalanced. It tests an int or `Fraction` split first in integers, over
@@ -24,10 +26,13 @@ A fixed-weight split depends on the realized total alone, so a bound
 fixed-weight rule splits each distinct total once. Each class declares
 its solver `mode` and `cares` (see `Rule`); neither depends on the losses.
 
-Rule-spec string grammar::
+Rule-spec string grammar, surrounding whitespace ignored::
 
     fixed:wstar | fixed:equal | fixed:file=<path.json>
     | local | phi1 | phi2 | phi3 | phi5 | punish-first
+
+`fixed:file=` is the one prefix form. `fixed_rule(dag, weights)` builds
+a fixed-weight rule from explicit weights, spec string "fixed:custom".
 
 phi1 assigns everything to the source; phi2 weights agents by their
 largest outgoing loss (offset so weights stay positive and scale with the
@@ -44,7 +49,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Union
+from typing import Hashable, Mapping
 
 from .graph import (
     Dag,
@@ -96,52 +101,6 @@ def _to_float(x: Num) -> float:
     # Fraction through `numbers.Rational.__float__`, which adds two property
     # reads and two int() calls
     return x.numerator / x.denominator if type(x) is Fraction else float(x)
-
-
-@dataclass(frozen=True)
-class RuleSpec:
-    """Parsed rule selector; round-trips with the string grammar."""
-
-    kind: str
-    weight_file: str | None = None
-    weights: WeightVector | None = None
-
-    _GRAMMAR = {
-        "fixed:wstar": "fixed-wstar",
-        "fixed:equal": "fixed-equal",
-        "local": "local",
-        "phi1": "source-all",
-        "phi2": "maxout-weights",
-        "phi3": "onpath-alpha",
-        "phi5": "sqrt-source",
-        "punish-first": "punish-first",
-    }
-
-    @classmethod
-    def parse(cls, text: str) -> "RuleSpec":
-        text = text.strip()
-        if text in cls._GRAMMAR:
-            return cls(kind=cls._GRAMMAR[text])
-        if text.startswith("fixed:file="):
-            path = text[len("fixed:file="):]
-            if not path:
-                raise RuleSpecError("fixed:file= needs a path")
-            return cls(kind="fixed-file", weight_file=path)
-        raise RuleSpecError(
-            f"unknown rule spec {text!r}; expected one of "
-            "fixed:wstar, fixed:equal, fixed:file=<path.json>, local, "
-            "phi1, phi2, phi3, phi5, punish-first"
-        )
-
-    def to_string(self) -> str:
-        if self.kind == "fixed-file":
-            return f"fixed:file={self.weight_file}"
-        if self.kind == "fixed-custom":
-            return "fixed:custom"
-        for text, kind in self._GRAMMAR.items():
-            if kind == self.kind:
-                return text
-        raise RuleSpecError(f"unknown rule kind {self.kind!r}")
 
 
 class Rule:
@@ -394,47 +353,52 @@ class PunishFirstRule(Rule):
 # ---------------------------------------------------------------------------
 
 
-def make_rule(spec: Union[RuleSpec, str], dag: Dag) -> Rule:
-    """Resolve a rule spec against a graph.
+def _fixed(weights_of):
+    """Constructor of the fixed-weight rule with weights `weights_of(dag)`."""
+    return lambda dag, text: FixedWeightRule(dag, weights_of(dag), text)
+
+
+def _source_weights(dag: Dag) -> WeightVector:
+    return WeightVector(tuple(Fraction(int(i == dag.source)) for i in range(dag.n)))
+
+
+# spec text -> constructor called as (dag, text)
+_RULES = {
+    "fixed:wstar": _fixed(wstar_dp),
+    "fixed:equal": _fixed(lambda dag: WeightVector((Fraction(1, dag.n),) * dag.n)),
+    "local": LocalRule,
+    "phi1": _fixed(_source_weights),
+    "phi2": MaxOutWeightsRule,
+    "phi3": OnPathAlphaRule,
+    "phi5": SqrtSourceRule,
+    "punish-first": PunishFirstRule,
+}
+
+
+def make_rule(spec: str, dag: Dag) -> Rule:
+    """Resolve a rule-spec string against a graph.
 
     Graph-dependent parameters (canonical weights, the on-path share of
     phi3) are computed once here, so the returned rule is a deterministic
     pure evaluator.
     """
-    if isinstance(spec, str):
-        spec = RuleSpec.parse(spec)
-    kind = spec.kind
-    if kind == "fixed-wstar":
-        return FixedWeightRule(dag, wstar_dp(dag), "fixed:wstar")
-    if kind == "fixed-equal":
-        w = WeightVector(tuple(Fraction(1, dag.n) for _ in range(dag.n)))
-        return FixedWeightRule(dag, w, "fixed:equal")
-    if kind == "fixed-file":
+    text = spec.strip()
+    make = _RULES.get(text)
+    if make is not None:
+        return make(dag, text)
+    if text.startswith("fixed:file="):
+        path = text[len("fixed:file="):]
+        if not path:
+            raise RuleSpecError("fixed:file= needs a path")
         from .io import load_weights_file
 
-        mapping = load_weights_file(spec.weight_file, dag)
-        w = WeightVector.from_mapping(dag, mapping)
-        return FixedWeightRule(dag, w, spec.to_string())
-    if kind == "fixed-custom":
-        if spec.weights is None:
-            raise RuleSpecError("fixed-custom needs an explicit weight vector")
-        return FixedWeightRule(dag, spec.weights, "fixed:custom")
-    if kind == "source-all":
-        w = WeightVector(
-            tuple(Fraction(1) if i == dag.source else Fraction(0) for i in range(dag.n))
-        )
-        return FixedWeightRule(dag, w, "phi1")
-    if kind == "maxout-weights":
-        return MaxOutWeightsRule(dag, "phi2")
-    if kind == "onpath-alpha":
-        return OnPathAlphaRule(dag, "phi3")
-    if kind == "sqrt-source":
-        return SqrtSourceRule(dag, "phi5")
-    if kind == "local":
-        return LocalRule(dag, "local")
-    if kind == "punish-first":
-        return PunishFirstRule(dag, "punish-first")
-    raise RuleSpecError(f"unknown rule kind {kind!r}")
+        w = WeightVector.from_mapping(dag, load_weights_file(path, dag))
+        return FixedWeightRule(dag, w, text)
+    raise RuleSpecError(
+        f"unknown rule spec {text!r}; expected one of "
+        "fixed:wstar, fixed:equal, fixed:file=<path.json>, local, "
+        "phi1, phi2, phi3, phi5, punish-first"
+    )
 
 
 def fixed_rule(dag: Dag, weights: WeightVector) -> FixedWeightRule:

@@ -178,20 +178,21 @@ class SimConfig:
         def list_of(ok):
             return lambda x: isinstance(x, list) and all(map(ok, x))
 
-        seed = get("seed", 0, _is_int, "an integer")
+        base = cls()
+        seed = get("seed", base.seed, _is_int, "an integer")
         spec = LayeredGraphSpec(
-            sizes=tuple(get("layers", (30, 20, 15, 10, 15, 20), list_of(_is_int),
+            sizes=tuple(get("layers", base.graph.sizes, list_of(_is_int),
                             "a list of integers")),
-            p_next=number("p_next", 0.4),
-            p_skip=number("p_skip", 0.1),
+            p_next=number("p_next", base.graph.p_next),
+            p_skip=number("p_skip", base.graph.p_skip),
             seed=seed,
         )
         return cls(
             graph=spec,
-            draws=get("draws", 10_000, _is_int, "an integer"),
-            loss_low=number("loss_low", 0.0),
-            loss_high=number("loss_high", 100.0),
-            rules=tuple(get("rules", ("fixed:wstar", "local"),
+            draws=get("draws", base.draws, _is_int, "an integer"),
+            loss_low=number("loss_low", base.loss_low),
+            loss_high=number("loss_high", base.loss_high),
+            rules=tuple(get("rules", base.rules,
                             list_of(lambda r: isinstance(r, str)), "a list of rule specs")),
             seed=seed,
         )

@@ -21,8 +21,8 @@ settings.register_profile(
 )
 settings.load_profile("liabnet")
 
-# every rule kind the grammar names except fixed:file, which reads weights
-# from a file; fixed-custom is built with `rules.fixed_rule`
+# every rule spec the grammar names except fixed:file, which reads weights
+# from a file; a rule on explicit weights is built with `rules.fixed_rule`
 ALL_RULE_SPECS = [
     "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
     "punish-first",

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from liabnet.game import (
@@ -245,6 +245,46 @@ class TestSolverProperties:
         rule = fixed_rule(dag, WeightVector.from_mapping(dag, w))
         got = nodeset(spe_outcomes(dag, losses, rule))
         assert got == nodeset(spe_bruteforce(dag, losses, rule))
+
+
+# integer-valued floats mixed with ints and fractions: 2.0 is exact by
+# value, but sums and splits with it round
+MIXED_LOSSES = [0, 1, 2, Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), 0.0, 1.0, 2.0]
+
+# s->a at the int 2, s->b at the float 2.0: punish-first's float equal split
+# once lost the tie under an exact comparison
+_TIE = build_dag(["s", "a", "b"], [("s", "a"), ("s", "b")])
+MIXED_TIE = (_TIE, dict(zip(_TIE.edges, (2, 2.0))))
+
+
+@st.composite
+def mixed_games(draw):
+    """A `small_games`-sized `random_dag` with losses drawn per edge from
+    `MIXED_LOSSES`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 6, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    assume(profile_count(dag) <= 300)
+    return dag, {e: draw(st.sampled_from(MIXED_LOSSES)) for e in dag.edges}
+
+
+class TestMixedLossTypes:
+    """Any float loss switches the tie tolerance to 1e-9, integer-valued
+    ones included, so a tie across an int and a float survives."""
+
+    def test_int_and_float_tie_kept(self):
+        dag, losses = MIXED_TIE
+        sol = spe_solve(dag, losses, make_rule("punish-first", dag))
+        assert {p.labels(dag) for p in sol.outcomes()} == {("s", "a"), ("s", "b")}
+        assert sol.coincides()
+
+    @given(mixed_games())
+    @example(MIXED_TIE)
+    def test_every_rule_kind_matches_bruteforce(self, game):
+        dag, losses = game
+        for spec in ALL_RULE_SPECS:
+            rule = make_rule(spec, dag)
+            got = nodeset(spe_outcomes(dag, losses, rule))
+            assert got == nodeset(spe_bruteforce(dag, losses, rule)), spec
 
 
 class TestSubgameKeys:

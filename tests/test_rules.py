@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from liabnet.cli import main
 from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
     Dag,
@@ -28,7 +29,6 @@ from liabnet.rules import (
     MODE_TOTALS,
     LiabilityVector,
     Rule,
-    RuleSpec,
     RuleSpecError,
     apply_rule,
     fixed_rule,
@@ -42,7 +42,6 @@ from conftest import ALL_RULE_SPECS, small_games
 GRAMMAR = [
     "fixed:wstar",
     "fixed:equal",
-    "fixed:file=weights.json",
     "local",
     "phi1",
     "phi2",
@@ -50,6 +49,11 @@ GRAMMAR = [
     "phi5",
     "punish-first",
 ]
+
+UNKNOWN_SPEC = (
+    "unknown rule spec {!r}; expected one of fixed:wstar, fixed:equal, "
+    "fixed:file=<path.json>, local, phi1, phi2, phi3, phi5, punish-first"
+)
 
 
 def path_of(dag: Dag, *labels: str) -> Path:
@@ -65,22 +69,36 @@ def fork_losses(dag: Dag, **by_label):
 
 
 class TestSpecGrammar:
-    def test_round_trip(self):
-        for text in GRAMMAR:
-            assert RuleSpec.parse(text).to_string() == text
+    def test_round_trip(self, fork, tmp_path):
+        wfile = tmp_path / "weights.json"
+        wfile.write_text(json.dumps({"s": 0.5, "i": 0.25, "j": 0.25}))
+        for text in GRAMMAR + [f"fixed:file={wfile}"]:
+            assert make_rule(text, fork).spec_string == text
 
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(RuleSpecError):
-            RuleSpec.parse("fixed:shapley")
-        with pytest.raises(RuleSpecError):
-            RuleSpec.parse("phi4")
-        with pytest.raises(RuleSpecError):
-            RuleSpec.parse("fixed:file=")
+    def test_unknown_spec_rejected(self, fork, tmp_path):
+        with pytest.raises(RuleSpecError) as exc:
+            make_rule("phi4", fork)
+        assert str(exc.value) == UNKNOWN_SPEC.format("phi4")
+        with pytest.raises(RuleSpecError, match="^unknown rule spec 'fixed:shapley';"):
+            make_rule("fixed:shapley", fork)
+        with pytest.raises(RuleSpecError) as exc:
+            make_rule("fixed:file=", fork)
+        assert str(exc.value) == "fixed:file= needs a path"
+        with pytest.raises(FileNotFoundError):
+            make_rule(f"fixed:file={tmp_path / 'missing.json'}", fork)
 
-    def test_make_rule_accepts_spec_or_string(self, fork):
-        a = make_rule("phi1", fork)
-        b = make_rule(RuleSpec.parse("phi1"), fork)
-        assert a.spec_string == b.spec_string == "phi1"
+    def test_padded_spec_accepted(self, fork, tmp_path):
+        assert make_rule(" local\n", fork).spec_string == "local"
+        wfile = tmp_path / "weights.json"
+        wfile.write_text(json.dumps({"s": 1}))
+        assert make_rule(f"  fixed:file={wfile} ", fork).spec_string == f"fixed:file={wfile}"
+
+    def test_cli_unknown_rule_exits_2(self, capsys):
+        code = main(["check", "--axiom", "EI", "--rule", "bogus"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "error: " + UNKNOWN_SPEC.format("bogus") + "\n"
 
     def test_solver_modes(self, fork):
         losses = {e: 1 for e in fork.edges}

@@ -16,6 +16,10 @@ byte-for-byte alike. The list:
   the 8- and 10-stage all-ties ladders;
 - `liability` for all 8 rule specs on every fixture graph but grid20, on
   its first and last enumerated path;
+- `spe` and `liability` on fork with a `fixed:file=` weights file, the
+  padded spec " local ", and three refused specs (unknown, `fixed:file=`
+  without a path, a missing weights file), which `check --axiom EI` also
+  refuses;
 - `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
   202408 at 300 trials;
 - `simulate` on a config with a field of the wrong type, and with
@@ -152,6 +156,23 @@ def commands(tmp: Path):
     for graph in ladders:
         for rule in RULES:
             yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
+    # rule-spec texts beyond the plain grammar, named without the tmp path
+    fork = ROOT / "fixtures" / "fork.json"
+    weights = tmp / "fork.weights.json"
+    weights.write_text(json.dumps({"s": 0.5, "i": 0.25, "j": 0.25}))
+    losses = dict(loss_files(fork, tmp))["int"]
+    good = (("fixed:file=<weights>", f"fixed:file={weights}"), ("' local '", " local "))
+    bad = (("bogus", "bogus"), ("fixed:file=", "fixed:file="),
+           ("fixed:file=<missing>", f"fixed:file={tmp / 'missing.json'}"))
+    for name, rule in good + bad:
+        yield f"spe fork.json int {name}", ["spe", str(fork), "--rule", rule, *losses], None
+        yield (
+            f"liability fork.json int {name} s,i,t",
+            ["liability", str(fork), "--rule", rule, "--path", "s,i,t", *losses],
+            None,
+        )
+    for name, rule in bad:
+        yield f"check EI {name}", ["check", "--axiom", "EI", "--rule", rule], None
     for flag, ids in (("--axiom", AXIOMS), ("--property", PROPERTIES)):
         for check_id in ids:
             for rule in RULES:
