@@ -162,15 +162,14 @@ def _vec_dict(dag: Dag, vec) -> dict:
 
 
 def _vec_close(a, b) -> bool:
-    # losses are finite, so equal vectors are close under either test
+    # losses are finite, so equal vectors are close under either test,
+    # and unequal vectors of exact values are not close
     if a == b:
         return True
     inexact = any(
         isinstance(v, float) and not v.is_integer() for v in (*a, *b)
     )
-    if not inexact:
-        return all(x == y for x, y in zip(a, b))
-    return all(abs(float(x) - float(y)) <= 1e-9 for x, y in zip(a, b))
+    return inexact and all(abs(float(x) - float(y)) <= 1e-9 for x, y in zip(a, b))
 
 
 def _lt(a: Num, b: Num, tol: float) -> bool:

@@ -100,17 +100,8 @@ class Dag:
         except KeyError:
             raise GraphError(f"unknown node label: {label!r}") from None
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_set
-
-    def out_degree(self, i: int) -> int:
-        return len(self.succ[i])
-
-    def is_sink(self, i: int) -> bool:
-        return i in self.sinks
 
     def deciders(self) -> tuple[int, ...]:
         """Nodes with two or more outgoing edges (real choices to make)."""

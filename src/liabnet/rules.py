@@ -275,13 +275,8 @@ class OnPathAlphaRule(Rule):
         onpath = set(path.nodes)
         k = len(path.nodes)
         rest = self.dag.n - k
-        remainder = 1 - k * self.alpha
-        if rest == 0:
-            if remainder > Fraction(1, 10**12):
-                raise RuleSpecError("on-path shares exceed the total")
-            off_share = Fraction(0)
-        else:
-            off_share = remainder / rest
+        # a path through all n nodes is a longest one, so alpha = 1/n leaves no remainder
+        off_share = (1 - k * self.alpha) / rest if rest else Fraction(0)
         return tuple(
             (self.alpha if i in onpath else off_share) * total
             for i in range(self.dag.n)

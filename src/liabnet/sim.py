@@ -14,9 +14,15 @@ cheapest path; ties broken toward the smallest node index) and the local
 rule (each mover picks its cheapest outgoing edge). Losses are drawn as
 floats, so ties have probability zero.
 
+Each source's draws are summed into one tally per rule: the per-agent
+liabilities (`liab`) and their squares (`sq`), the realized totals
+(`real`) and path lengths (`len`), and the count of positive per-agent
+liabilities per density bin (`hist`) and of zero ones (`zeros`).
+
 Determinism: the master seed derives one independent substream per source
-via `numpy.random.SeedSequence.spawn`, and per-source results are merged
-in source order, so outputs are byte-identical for any worker count.
+via `numpy.random.SeedSequence.spawn`. The first source's tallies are the
+running sum, and every later source's are added to them key by key in
+source order, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .rules import LocalRule, make_rule
 
 DENSITY_RANGE = (0.0, 150.0)
 DENSITY_BINS = 600
+_EDGES = np.linspace(*DENSITY_RANGE, DENSITY_BINS + 1)
 _CHUNK = 2500
 
 
@@ -155,6 +162,8 @@ class SimConfig:
             raise SimError("need 0 <= loss_low <= loss_high")
         if len(self.rules) < 1:
             raise SimError("need at least one rule")
+        if len(set(self.rules)) < len(self.rules):
+            raise SimError("rules must be distinct")
         if self.seed < 0:
             raise SimError(f"seed must be non-negative, got {self.seed}")
 
@@ -265,7 +274,16 @@ def _weighted_gini(values: np.ndarray, weights: np.ndarray) -> float:
 # per-source vectorized engine
 
 
-def _prepare_engines(sub: Dag, specs: Sequence[str]):
+def _density(vals) -> np.ndarray:
+    """Counts of `vals` per density bin. Exact: every bin edge is a
+    multiple of 0.25, so `v * 4` is exact and truncates to v's bin."""
+    v = np.clip(vals, DENSITY_RANGE[0], DENSITY_RANGE[1] - 1e-9)
+    return np.bincount((v * 4).astype(np.int64).ravel(), minlength=DENSITY_BINS)
+
+
+def _prepare_engines(sub: Dag, specs: Sequence[str]) -> list[Optional[np.ndarray]]:
+    """Per rule, its float weights for the cheapest-path walk, or None for
+    the local rule's own-edge walk."""
     engines = []
     for spec in specs:
         rule = make_rule(spec, sub)
@@ -275,105 +293,85 @@ def _prepare_engines(sub: Dag, specs: Sequence[str]):
                     f"rule {spec!r} gives some multi-option mover zero weight; "
                     "its equilibrium path is not a greedy walk"
                 )
-            engines.append(("fixed", np.array([float(x) for x in rule.weights.values])))
+            engines.append(np.array([float(x) for x in rule.weights.values]))
         elif isinstance(rule, LocalRule):
-            engines.append(("local", None))
+            engines.append(None)
         else:
             raise SimError(f"rule {spec!r} is not supported by the vectorized simulator")
     return engines
 
 
 def _simulate_source(args):
+    """Play every draw from one source: (summed efficient totals, a tally
+    per rule spec)."""
     (labels, label_edges, src_label, specs, draws, low, high, seed_seq, n_global) = args
     sub = reachable_subgraph((list(labels), list(label_edges)), src_label)
-    label_to_global = {lab: g for g, lab in enumerate(labels)}
-    gmap = np.array([label_to_global[lab] for lab in sub.labels])
+    gmap = np.array([labels.index(lab) for lab in sub.labels])
     engines = _prepare_engines(sub, specs)
     n = sub.n
-    m = len(sub.edges)
     edge_col = {e: c for c, e in enumerate(sub.edges)}
     succ_cols = [np.array([edge_col[(i, j)] for j in sub.succ[i]], dtype=np.int64) for i in range(n)]
     succ_nodes = [np.array(sub.succ[i], dtype=np.int64) for i in range(n)]
-    is_sink = [not sub.succ[i] for i in range(n)]
+    movers = [i for i in range(n) if sub.succ[i]]
 
-    bins = np.linspace(DENSITY_RANGE[0], DENSITY_RANGE[1], DENSITY_BINS + 1)
-    out = {
-        "liab": {r: np.zeros(n_global) for r in specs},
-        "sq": {r: np.zeros(n_global) for r in specs},
-        "real": {r: 0.0 for r in specs},
-        "len": {r: 0 for r in specs},
-        "eff": 0.0,
-        "hist": {r: np.zeros(DENSITY_BINS, dtype=np.int64) for r in specs},
-        "zeros": {r: 0 for r in specs},
+    eff = 0.0
+    tallies = {
+        r: dict(liab=np.zeros(n_global), sq=np.zeros(n_global), real=0.0, len=0,
+                hist=np.zeros(DENSITY_BINS, dtype=np.int64), zeros=0)
+        for r in specs
     }
     rng = np.random.default_rng(seed_seq)
     done = 0
     while done < draws:
         ch = min(_CHUNK, draws - done)
         done += ch
-        U = rng.uniform(low, high, size=(ch, m))
+        U = rng.uniform(low, high, size=(ch, len(sub.edges)))
         L = np.zeros((ch, n))
         # edges on the tight-argmin path from each node: the fixed rules' path length
         depth = np.zeros((ch, n), dtype=np.int64)
         all_rows = np.arange(ch)
-        for i in range(n - 1, -1, -1):
-            if is_sink[i]:
-                continue
+        for i in reversed(movers):
             cand = U[:, succ_cols[i]] + L[:, succ_nodes[i]]
             best = cand.argmin(axis=1)
             L[:, i] = cand[all_rows, best]
             depth[:, i] = 1 + depth[all_rows, succ_nodes[i][best]]
         teff = L[:, sub.source]
-        out["eff"] += float(teff.sum())
+        sum_t = float(teff.sum())
+        eff += sum_t
 
-        for spec, (kind, weights) in zip(specs, engines):
-            if kind == "fixed":
-                sum_t = float(teff.sum())
-                sum_t2 = float((teff * teff).sum())
-                out["real"][spec] += sum_t
-                sub_liab = weights * sum_t
-                sub_sq = (weights * weights) * sum_t2
-                np.add.at(out["liab"][spec], gmap, sub_liab)
-                np.add.at(out["sq"][spec], gmap, sub_sq)
-                out["len"][spec] += int(depth[:, sub.source].sum())
+        for spec, weights in zip(specs, engines):
+            t = tallies[spec]
+            if weights is not None:
+                t["real"] += sum_t
+                np.add.at(t["liab"], gmap, weights * sum_t)
+                np.add.at(t["sq"], gmap, (weights * weights) * float((teff * teff).sum()))
+                t["len"] += int(depth[:, sub.source].sum())
                 positive = weights > 0
-                if positive.any():
-                    vals = np.clip(
-                        np.outer(teff, weights[positive]).ravel(),
-                        DENSITY_RANGE[0],
-                        DENSITY_RANGE[1] - 1e-9,
-                    )
-                    out["hist"][spec] += np.histogram(vals, bins=bins)[0]
-                out["zeros"][spec] += ch * (n_global - int(positive.sum()))
+                t["hist"] += _density(np.outer(teff, weights[positive]))
+                t["zeros"] += ch * (n_global - int(positive.sum()))
             else:
                 visit = np.zeros((ch, n), dtype=bool)
                 visit[:, sub.source] = True
                 total = np.zeros(ch)
-                length = np.zeros(ch, dtype=np.int64)
-                for i in range(n):
-                    if is_sink[i]:
-                        continue
+                n_pay = 0
+                for i in movers:
                     rows = np.nonzero(visit[:, i])[0]
                     if rows.size == 0:
                         continue
-                    cols = succ_cols[i]
-                    local_cand = U[np.ix_(rows, cols)]
+                    local_cand = U[np.ix_(rows, succ_cols[i])]
                     choice = local_cand.argmin(axis=1)
                     pay = local_cand[np.arange(rows.size), choice]
-                    nxt = succ_nodes[i][choice]
-                    visit[rows, nxt] = True
+                    visit[rows, succ_nodes[i][choice]] = True
                     g = gmap[i]
-                    out["liab"][spec][g] += float(pay.sum())
-                    out["sq"][spec][g] += float((pay * pay).sum())
+                    t["liab"][g] += float(pay.sum())
+                    t["sq"][g] += float((pay * pay).sum())
                     total[rows] += pay
-                    length[rows] += 1
-                    vals = np.clip(pay, DENSITY_RANGE[0], DENSITY_RANGE[1] - 1e-9)
-                    out["hist"][spec] += np.histogram(vals, bins=bins)[0]
-                out["real"][spec] += float(total.sum())
-                n_pay = int(length.sum())
-                out["len"][spec] += n_pay
-                out["zeros"][spec] += ch * n_global - n_pay
-    return out
+                    n_pay += rows.size
+                    t["hist"] += _density(pay)
+                t["real"] += float(total.sum())
+                t["len"] += n_pay
+                t["zeros"] += ch * n_global - n_pay
+    return eff, tallies
 
 
 def run_simulation(
@@ -395,17 +393,8 @@ def run_simulation(
     seed_children = np.random.SeedSequence(config.seed).spawn(len(sources))
     label_edges = tuple(hg.edge_labels())
     jobs = [
-        (
-            hg.labels,
-            label_edges,
-            hg.labels[src],
-            specs,
-            config.draws,
-            config.loss_low,
-            config.loss_high,
-            seed_children[k],
-            hg.n,
-        )
+        (hg.labels, label_edges, hg.labels[src], specs, config.draws,
+         config.loss_low, config.loss_high, seed_children[k], hg.n)
         for k, src in enumerate(sources)
     ]
     if workers > 1:
@@ -414,44 +403,30 @@ def run_simulation(
     else:
         results = [_simulate_source(job) for job in jobs]
 
-    total_draws = config.draws * len(sources)
-    liab = {r: np.zeros(hg.n) for r in specs}
-    sq = {r: np.zeros(hg.n) for r in specs}
-    real = {r: 0.0 for r in specs}
-    length = {r: 0 for r in specs}
-    eff = 0.0
-    hist = {r: np.zeros(DENSITY_BINS, dtype=np.int64) for r in specs}
-    zeros = {r: 0 for r in specs}
-    for res in results:  # fixed source order keeps float sums deterministic
-        eff += res["eff"]
-        for r in specs:
-            liab[r] += res["liab"][r]
-            sq[r] += res["sq"][r]
-            real[r] += res["real"][r]
-            length[r] += res["len"][r]
-            hist[r] += res["hist"][r]
-            zeros[r] += res["zeros"][r]
+    eff, tallies = results[0]
+    for more_eff, more in results[1:]:  # fixed source order keeps float sums deterministic
+        eff += more_eff
+        for r, t in more.items():
+            for key, value in t.items():
+                tallies[r][key] += value
 
-    mean_liab = {r: liab[r] / total_draws for r in specs}
-    mean_sq = {r: sq[r] / total_draws for r in specs}
-    mean_real = {r: real[r] / total_draws for r in specs}
-    mean_len = {r: length[r] / total_draws for r in specs}
-    mean_eff = eff / total_draws
+    total_draws = config.draws * len(sources)
+    mean_liab = {r: t["liab"] / total_draws for r, t in tallies.items()}
+    mean_sq = {r: t["sq"] / total_draws for r, t in tallies.items()}
+    mean_real = {r: t["real"] / total_draws for r, t in tallies.items()}
     for r in specs:
         balance_gap = abs(float(mean_liab[r].sum()) - mean_real[r])
         if not balance_gap <= 1e-6 * max(1.0, mean_real[r]):
             raise SimError(f"per-agent means do not add up to the realized mean for {r}")
 
-    last = len(hg.sizes) - 1
-    nonsink = np.array([i for i, l in enumerate(hg.layer_of) if l != last])
+    layer_of = np.array(hg.layer_of)
+    nonsink = layer_of != len(hg.sizes) - 1
     gini_mean = {r: gini(mean_liab[r][nonsink]) for r in specs}
-    bins = np.linspace(DENSITY_RANGE[0], DENSITY_RANGE[1], DENSITY_BINS + 1)
-    mids = (bins[:-1] + bins[1:]) / 2.0
-    gini_pooled = {}
-    for r in specs:
-        values = np.concatenate(([0.0], mids))
-        weights = np.concatenate(([zeros[r]], hist[r])).astype(float)
-        gini_pooled[r] = _weighted_gini(values, weights)
+    bin_values = np.concatenate(([0.0], (_EDGES[:-1] + _EDGES[1:]) / 2.0))
+    gini_pooled = {
+        r: _weighted_gini(bin_values, np.concatenate(([t["zeros"]], t["hist"])).astype(float))
+        for r, t in tallies.items()
+    }
 
     better_mean = better_sq = None
     if len(specs) >= 2:
@@ -459,15 +434,9 @@ def run_simulation(
         better_mean = int((mean_liab[a][nonsink] < mean_liab[b][nonsink]).sum())
         better_sq = int((mean_sq[a][nonsink] < mean_sq[b][nonsink]).sum())
 
-    layer_index = [
-        [i for i, l in enumerate(hg.layer_of) if l == layer]
-        for layer in range(len(hg.sizes))
-    ]
+    in_layer = [layer_of == layer for layer in range(len(hg.sizes))]
     per_layer = {
-        r: [
-            (float(np.mean(mean_liab[r][idx])), float(np.mean(mean_sq[r][idx])))
-            for idx in layer_index
-        ]
+        r: [(float(np.mean(mean_liab[r][x])), float(np.mean(mean_sq[r][x]))) for x in in_layer]
         for r in specs
     }
 
@@ -481,14 +450,14 @@ def run_simulation(
         mean_sq=mean_sq,
         per_layer=per_layer,
         mean_realized=mean_real,
-        mean_length=mean_len,
-        mean_efficient=mean_eff,
+        mean_length={r: t["len"] / total_draws for r, t in tallies.items()},
+        mean_efficient=eff / total_draws,
         gini_mean=gini_mean,
         gini_pooled_binned=gini_pooled,
         better_mean=better_mean,
         better_mean_sq=better_sq,
-        density=hist,
-        zero_counts=zeros,
+        density={r: t["hist"] for r, t in tallies.items()},
+        zero_counts={r: t["zeros"] for r, t in tallies.items()},
     )
     if out_dir is not None:
         write_artifacts(stats, config, out_dir)
@@ -529,14 +498,13 @@ def write_artifacts(stats: SimStats, config: SimConfig, out_dir) -> None:
             for layer, (liab_mean, sq_mean) in enumerate(stats.per_layer[rule]):
                 w.writerow([layer, rule, _fmt(liab_mean), _fmt(sq_mean)])
 
-    bins = np.linspace(DENSITY_RANGE[0], DENSITY_RANGE[1], DENSITY_BINS + 1)
     with open(out / "density.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rule", "bin_left", "bin_right", "count"])
         for rule in stats.rules:
             for k in range(DENSITY_BINS):
                 w.writerow(
-                    [rule, _fmt(bins[k]), _fmt(bins[k + 1]), int(stats.density[rule][k])]
+                    [rule, _fmt(_EDGES[k]), _fmt(_EDGES[k + 1]), int(stats.density[rule][k])]
                 )
 
     with open(out / "summary.json", "w") as fh:

@@ -53,9 +53,6 @@ class WeightVector:
     def __getitem__(self, i: int) -> Num:
         return self.values[i]
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.values)
-
     def as_dict(self, dag: Dag) -> dict[str, float]:
         return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
 
@@ -66,10 +63,10 @@ class WeightVector:
             negative = min(self.nums) < 0
             total, one = sum(self.nums), self.den
             off = total != one
-        else:
-            negative = any(x < 0 for x in self.values)
+        else:  # written so that a NaN weight fails both tests
+            negative = not all(x >= 0 for x in self.values)
             total, one = sum(self.values), 1
-            off = abs(total - 1) > tol
+            off = not abs(total - 1) <= tol
         if negative:
             raise WeightsError("weights must be non-negative")
         if off:

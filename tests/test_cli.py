@@ -331,6 +331,33 @@ class TestMalformedJson:
         assert bad in err
 
 
+class TestNanWeights:
+    """A weights file with a NaN weight is refused before any rule runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("liability", FORK, "--rule", "{rule}", "--path", "s,i,t", "--losses", "{losses}"),
+            ("spe", FORK, "--rule", "{rule}", "--losses", "{losses}"),
+            ("check", FORK, "--axiom", "EI", "--rule", "{rule}", "--trials", "3"),
+        ],
+        ids=["liability", "spe", "check-EI"],
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"s": 0.5, "j": 0.5, "i": NaN}')
+        losses = tmp_path / "losses.json"
+        losses.write_text(json.dumps(
+            {"s->i": 1, "s->j": 2, "j->k": 1, "i->t": 3, "j->t": 1, "k->t": 1}
+        ))
+        rule = f"fixed:file={weights}"
+        code, data, err = run(capsys, *(a.format(rule=rule, losses=losses) for a in argv))
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "weights must be non-negative" in err
+
+
 # every command that reads a file, with that file as its one input
 FILE_COMMANDS = {
     "validate": ("validate", "{bad}"),
@@ -394,8 +421,9 @@ class TestShapeErrors:
             ([], "must be a JSON object"),
             ({"draws": "x"}, "'draws' must be an integer"),
             ({"layers": 5}, "'layers' must be a list of integers"),
+            ({"rules": ["local", "local"]}, "rules must be distinct"),
         ],
-        ids=["list", "draws-string", "layers-int"],
+        ids=["list", "draws-string", "layers-int", "rules-repeated"],
     )
     def test_simulate_config(self, capsys, tmp_path, config, message):
         path = tmp_path / "config.json"

@@ -10,11 +10,13 @@ from liabnet.game import spe_outcomes
 from liabnet.rules import make_rule
 from liabnet.sim import (
     DENSITY_BINS,
+    DENSITY_RANGE,
     HourglassGraph,
     LayeredGraphSpec,
     SimConfig,
     SimError,
     SimStats,
+    _density,
     _simulate_source,
     _weighted_gini,
     generate_hourglass,
@@ -49,6 +51,24 @@ class TestGini:
         weights = np.array([3, 1, 4, 2])
         expanded = np.repeat(vals, weights)
         assert _weighted_gini(vals, weights) == pytest.approx(gini(expanded))
+
+
+class TestDensity:
+    def test_bincount_matches_histogram(self):
+        # the bin edges are multiples of 0.25, so v * 4 truncates to v's bin
+        edges = np.linspace(*DENSITY_RANGE, DENSITY_BINS + 1)
+        near = [np.nextafter(x, to) for x in (0.25, 37.5) for to in (0.0, np.inf)]
+        draws = np.random.default_rng(20240403).uniform(*DENSITY_RANGE, size=200_000)
+        vals = np.concatenate(([0.0, 0.25, 37.5, 149.75, 150.0 - 1e-9], near, draws))
+        want = np.histogram(vals, bins=edges)[0]
+        got = np.bincount((vals * 4).astype(np.int64), minlength=DENSITY_BINS)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_density(vals), want)
+
+    def test_out_of_range_values_land_in_the_last_bin(self):
+        got = _density(np.array([[150.0, 1e6], [149.9, 0.1]]))
+        assert got.shape == (DENSITY_BINS,)
+        assert (got[0], got[-1], got.sum()) == (1, 3, 4)
 
 
 class TestHourglass:
@@ -191,6 +211,8 @@ class TestConfig:
             SimConfig(loss_low=5.0, loss_high=4.0)
         with pytest.raises(SimError):
             SimConfig(rules=())
+        with pytest.raises(SimError, match="rules must be distinct"):
+            SimConfig(rules=("local", "fixed:wstar", "local"))
 
     def test_degenerate_distribution_allowed(self):
         SimConfig(loss_low=5.0, loss_high=5.0)
@@ -216,39 +238,39 @@ class TestEngineAgainstSolver:
         labels, label_edges = hg.labels, tuple(hg.edge_labels())
         for k, src in enumerate(hg.sources[:3]):
             seed_seq = np.random.SeedSequence(99).spawn(len(hg.sources))[k]
-            out = _simulate_source(
+            eff_sum, out = _simulate_source(
                 (labels, label_edges, labels[src], ("fixed:wstar", "local"),
                  1, 0.0, 100.0, seed_seq, hg.n)
             )
             sub = reachable_subgraph((list(labels), list(label_edges)), labels[src])
             losses = self.rebuild_losses(sub, seed_seq, 0.0, 100.0)
             caps = continuation_costs(sub, losses)
-            assert out["eff"] == pytest.approx(caps[sub.source], abs=1e-9)
-            assert out["real"]["fixed:wstar"] == pytest.approx(caps[sub.source], abs=1e-9)
+            assert eff_sum == pytest.approx(caps[sub.source], abs=1e-9)
+            assert out["fixed:wstar"]["real"] == pytest.approx(caps[sub.source], abs=1e-9)
             (eff,) = efficient_paths(sub, losses).paths
-            assert out["len"]["fixed:wstar"] == len(eff) - 1
+            assert out["fixed:wstar"]["len"] == len(eff) - 1
             spe_local = spe_outcomes(sub, losses, make_rule("local", sub))
             assert len(spe_local) == 1
             path = next(iter(spe_local))
             total = sum(losses[e] for e in path.edges)
-            assert out["real"]["local"] == pytest.approx(total, abs=1e-9)
-            assert out["len"]["local"] == len(path) - 1
+            assert out["local"]["real"] == pytest.approx(total, abs=1e-9)
+            assert out["local"]["len"] == len(path) - 1
 
     def test_fixed_liabilities_scale_with_weights(self):
         hg = generate_hourglass(SMALL)
         labels, label_edges = hg.labels, tuple(hg.edge_labels())
         src = hg.sources[0]
         seed_seq = np.random.SeedSequence(5).spawn(1)[0]
-        out = _simulate_source(
+        _, out = _simulate_source(
             (labels, label_edges, labels[src], ("fixed:wstar",), 1, 0.0, 100.0, seed_seq, hg.n)
         )
         sub = reachable_subgraph((list(labels), list(label_edges)), labels[src])
         rule = make_rule("fixed:wstar", sub)
-        total = out["real"]["fixed:wstar"]
+        total = out["fixed:wstar"]["real"]
         for i, lab in enumerate(sub.labels):
             g = labels.index(lab)
             want = float(rule.weights.values[i]) * total
-            assert out["liab"]["fixed:wstar"][g] == pytest.approx(want, abs=1e-9)
+            assert out["fixed:wstar"]["liab"][g] == pytest.approx(want, abs=1e-9)
 
 
 class TestRunSimulation:

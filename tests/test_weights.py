@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -301,6 +302,12 @@ class TestWeightVector:
             WeightVector((F(1, 2), F(1, 2), F(1, 2))).check_simplex()
         with pytest.raises(WeightsError):
             WeightVector((F(3, 2), F(-1, 2), F(0))).check_simplex()
+
+    @pytest.mark.parametrize("values", [(0.5, 0.5, math.nan), (math.nan, 0.0, 0.0)])
+    def test_check_simplex_rejects_nan(self, values):
+        # NaN compares false both ways, so only a test it must pass catches it
+        with pytest.raises(WeightsError):
+            WeightVector(values).check_simplex()
 
     def test_check_simplex_integer(self, grid20):
         wv = wstar_dp(grid20)

@@ -24,7 +24,9 @@ byte-for-byte alike. The list:
   202408 at 300 trials;
 - `simulate` on a config with a field of the wrong type, and with
   `--workers 0`, both refused with exit 2;
-- the default `simulate` at `--workers 1`, with its 4 artifacts.
+- the default `simulate` at `--workers 1` and at `--workers 2`, each with
+  its 4 artifacts; the second merges per-source results made in other
+  processes.
 
 `efficient`, `spe` and `liability` run under the graph's own losses where
 it has them, and under a seeded integer and a seeded float losses file.
@@ -223,12 +225,13 @@ def main() -> int:
                 out = post(out)
             hashes.append((digest(str(code), out, err), label))
             print(*hashes[-1], sep="  ", flush=True)
-        sim_dir = tmp / "simulate"
-        code, out, err = run(["simulate", "--workers", "1", "--out", str(sim_dir)], tmp_dir)
-        artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
-        parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
-        hashes.append((digest(*parts), f"simulate ({len(artifacts)} artifacts)"))
-        print(*hashes[-1], sep="  ")
+        for workers, label in (("1", "simulate"), ("2", "simulate --workers 2")):
+            sim_dir = tmp / f"simulate-w{workers}"
+            code, out, err = run(["simulate", "--workers", workers, "--out", str(sim_dir)], tmp_dir)
+            artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
+            parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
+            hashes.append((digest(*parts), f"{label} ({len(artifacts)} artifacts)"))
+            print(*hashes[-1], sep="  ", flush=True)
     print(digest(*(h for h, _ in hashes)), f"all {len(hashes)} commands", sep="  ")
     return 0 if baseline is None else compare(baseline, hashes)
 
