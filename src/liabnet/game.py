@@ -23,7 +23,10 @@ listing either set. For other rules the state is the rule's `subgame_key`
 of the history: the history itself by default, or a coarser key
 (punish-first uses the node and whether play is still on an efficient
 path), and the solver memoizes the list of SPE suffixes, the paths from
-the state's node on. Outcome paths are enumerated only when asked for
+the state's node on. The rule prices those suffixes for the mover
+(`Rule.mover_pays`) as labels with one pay each, so the solver compares
+each distinct pay once; punish-first prices by class without calling
+`vector`. Outcome paths are enumerated only when asked for
 (`SpeSolution.continuations`, `outcomes`, `spe_outcomes`).
 `spe_bruteforce` is the definitional oracle: enumerate
 every pure strategy profile over all histories and keep the ones with no
@@ -158,9 +161,12 @@ class SpeSolution:
     paths through its states. `continuations` lists them from the table,
     building each state's suffix list once. Other rules memoize, per the
     rule's `subgame_key` of a history (the history itself unless the rule
-    says otherwise), the list of SPE suffixes that start at its node.
-    Those are solved only for a subgame of at most `history_cap`
-    histories, however few states it has.
+    says otherwise), the list of SPE suffixes that start at its node. The
+    rule's `mover_pays` prices the suffixes of each action, and the mover
+    keeps a suffix when its pay is at most the least, over the actions, of
+    each action's largest pay, widened by the tie tolerance. Those are
+    solved only for a subgame of at most `history_cap` histories, however
+    few states it has.
 
     `efficiency_counts` and `coincides` compare the outcome set with the
     efficient paths by counting: backward over the state table for the
@@ -189,14 +195,6 @@ class SpeSolution:
             self._listed_from = dag.n
         else:
             self._state_memo: dict[Hashable, list[tuple[int, ...]]] = {}
-            self._pay_cache: dict[tuple[int, ...], tuple[Num, ...]] = {}
-
-    def _pay(self, path_nodes: tuple[int, ...], agent: int) -> Num:
-        vec = self._pay_cache.get(path_nodes)
-        if vec is None:
-            vec = self.bound.vector(Path(path_nodes))
-            self._pay_cache[path_nodes] = vec
-        return vec[agent]
 
     def _solve_state(
         self, hist: tuple[int, ...], key: Hashable
@@ -244,16 +242,16 @@ class SpeSolution:
             self._state_memo[self.bound.subgame_key(key, mover, j)]
             for j in self.dag.succ[mover]
         ]
-        if len(per_action) > 1:
-            hist = tuple(path)
-            pays = [[self._pay(hist + s, mover) for s in outs] for outs in per_action]
-            limit = widen(min(max(p) for p in pays), self.tol)
-            per_action = [
-                [s for s, pay in zip(outs, outs_pays) if pay <= limit]
-                for outs, outs_pays in zip(per_action, pays)
-            ]
-        # a lone action is kept whole: its costliest outcome bounds itself
-        return [(mover,) + s for outs in per_action for s in outs]
+        if len(per_action) == 1:
+            # a lone action is kept whole: its costliest outcome bounds itself
+            return [(mover,) + s for s in per_action[0]]
+        priced = self.bound.mover_pays(key, tuple(path), per_action)
+        limit = widen(min([max(pays) for _, pays in priced]), self.tol)
+        kept = []
+        for outs, (labels, pays) in zip(per_action, priced):
+            ok = [pay <= limit for pay in pays]
+            kept += [(mover,) + s for s, label in zip(outs, labels) if ok[label]]
+        return kept
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:

@@ -16,8 +16,10 @@ Each rule kind is one `Rule` subclass, used in three steps::
 computes what depends on the graph only (canonical weights, phi3's
 on-path share); the text becomes the rule's `spec_string`. `bind`
 checks the loss function once and computes what depends on it (phi2's
-weights, punish-first's continuation costs); the equilibrium solver
-then calls `vector` once per outcome path.
+weights, punish-first's foreclosing steps). The equilibrium solver
+prices a history's continuations through `mover_pays`, which calls
+`vector` once per full path unless the rule prices by class, as
+punish-first does.
 `apply_rule(rule, path, losses)` is the checked single-path call: it also
 rejects a path that is not source-to-sink and a split that is negative or
 unbalanced. It tests an int or `Fraction` split first in integers, over
@@ -49,7 +51,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 from .graph import (
     Dag,
@@ -120,7 +122,10 @@ class Rule:
     In MODE_GENERAL the solver memoizes subgames by `subgame_key`: two
     histories with equal keys must end at the same node, and the mover at
     that node must rank every continuation alike after either history. The
-    default key is the history itself, which is always sound.
+    default key is the history itself, which is always sound. The solver
+    prices suffixes through `mover_pays`, which labels them per action and
+    gives one pay per label; the default labels each suffix apart and
+    reads the mover's entry of `vector` on the full path.
 
     `weights` is the per-graph weight vector of a rule that pays w_i times
     the realized total under every loss function, and None for every other
@@ -150,6 +155,7 @@ class Rule:
         check_losses(self.dag, losses)
         bound = copy.copy(self)
         bound.losses = losses
+        bound._vectors = {}  # full path -> vector, read by mover_pays
         bound._derive()
         return bound
 
@@ -158,6 +164,35 @@ class Rule:
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         raise NotImplementedError
+
+    def mover_pays(
+        self, key: Hashable, hist: tuple[int, ...], per_action: list[list[tuple[int, ...]]]
+    ) -> list[tuple[Sequence[int], list[Num]]]:
+        """What the mover ending `hist` pays on each suffix of each action.
+
+        `key` is the `subgame_key` of `hist`, and `per_action[a]` lists
+        suffixes from the mover's a-th action: each starts at that
+        successor and ends at a sink. Per action the result is
+        `(labels, pays)`: `pays[labels[k]]` equals the mover's entry of
+        `vector` on the full path `hist + per_action[a][k]`. Suffixes that
+        share a label pay alike, so the solver compares each entry of
+        `pays` once, and a rule that can price its suffixes by class lists
+        each class once. By default every suffix has a label of its own,
+        and `vector` prices each full path once while the rule is bound.
+        """
+        mover = hist[-1]
+        vectors = self._vectors
+        priced = []
+        for outs in per_action:
+            pays = []
+            for s in outs:
+                full = hist + s
+                vec = vectors.get(full)
+                if vec is None:
+                    vec = vectors[full] = self.vector(Path(full))
+                pays.append(vec[mover])
+            priced.append((range(len(pays)), pays))
+        return priced
 
     def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
         """Key of the history that extends the history keyed `key`, which
@@ -323,6 +358,7 @@ class PunishFirstRule(Rule):
         cont = continuation_costs(self.dag, self.losses)
         tight = tight_step(self.losses, cont, default_tolerance(self.losses))
         self._foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
+        self._equal_shares: dict[tuple[type, Num], Num] = {}
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
@@ -334,6 +370,52 @@ class PunishFirstRule(Rule):
                 values[i] = total
                 return tuple(values)
         return (Fraction(1, n) * total,) * n
+
+    def mover_pays(self, key, hist, per_action):
+        """Price suffixes by class instead of calling `vector`.
+
+        Off track an earlier agent is blamed, so every suffix pays the int
+        0. On track the mover pays the path's total when their own step
+        forecloses efficiency, 0 when a later step of the suffix does, and
+        an equal share of the total otherwise; the suffixes of one class
+        and equal totals of one type share a label. Each total continues
+        the sum of `hist`'s losses left to right, so it is the number
+        `path_loss` takes over the full path, bit for bit.
+        """
+        if not key[1]:
+            return [([0] * len(outs), [0]) for outs in per_action]
+        losses, foreclosing = self.losses, self._foreclosing
+        loss = losses.__getitem__
+        mover = hist[-1]
+        prefix = sum(map(loss, zip(hist, hist[1:])))
+        priced = []
+        for outs in per_action:
+            step = (mover, outs[0][0])
+            base = prefix + losses[step]
+            own = step in foreclosing
+            # per suffix: the path's total, or None where a later step forecloses
+            totals = [
+                sum(map(loss, zip(s, s[1:])), base)
+                if own or foreclosing.isdisjoint(zip(s, s[1:])) else None
+                for s in outs
+            ]
+            label_of: dict[tuple[type, Num | None], int] = {}
+            labels = [label_of.setdefault((type(t), t), len(label_of)) for t in totals]
+            if own:
+                pays = [t for _, t in label_of]
+            else:
+                pays = [0 if t is None else self._equal_share(t) for _, t in label_of]
+            priced.append((labels, pays))
+        return priced
+
+    def _equal_share(self, total: Num) -> Num:
+        """Each agent's pay on an efficient path of this total, computed
+        once per distinct total and type while bound."""
+        key = (type(total), total)
+        share = self._equal_shares.get(key)
+        if share is None:
+            share = self._equal_shares[key] = Fraction(1, self.dag.n) * total
+        return share
 
     def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
         # (node, on_track). On track, every step so far was efficient, so

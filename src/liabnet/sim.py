@@ -166,6 +166,18 @@ class SimConfig:
             raise SimError("rules must be distinct")
         if self.seed < 0:
             raise SimError(f"seed must be non-negative, got {self.seed}")
+        # every draw of every source adds a realized total of at most
+        # (layers - 1) * loss_high, and its square, to the sums
+        worst = (len(self.graph.sizes) - 1) * self.loss_high
+        try:
+            peak = max(worst, worst * worst) * self.draws * self.graph.sizes[0]
+        except OverflowError:  # draws beyond the float range
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise SimError(
+                f"loss_high {self.loss_high!r} is too large for {len(self.graph.sizes)} "
+                "layers and the draws: the sums of squared path totals overflow a float"
+            )
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimConfig":

@@ -422,8 +422,13 @@ class TestShapeErrors:
             ({"draws": "x"}, "'draws' must be an integer"),
             ({"layers": 5}, "'layers' must be a list of integers"),
             ({"rules": ["local", "local"]}, "rules must be distinct"),
+            ({"layers": [2, 2, 2], "draws": 5, "loss_high": 1e308}, "too large"),
+            ({"layers": [2, 2, 2], "draws": 5, "loss_high": 1.7e308}, "too large"),
+            ({"layers": [2, 2, 2], "draws": 5, "loss_low": 1e308, "loss_high": 1e308},
+             "too large"),
         ],
-        ids=["list", "draws-string", "layers-int", "rules-repeated"],
+        ids=["list", "draws-string", "layers-int", "rules-repeated", "loss-high-1e308",
+             "loss-high-1.7e308", "loss-low-1e308"],
     )
     def test_simulate_config(self, capsys, tmp_path, config, message):
         path = tmp_path / "config.json"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from liabnet.game import (
     HistoryCapExceeded,
     ProfileCapExceeded,
+    _spe_profiles,
     check_robust_efficiency,
     history_count,
     profile_count,
@@ -21,6 +22,7 @@ from liabnet.generators import random_dag, random_losses, random_simplex_weights
 from liabnet.graph import Path, build_dag, efficient_paths, enumerate_paths
 from liabnet.rules import (
     MODE_GENERAL,
+    PunishFirstRule,
     Rule,
     fixed_rule,
     irreducible_extension,
@@ -318,11 +320,90 @@ class TestSubgameKeys:
         assert len(sol.outcomes()) == 2**16
         assert len(sol._state_memo) <= 2 * dag.n
 
+    def test_punish_first_prices_without_vector(self, monkeypatch):
+        calls = []
+        vector = PunishFirstRule.vector
+
+        def spy(self, path):
+            calls.append(path)
+            return vector(self, path)
+
+        monkeypatch.setattr(PunishFirstRule, "vector", spy)
+        dag, losses = ladder(10)
+        rule = make_rule("punish-first", dag)
+        sol = spe_solve(dag, losses, rule)
+        assert sol.coincides()
+        assert len(sol.outcomes()) == 2**10
+        # and with foreclosing steps, on and off track
+        near_tie = near_tie_game(random.Random(3), 1e8)
+        spe_solve(*near_tie, make_rule("punish-first", near_tie[0])).outcomes()
+        assert calls == []
+        # a history-keyed rule still prices every path through `vector`
+        assert spe_solve(dag, losses, _GeneralView(rule)).coincides()
+        assert len(calls) == 2**10
+
     def test_history_key_memoizes_every_history(self, fork):
         losses = {e: 1 for e in fork.edges}
         sol = spe_solve(fork, losses, _GeneralView(make_rule("punish-first", fork)))
         sol.outcomes()
         assert len(sol._state_memo) == history_count(fork)
+
+
+def near_tie_game(rng: random.Random, magnitude: float):
+    """From r, one edge to s, then two 4-edge paths s-a1-a2-a3-t and
+    s-b1-b2-b3-t whose 3-decimal float losses are the same four in reverse
+    order, so their sums tie up to rounding, plus two dearer cross edges
+    a1-b2 and b1-a2. The tie is decided after a history with a loss of its
+    own, so a solver must continue that history's sum."""
+    dag = build_dag(
+        ["r", "s", "a1", "b1", "a2", "b2", "a3", "b3", "t"],
+        [("r", "s"), ("s", "a1"), ("s", "b1"), ("a1", "a2"), ("a1", "b2"),
+         ("b1", "b2"), ("b1", "a2"), ("a2", "a3"), ("b2", "b3"), ("a3", "t"),
+         ("b3", "t")],
+    )
+    v, w, x, y, z = (round(rng.uniform(0, magnitude), 3) for _ in range(5))
+    r, s, a1, b1, a2, b2, a3, b3, t = range(9)
+    losses = {
+        (r, s): v,
+        (s, a1): w, (a1, a2): x, (a2, a3): y, (a3, t): z,
+        (s, b1): z, (b1, b2): y, (b2, b3): x, (b3, t): w,
+        (a1, b2): x + magnitude, (b1, a2): y + magnitude,
+    }
+    return dag, losses
+
+
+def bruteforce_continuations(dag, losses, rule) -> dict:
+    """Per history, the outcomes some SPE profile of the whole game plays
+    after it."""
+    out: dict = {}
+    for tables, _choices, play in _spe_profiles(dag, losses, rule, 10_000):
+        for h, hist in enumerate(tables.histories):
+            out.setdefault(hist, set()).add(Path(tables.paths[play[h]]))
+    return out
+
+
+class TestFloatNearTies:
+    """Float sums of the same losses in another order can miss a tie, so
+    every solver must price a path by the sum `path_loss` takes."""
+
+    @pytest.mark.parametrize("magnitude", [1e6, 1e8, 1e10])
+    def test_punish_first_solvers_agree_on_every_history(self, magnitude):
+        rng = random.Random(f"near-tie {magnitude}")
+        untied = 0
+        for _ in range(60):
+            dag, losses = near_tie_game(rng, magnitude)
+            rule = make_rule("punish-first", dag)
+            keyed = spe_solve(dag, losses, rule)
+            per_history = spe_solve(dag, losses, _GeneralView(rule))
+            oracle = bruteforce_continuations(dag, losses, rule)
+            histories = all_histories(dag)
+            rng.shuffle(histories)
+            for hist in histories:
+                got = keyed.continuations(hist)
+                assert got == per_history.continuations(hist) == oracle[hist], (hist, losses)
+            untied += len(efficient_paths(dag, losses).paths) == 1
+        if magnitude >= 1e8:
+            assert untied  # some draws lose the tie, as the float sums differ
 
 
 class TestPositiveWeightEfficiency:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,28 @@ class TestConfig:
 
     def test_degenerate_distribution_allowed(self):
         SimConfig(loss_low=5.0, loss_high=5.0)
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.0, 1e308), (0.0, 1.7e308), (1e308, 1e308), (1e308, 1.7e308)]
+    )
+    def test_refuses_loss_bounds_whose_sums_overflow(self, low, high):
+        graph = LayeredGraphSpec(sizes=(2, 2, 2))
+        with pytest.raises(SimError, match="too large"):
+            SimConfig(graph=graph, draws=5, loss_low=low, loss_high=high)
+
+    def test_refuses_draws_beyond_the_float_range(self):
+        with pytest.raises(SimError, match="too large"):
+            SimConfig(draws=10**400)
+
+    def test_largest_bounds_run_without_overflow(self):
+        # 2 edges * 1e153 squared, over 5 draws from each of 2 sources: 4e307
+        config = SimConfig(
+            graph=LayeredGraphSpec(sizes=(2, 2, 2)), draws=5, loss_low=1e153, loss_high=1e153
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_simulation(config)
+        assert all(np.isfinite(m).all() for m in stats.mean_sq.values())
 
 
 SMALL = LayeredGraphSpec(sizes=(4, 3, 3), p_next=0.7, p_skip=0.2, seed=7)

@@ -14,6 +14,9 @@ byte-for-byte alike. The list:
   its `runtime_ms`) on every fixture graph;
 - `spe` for all 8 rule specs on every fixture graph but grid20, and on
   the 8- and 10-stage all-ties ladders;
+- `spe --rule punish-first` and `check --axiom EI --rule punish-first` on
+  a float near-tie graph, two paths whose 3-decimal losses near 1e8 are
+  the same four in reverse order;
 - `liability` for all 8 rule specs on every fixture graph but grid20, on
   its first and last enumerated path;
 - `spe` and `liability` on fork with a `fixed:file=` weights file, the
@@ -101,6 +104,25 @@ def ladder(stages: int) -> dict:
     }
 
 
+def near_tie(magnitude: float = 1e8) -> dict:
+    """r, one edge to s, then s-a1-a2-a3-t and s-b1-b2-b3-t with the same
+    four seeded 3-decimal losses in reverse order, and two dearer cross
+    edges a1-b2 and b1-a2: the two sums tie only up to float rounding."""
+    rng = random.Random(0)
+    lead, w, x, y, z = (round(rng.uniform(0, magnitude), 3) for _ in range(5))
+    edges = [
+        ("r", "s", lead),
+        ("s", "a1", w), ("a1", "a2", x), ("a2", "a3", y), ("a3", "t", z),
+        ("s", "b1", z), ("b1", "b2", y), ("b2", "b3", x), ("b3", "t", w),
+        ("a1", "b2", x + magnitude), ("b1", "a2", y + magnitude),
+    ]
+    return {
+        "nodes": ["r", "s", "a1", "b1", "a2", "b2", "a3", "b3", "t"],
+        "edges": [{"from": u, "to": v, "loss": loss} for u, v, loss in edges],
+        "source": "r",
+    }
+
+
 def loss_files(graph: Path, tmp: Path) -> list[tuple[str, list[str]]]:
     """(name, extra argv) per loss function to run `graph` under."""
     data = json.loads(graph.read_text())
@@ -158,6 +180,14 @@ def commands(tmp: Path):
     for graph in ladders:
         for rule in RULES:
             yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
+    tie = tmp / "near_tie_1e8.json"
+    tie.write_text(json.dumps(near_tie()))
+    yield f"spe {tie.name} punish-first", ["spe", str(tie), "--rule", "punish-first"], None
+    yield (
+        f"check EI {tie.name} punish-first",
+        ["check", str(tie), "--axiom", "EI", "--trials", "1", "--rule", "punish-first"],
+        None,
+    )
     # rule-spec texts beyond the plain grammar, named without the tmp path
     fork = ROOT / "fixtures" / "fork.json"
     weights = tmp / "fork.weights.json"
