@@ -254,8 +254,15 @@ def _trial_pcp(rng, dag, losses, rule, paths):
     pay = cache(lambda nodes: tuple(rule.vector(Path(nodes))))
     tol = default_tolerance(losses)
     equilibria = sorted((p.nodes for p in spe if p.nodes in eff))
+    # A deviation's verdict depends only on its history and the split it
+    # deviates from, so equilibria sharing a prefix and a split check each
+    # deviation once. Only passes are remembered: the first counterexample
+    # is the one a full scan finds.
+    splits: dict[tuple[Num, ...], int] = {}
+    passed: set[tuple[tuple[int, ...], int]] = set()
     for p_nodes in equilibria:
         base = pay(p_nodes)
+        split = splits.setdefault(base, len(splits))
         for pos in range(len(p_nodes) - 1):
             i = p_nodes[pos]
             if len(dag.succ[i]) < 2:
@@ -264,7 +271,10 @@ def _trial_pcp(rng, dag, losses, rule, paths):
             for alt in dag.succ[i]:
                 if alt == p_nodes[pos + 1]:
                     continue
-                for dev in sorted(c.nodes for c in sol.continuations(prefix + (alt,))):
+                hist = prefix + (alt,)
+                if (hist, split) in passed:
+                    continue
+                for dev in sorted(c.nodes for c in sol.continuations(hist)):
                     moved = pay(dev)
                     # only continuations the mover tolerates can arise in
                     # an equilibrium that actually realizes p
@@ -283,6 +293,7 @@ def _trial_pcp(rng, dag, losses, rule, paths):
                                 "pair_sum_before": _num_repr(base[i] + base[j]),
                                 "pair_sum_after": _num_repr(moved[i] + moved[j]),
                             }
+                passed.add((hist, split))
     return None
 
 

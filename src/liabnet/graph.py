@@ -426,14 +426,11 @@ def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
         cap: optional non-negative upper bound; exceeding it raises
             PathCapExceeded instead of blowing up memory.
     """
-    return _paths_along(dag, None, cap, f"more than {cap} paths")
+    return _paths_along(dag, None, cap)
 
 
 def _paths_along(
-    dag: Dag,
-    keep: Callable[[int, int], bool] | None,
-    cap: int | None,
-    cap_message: str,
+    dag: Dag, keep: Callable[[int, int], bool] | None, cap: int | None = None
 ) -> list[Path]:
     """Source-to-sink paths using only edges (i, j) with keep(i, j), or
     every edge when keep is None, in lexicographic order of node indices.
@@ -456,7 +453,7 @@ def _paths_along(
         else:
             if not dag.succ[i]:
                 if cap is not None and len(out) >= cap:
-                    raise PathCapExceeded(cap_message)
+                    raise PathCapExceeded(f"more than {cap} paths")
                 out.append(Path(tuple(nodes)))
             nodes.pop()
             pending.pop()
@@ -571,7 +568,6 @@ def efficient_paths(
     dag: Dag,
     losses: Mapping[Edge, Num],
     tie_tolerance: float | None = None,
-    cap: int | None = None,
 ) -> EfficiencyResult:
     """Compute the cheapest paths and continuation costs.
 
@@ -583,7 +579,6 @@ def efficient_paths(
     Args:
         tie_tolerance: override for the tie comparison, a finite
             non-negative number; None picks the default described above.
-        cap: optional bound on the number of efficient paths returned.
     """
     check_losses(dag, losses)
     if tie_tolerance is None:
@@ -593,12 +588,7 @@ def efficient_paths(
             f"tie tolerance must be a finite non-negative number, got {tie_tolerance}"
         )
     L = continuation_costs(dag, losses)
-    out = _paths_along(
-        dag,
-        tight_step(losses, L, tie_tolerance),
-        cap,
-        f"more than {cap} efficient paths",
-    )
+    out = _paths_along(dag, tight_step(losses, L, tie_tolerance))
     return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
 
 

@@ -7,7 +7,9 @@ whose non-sink nodes it contains. Three independent computations are
 provided so they can cross-check each other:
 
 - `wstar_enumerate`: direct sum over enumerated paths.
-- `shapley_bruteforce`: exact Shapley value over all coalitions.
+- `shapley_bruteforce`: exact Shapley value over all coalitions, read
+  from one table of covered paths per coalition (`_coverage_counts`),
+  which `core_check` reads too.
 - `wstar_dp`: one forward and one backward pass that give every node a run
   of subpath counts by length, then a per-node convolution of the two runs
   in integers, which scales to graphs far beyond enumeration (thousands of
@@ -24,13 +26,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
-from .graph import Dag, Num, count_paths, enumerate_paths
-
-# Above this path count the Shapley brute force switches from enumerating
-# paths to a per-coalition DP (slower per coalition, no enumeration).
-_SOS_PATH_LIMIT = 50_000
+from .graph import Dag, Num, _backward_ways, count_paths, enumerate_paths
 
 
 class WeightsError(Exception):
@@ -202,8 +200,8 @@ def path_counting_value(dag: Dag, coalition: Iterable[int]) -> Fraction:
     """Worth of a coalition: the fraction of paths it covers.
 
     A path is covered when all of its non-sink nodes belong to the
-    coalition. Computed by a forward DP restricted to coalition nodes; no
-    enumeration. Sinks are exempt and may not be members.
+    coalition: one backward count of paths over the edges that leave a
+    member, no enumeration. Sinks are exempt and may not be members.
     """
     members = frozenset(coalition)
     bad = members & dag.sinks
@@ -211,64 +209,51 @@ def path_counting_value(dag: Dag, coalition: Iterable[int]) -> Fraction:
         raise WeightsError(
             f"coalition contains sink(s): {sorted(dag.labels[i] for i in bad)}"
         )
-    ways = [0] * dag.n
-    if dag.source in members:
-        ways[dag.source] = 1
-    for i in range(dag.n):
-        w = ways[i]
-        if not w:
-            continue
-        for j in dag.succ[i]:
-            if j in dag.sinks or j in members:
-                ways[j] += w
-    covered = sum(ways[t] for t in dag.sinks)
+    covered = _backward_ways(dag, lambda i, j: i in members)[dag.source]
     return Fraction(covered, count_paths(dag))
 
 
-def _players(dag: Dag) -> list[int]:
-    return [i for i in range(dag.n) if i not in dag.sinks]
+def _coverage_counts(
+    dag: Dag, player_cap: int, advice: str = ""
+) -> tuple[list[int], list[int]]:
+    """The path-counting game as a table over coalitions.
 
-
-def _coverage_counts(dag: Dag, players: Sequence[int]) -> list[int]:
-    """counts[mask] = number of paths whose non-sink nodes all lie in mask."""
+    Returns (players, counts): the non-sink nodes, and counts[mask] = the
+    number of paths whose non-sink nodes all lie in the coalition whose
+    p-th bit stands for players[p]. One forward pass in topological order
+    carries, per node, the paths that reach it grouped by the mask of their
+    earlier non-sink nodes; each edge adds its tail's groups into its head
+    with the tail's bit set, and each sink adds its groups into counts. A
+    subset-sum transform then turns "exactly mask" into "within mask". No
+    path is listed. Refuses above `player_cap` players, adding `advice` to
+    the message.
+    """
+    players = [i for i in range(dag.n) if i not in dag.sinks]
     k = len(players)
+    if k > player_cap:
+        raise WeightsError(f"{k} non-sink players exceeds cap {player_cap}{advice}")
     bit = {node: 1 << p for p, node in enumerate(players)}
     counts = [0] * (1 << k)
-    if count_paths(dag) <= _SOS_PATH_LIMIT:
-        for path in enumerate_paths(dag):
-            m = 0
-            for i in path.movers:
-                m |= bit[i]
-            counts[m] += 1
-        # subset-sum transform: counts[mask] <- sum over submasks
-        for b in range(k):
-            step = 1 << b
-            for mask in range(1 << k):
-                if mask & step:
-                    counts[mask] += counts[mask ^ step]
-        return counts
-    src_bit = bit[dag.source]
-    sinks = dag.sinks
-    succ = dag.succ
-    n = dag.n
-    for mask in range(1 << k):
-        if not mask & src_bit:
+    reach: list[dict[int, int]] = [{} for _ in range(dag.n)]
+    reach[dag.source][0] = 1
+    for i in range(dag.n):
+        here, reach[i] = reach[i], {}
+        if i in dag.sinks:
+            for mask, c in here.items():
+                counts[mask] += c
             continue
-        ways = [0] * n
-        ways[dag.source] = 1
-        covered = 0
-        for i in range(n):
-            w = ways[i]
-            if not w:
-                continue
-            if i in sinks:
-                covered += w
-                continue
-            for j in succ[i]:
-                if j in sinks or bit[j] & mask:
-                    ways[j] += w
-        counts[mask] = covered
-    return counts
+        b = bit[i]
+        for j in dag.succ[i]:
+            there = reach[j]
+            for mask, c in here.items():
+                mask |= b
+                there[mask] = there.get(mask, 0) + c
+    for p in range(k):
+        step = 1 << p
+        for mask in range(1 << k):
+            if mask & step:
+                counts[mask] += counts[mask ^ step]
+    return players, counts
 
 
 def shapley_bruteforce(dag: Dag, player_cap: int = 20) -> WeightVector:
@@ -277,12 +262,9 @@ def shapley_bruteforce(dag: Dag, player_cap: int = 20) -> WeightVector:
     Exponential in the number of non-sink nodes; refuses above
     `player_cap` players.
     """
-    players = _players(dag)
+    players, counts = _coverage_counts(dag, player_cap)
     k = len(players)
-    if k > player_cap:
-        raise WeightsError(f"{k} non-sink players exceeds cap {player_cap}")
-    counts = _coverage_counts(dag, players)
-    total = counts[(1 << k) - 1]
+    total = counts[-1]
     fact = [math.factorial(x) for x in range(k + 1)]
     popcount = [0] * (1 << k)
     for m in range(1, 1 << k):
@@ -302,7 +284,7 @@ def shapley_bruteforce(dag: Dag, player_cap: int = 20) -> WeightVector:
 
 def core_check(
     dag: Dag,
-    weights: Union[WeightVector, Mapping[int, Num], Sequence[Num]],
+    weights: Union[WeightVector, Mapping[int, Num]],
     coalitions: Iterable[Iterable[int]] | None = None,
     tol: float = 1e-12,
     player_cap: int = 20,
@@ -315,10 +297,8 @@ def core_check(
     """
     if isinstance(weights, WeightVector):
         wv = weights.values
-    elif isinstance(weights, Mapping):
-        wv = tuple(weights.get(i, 0) for i in range(dag.n))
     else:
-        wv = tuple(weights)
+        wv = tuple(weights.get(i, 0) for i in range(dag.n))
 
     def record(nodes: tuple[int, ...], value: Fraction) -> dict | None:
         wsum = sum(wv[i] for i in nodes)
@@ -340,14 +320,9 @@ def core_check(
                 violations.append(hit)
         return violations
 
-    players = _players(dag)
+    players, counts = _coverage_counts(dag, player_cap, "; pass explicit coalitions")
     k = len(players)
-    if k > player_cap:
-        raise WeightsError(
-            f"{k} non-sink players exceeds cap {player_cap}; pass explicit coalitions"
-        )
-    counts = _coverage_counts(dag, players)
-    total = counts[(1 << k) - 1]
+    total = counts[-1]
     for mask in range(1 << k):
         nodes = tuple(players[p] for p in range(k) if mask & (1 << p))
         hit = record(nodes, Fraction(counts[mask], total))

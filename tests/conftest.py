@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from liabnet.game import profile_count
 from liabnet.generators import random_dag
+from liabnet.graph import build_dag
 from liabnet.io import load_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -45,6 +46,18 @@ def small_games(draw, max_profiles: int = 300):
     assume(profile_count(dag) <= max_profiles)
     losses = {e: draw(exact_losses) for e in dag.edges}
     return dag, losses
+
+
+def ladder(stages: int):
+    """All-ties ladder: s, two nodes per stage, t, complete links between
+    consecutive stages, unit losses; every one of its 2^stages paths ties."""
+    labels = ["s"] + [f"{c}{k}" for k in range(1, stages + 1) for c in "ab"] + ["t"]
+    edges = [("s", "a1"), ("s", "b1"), (f"a{stages}", "t"), (f"b{stages}", "t")]
+    edges += [
+        (f"{c}{k}", f"{d}{k + 1}") for k in range(1, stages) for c in "ab" for d in "ab"
+    ]
+    dag = build_dag(labels, edges)
+    return dag, {e: 1 for e in dag.edges}
 
 
 @pytest.fixture(scope="session")

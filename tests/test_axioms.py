@@ -14,10 +14,13 @@ from liabnet.axioms import (
     check_property,
     impossibility_scenario,
 )
+from liabnet.game import SpeSolution
 from liabnet.generators import random_simplex_weights
 from liabnet.graph import build_dag
 from liabnet.rules import fixed_rule, make_rule
 from liabnet.weights import WeightVector
+
+from conftest import ladder
 
 
 def delta_star_factory(dag, rng):
@@ -112,6 +115,24 @@ class TestPairwiseCollusion:
     def test_others_pass(self, spec):
         rep = check_axiom("PCP", spec, trials=150, seed=13)
         assert rep.passed, rep.counterexample
+
+    def test_checks_each_deviation_once_per_split(self, monkeypatch):
+        # all 256 paths of the 8-stage all-ties ladder are equilibria with
+        # one split, each deviating at 8 deciders: 2,048 deviations, but
+        # only 2 + 4 + ... + 256 = 510 distinct deviation histories, plus
+        # the root's continuations that list the equilibria
+        calls = []
+        real = SpeSolution.continuations
+
+        def spy(self, hist):
+            calls.append(hist)
+            return real(self, hist)
+
+        monkeypatch.setattr(SpeSolution, "continuations", spy)
+        dag, losses = ladder(8)
+        rep = check_axiom("PCP", "fixed:wstar", dag=dag, trials=1, losses=losses)
+        assert rep.passed, rep.counterexample
+        assert len(calls) <= 511
 
 
 class TestPositiveWeightSufficiency:

@@ -30,7 +30,7 @@ from liabnet.rules import (
 )
 from liabnet.weights import WeightVector
 
-from conftest import ALL_RULE_SPECS, small_games
+from conftest import ALL_RULE_SPECS, ladder, small_games
 
 ORACLE_RULES = ["fixed:equal", "fixed:wstar", "local", "punish-first"]
 
@@ -70,18 +70,6 @@ def all_histories(dag) -> list[tuple[int, ...]]:
         histories.append(hist)
         stack.extend(hist + (j,) for j in dag.succ[hist[-1]])
     return histories
-
-
-def ladder(stages: int):
-    """All-ties ladder: s, two nodes per stage, t, complete links between
-    consecutive stages, unit losses; every one of its 2^stages paths ties."""
-    labels = ["s"] + [f"{c}{k}" for k in range(1, stages + 1) for c in "ab"] + ["t"]
-    edges = [("s", "a1"), ("s", "b1"), (f"a{stages}", "t"), (f"b{stages}", "t")]
-    edges += [
-        (f"{c}{k}", f"{d}{k + 1}") for k in range(1, stages) for c in "ab" for d in "ab"
-    ]
-    dag = build_dag(labels, edges)
-    return dag, {e: 1 for e in dag.edges}
 
 
 class TestCounts:

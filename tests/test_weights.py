@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liabnet.generators import random_dag, random_dag_with_paths, random_losses
@@ -31,7 +31,19 @@ from liabnet.weights import (
     wstar_enumerate,
 )
 
+from conftest import load_fixture
+
 F = Fraction
+
+
+# a `random_dag` of 3 to 9 nodes from a drawn seed and density
+drawn_dags = st.builds(
+    random_dag,
+    st.integers(0, 2**32 - 1).map(random.Random),
+    st.just(3),
+    st.just(9),
+    st.sampled_from([0.2, 0.4, 0.6]),
+)
 
 
 def by_label(dag, wv):
@@ -125,11 +137,13 @@ class TestShapley:
         with pytest.raises(WeightsError, match="cap"):
             shapley_bruteforce(grid20)
 
-    def test_dp_fallback_branch_matches(self, fork, monkeypatch):
-        import liabnet.weights as W
-
-        monkeypatch.setattr(W, "_SOS_PATH_LIMIT", 0)  # force per-mask DP
-        assert by_label(fork, shapley_bruteforce(fork)) == FORK_EXPECT
+    def test_complete_dag_every_path_its_own_coalition(self):
+        # 18 nodes, every edge forward: 2^16 = 65,536 paths, each with its
+        # own set of non-sink nodes, over 17 players
+        labels = [f"v{i}" for i in range(18)]
+        dag = build_dag(labels, [(u, v) for k, u in enumerate(labels) for v in labels[k + 1:]])
+        assert count_paths(dag) == 65_536
+        assert shapley_bruteforce(dag).values == wstar_dp(dag).values
 
 
 class TestTables:
@@ -276,17 +290,19 @@ class TestCoreCheck:
         violations = core_check(fork, w)
         assert any(v["coalition"] == ("s", "i") for v in violations)
 
-    def test_matches_direct_loop(self, grid3):
-        players = [i for i in range(grid3.n) if i not in grid3.sinks]
+    @given(drawn_dags)
+    @example(load_fixture("grid3.json")[0])
+    def test_matches_direct_loop(self, dag):
+        players = [i for i in range(dag.n) if i not in dag.sinks]
         w = {i: F(1, len(players)) for i in players}
-        fast = core_check(grid3, w)
+        fast = core_check(dag, w)
         slow = []
         for mask in range(1 << len(players)):
             nodes = tuple(players[p] for p in range(len(players)) if mask & (1 << p))
-            value = path_counting_value(grid3, nodes)
+            value = path_counting_value(dag, nodes)
             wsum = sum(w.get(i, 0) for i in nodes)
             if value - wsum > 1e-12:
-                slow.append(tuple(grid3.labels[i] for i in nodes))
+                slow.append(tuple(dag.labels[i] for i in nodes))
         assert [v["coalition"] for v in fast] == slow
 
     def test_explicit_coalitions(self, fork):

@@ -12,8 +12,14 @@ byte-for-byte alike. The list:
 
 - `validate`, `paths`, `efficient` and `weights --method dp` (without
   its `runtime_ms`) on every fixture graph;
+- `weights --method enumerate` and `weights --method shapley` (without
+  `runtime_ms`) on every fixture graph, the 8-stage all-ties ladder and
+  the 18-node complete DAG, whose 65,536 paths each cover their own set
+  of nodes;
 - `spe` for all 8 rule specs on every fixture graph but grid20, and on
   the 8- and 10-stage all-ties ladders;
+- `check --axiom PCP --trials 1` for all 8 rule specs on the 8-stage
+  ladder, where all 256 paths are equilibria;
 - `spe --rule punish-first` and `check --axiom EI --rule punish-first` on
   a float near-tie graph, two paths whose 3-decimal losses near 1e8 are
   the same four in reverse order;
@@ -104,6 +110,17 @@ def ladder(stages: int) -> dict:
     }
 
 
+def complete(n: int) -> dict:
+    """n nodes v0..v(n-1) with an edge from every node to every later one:
+    2^(n-2) paths from v0 to v(n-1)."""
+    nodes = [f"v{k}" for k in range(n)]
+    return {
+        "nodes": nodes,
+        "edges": [{"from": u, "to": v} for k, u in enumerate(nodes) for v in nodes[k + 1:]],
+        "source": "v0",
+    }
+
+
 def near_tie(magnitude: float = 1e8) -> dict:
     """r, one edge to s, then s-a1-a2-a3-t and s-b1-b2-b3-t with the same
     four seeded 3-decimal losses in reverse order, and two dearer cross
@@ -180,6 +197,21 @@ def commands(tmp: Path):
     for graph in ladders:
         for rule in RULES:
             yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
+    for rule in RULES:
+        yield (
+            f"check PCP {ladders[0].name} {rule}",
+            ["check", str(ladders[0]), "--axiom", "PCP", "--trials", "1", "--rule", rule],
+            None,
+        )
+    complete18 = tmp / "complete18.json"
+    complete18.write_text(json.dumps(complete(18)))
+    for graph in (*fixtures, ladders[0], complete18):
+        for method in ("enumerate", "shapley"):
+            yield (
+                f"weights {graph.name} {method}",
+                ["weights", str(graph), "--method", method],
+                no_runtime,
+            )
     tie = tmp / "near_tie_1e8.json"
     tie.write_text(json.dumps(near_tie()))
     yield f"spe {tie.name} punish-first", ["spe", str(tie), "--rule", "punish-first"], None
