@@ -28,6 +28,7 @@ from .graph import (
     Dag,
     GraphError,
     Path,
+    continuation_costs,
     count_paths,
     efficient_paths,
     enumerate_paths,
@@ -161,20 +162,32 @@ def _cmd_spe(args) -> int:
     losses = _full_losses(dag, embedded, args.losses)
     rule = make_rule(args.rule, dag).bind(losses)
     sol = spe_solve(dag, losses, rule)
-    outcomes = sol.outcomes()
-    eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
+    ordered = sorted(sol.outcomes(), key=lambda p: p.nodes)
     coincide = sol.coincides(args.tol)
-    ordered = sorted(outcomes, key=lambda p: p.nodes)
     labelled = [_label_path(dag, p) for p in ordered]
-    liab = {
-        "->".join(labels): apply_rule(rule, p, losses).as_dict(dag)
-        for p, labels in zip(ordered, labelled)
-    }
+    if coincide:
+        # the efficient paths are the outcomes, listed in the same order;
+        # every cost is converted, as `EfficiencyResult.to_dict` converts
+        # them, so that one beyond the float range fails the report alike
+        costs = [float(c) for c in continuation_costs(dag, losses)]
+        efficient, min_cost = labelled, costs[dag.source]
+    else:
+        eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
+        efficient, min_cost = eff["paths"], eff["min_cost"]
+    # consecutive outcomes often share one split tuple (all of them do
+    # under a fixed-weight rule on tied paths): label each run of it once
+    liab = {}
+    held = split = None
+    for p, labels in zip(ordered, labelled):
+        vec = apply_rule(rule, p, losses)
+        if vec.values is not held:
+            held, split = vec.values, vec.as_dict(dag)
+        liab["->".join(labels)] = split
     out = {
         "rule": rule.spec_string,
         "outcomes": labelled,
-        "efficient": eff["paths"],
-        "min_cost": eff["min_cost"],
+        "efficient": efficient,
+        "min_cost": min_cost,
         "coincide": coincide,
         "liabilities": liab,
     }

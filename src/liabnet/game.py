@@ -51,6 +51,7 @@ from .graph import (
     continuation_costs,
     default_tolerance,
     exact_valued,
+    resolve_tolerance,
     tight_step,
     widen,
 )
@@ -301,10 +302,11 @@ class SpeSolution:
         (the solver's own tolerance when None): the paths whose every step
         is tight (`graph.tight_step`). Its size is a backward count over
         the tight edges. The intersection counts the outcomes whose every
-        step is tight.
+        step is tight. A tolerance `efficient_paths` refuses (negative,
+        infinite, NaN) raises the same GraphError here.
         """
         dag, losses = self.dag, self.losses
-        tol = self.tol if tie_tolerance is None else tie_tolerance
+        tol = resolve_tolerance(losses, tie_tolerance)
         tight = tight_step(losses, continuation_costs(dag, losses), tol)
         eff = _backward_ways(dag, tight)[dag.source]
         if self._states is None:

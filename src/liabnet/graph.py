@@ -423,23 +423,25 @@ def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
     """All source-to-sink paths in lexicographic order of node indices.
 
     Args:
-        cap: optional non-negative upper bound; exceeding it raises
-            PathCapExceeded instead of blowing up memory.
+        cap: optional non-negative upper bound; a graph with more paths
+            raises PathCapExceeded, decided by `count_paths` before any
+            path is built, instead of blowing up memory.
     """
-    return _paths_along(dag, None, cap)
+    if cap is not None:
+        if cap < 0:
+            raise GraphError(f"path cap must be non-negative, got {cap}")
+        if count_paths(dag) > cap:
+            raise PathCapExceeded(f"more than {cap} paths")
+    return _paths_along(dag, None)
 
 
-def _paths_along(
-    dag: Dag, keep: Callable[[int, int], bool] | None, cap: int | None = None
-) -> list[Path]:
+def _paths_along(dag: Dag, keep: Callable[[int, int], bool] | None) -> list[Path]:
     """Source-to-sink paths using only edges (i, j) with keep(i, j), or
     every edge when keep is None, in lexicographic order of node indices.
 
     Depth-first with an explicit stack, so path length is not bounded by
     the interpreter's recursion limit.
     """
-    if cap is not None and cap < 0:
-        raise GraphError(f"path cap must be non-negative, got {cap}")
     out: list[Path] = []
     nodes = [dag.source]
     pending = [iter(dag.succ[dag.source])]  # untried successors per level
@@ -452,8 +454,6 @@ def _paths_along(
                 break
         else:
             if not dag.succ[i]:
-                if cap is not None and len(out) >= cap:
-                    raise PathCapExceeded(f"more than {cap} paths")
                 out.append(Path(tuple(nodes)))
             nodes.pop()
             pending.pop()
@@ -476,7 +476,9 @@ def check_losses(dag: Dag, losses: Mapping[Edge, Num]) -> None:
 
 
 def path_loss(losses: Mapping[Edge, Num], path: Path) -> Num:
-    return sum(losses[e] for e in path.edges)
+    """The path's total loss, its edges' losses added left to right."""
+    nodes = path.nodes
+    return sum(map(losses.__getitem__, zip(nodes, nodes[1:])))
 
 
 def path_totals(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
@@ -516,6 +518,18 @@ def default_tolerance(losses: Mapping[Edge, Num]) -> int | float:
     else 1e-9 absolute. An int, not 0.0, so that adding it to Fraction
     sums keeps them exact."""
     return 0 if exact_valued(losses) else 1e-9
+
+
+def resolve_tolerance(losses: Mapping[Edge, Num], tol: float | None) -> int | float:
+    """The tie tolerance to compare under: `default_tolerance(losses)`
+    when `tol` is None, else `tol`, which must be a finite non-negative
+    number; GraphError otherwise. `efficient_paths` and
+    `SpeSolution.efficiency_counts` both take their tolerance from here."""
+    if tol is None:
+        return default_tolerance(losses)
+    if not 0 <= tol < math.inf:
+        raise GraphError(f"tie tolerance must be a finite non-negative number, got {tol}")
+    return tol
 
 
 def widen(bound: Num, tol: float) -> Num:
@@ -581,14 +595,9 @@ def efficient_paths(
             non-negative number; None picks the default described above.
     """
     check_losses(dag, losses)
-    if tie_tolerance is None:
-        tie_tolerance = default_tolerance(losses)
-    elif not 0 <= tie_tolerance < math.inf:
-        raise GraphError(
-            f"tie tolerance must be a finite non-negative number, got {tie_tolerance}"
-        )
+    tol = resolve_tolerance(losses, tie_tolerance)
     L = continuation_costs(dag, losses)
-    out = _paths_along(dag, tight_step(losses, L, tie_tolerance))
+    out = _paths_along(dag, tight_step(losses, L, tol))
     return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
 
 

@@ -25,8 +25,13 @@ rejects a path that is not source-to-sink and a split that is negative or
 unbalanced. It tests an int or `Fraction` split first in integers, over
 one common denominator, and any other split within float tolerances.
 A fixed-weight split depends on the realized total alone, so a bound
-fixed-weight rule splits each distinct total once. Each class declares
-its solver `mode` and `cares` (see `Rule`); neither depends on the losses.
+fixed-weight rule splits each distinct total once, and punish-first's
+equal split does too. `apply_rule` checks the path on every call but
+tests a split once per total: the bound rule keeps the last split tuple
+that passed for each total, and the sign and balance tests read only the
+split's values and the total, so that same tuple would pass again. Each
+class declares its solver `mode` and `cares` (see `Rule`); neither
+depends on the losses.
 
 Rule-spec string grammar, surrounding whitespace ignored::
 
@@ -148,7 +153,10 @@ class Rule:
         The mapping is held, not copied, so it must not change while bound.
         Binding to the mapping the rule already holds returns the rule
         itself, so a bound rule can be passed on to `spe_solve` and
-        `apply_rule` without checking the losses again.
+        `apply_rule` without checking the losses again, and `apply_rule`
+        keeps what it has checked on the bound copy: per `(type(total),
+        total)`, the last split tuple that passed, one entry per distinct
+        total. Every `bind` to another mapping starts it empty.
         """
         if losses is self.losses:
             return self
@@ -156,6 +164,7 @@ class Rule:
         bound = copy.copy(self)
         bound.losses = losses
         bound._vectors = {}  # full path -> vector, read by mover_pays
+        bound._passed = {}  # (type(total), total) -> split, read by apply_rule
         bound._derive()
         return bound
 
@@ -358,18 +367,17 @@ class PunishFirstRule(Rule):
         cont = continuation_costs(self.dag, self.losses)
         tight = tight_step(self.losses, cont, default_tolerance(self.losses))
         self._foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
-        self._equal_shares: dict[tuple[type, Num], Num] = {}
+        self._equal_splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
 
     def vector(self, path: Path) -> tuple[Num, ...]:
         total = path_loss(self.losses, path)
-        n = self.dag.n
         # blame the first mover whose step left only inefficient continuations
         for (i, j) in path.edges:
             if (i, j) in self._foreclosing:
-                values = [0] * n
+                values = [0] * self.dag.n
                 values[i] = total
                 return tuple(values)
-        return (Fraction(1, n) * total,) * n
+        return self._equal_split(total)
 
     def mover_pays(self, key, hist, per_action):
         """Price suffixes by class instead of calling `vector`.
@@ -404,18 +412,20 @@ class PunishFirstRule(Rule):
             if own:
                 pays = [t for _, t in label_of]
             else:
-                pays = [0 if t is None else self._equal_share(t) for _, t in label_of]
+                pays = [0 if t is None else self._equal_split(t)[0] for _, t in label_of]
             priced.append((labels, pays))
         return priced
 
-    def _equal_share(self, total: Num) -> Num:
-        """Each agent's pay on an efficient path of this total, computed
-        once per distinct total and type while bound."""
+    def _equal_split(self, total: Num) -> tuple[Num, ...]:
+        """The split of an efficient path of this total, made once per
+        distinct total and type while bound, so that every such path gets
+        the same tuple."""
         key = (type(total), total)
-        share = self._equal_shares.get(key)
-        if share is None:
-            share = self._equal_shares[key] = Fraction(1, self.dag.n) * total
-        return share
+        split = self._equal_splits.get(key)
+        if split is None:
+            n = self.dag.n
+            split = self._equal_splits[key] = (Fraction(1, n) * total,) * n
+        return split
 
     def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
         # (node, on_track). On track, every step so far was efficient, so
@@ -490,11 +500,10 @@ def check_path(dag: Dag, path: Path) -> None:
         raise GraphError(f"not a source-to-sink path: {names}")
     if len(set(nodes)) != len(nodes):
         raise GraphError("path repeats a node")
-    for u, v in path.edges:
-        if not dag.has_edge(u, v):
-            raise GraphError(
-                f"path uses missing edge ({dag.labels[u]!r}, {dag.labels[v]!r})"
-            )
+    if dag._edge_set.issuperset(zip(nodes, nodes[1:])):
+        return
+    u, v = next(e for e in path.edges if not dag.has_edge(*e))
+    raise GraphError(f"path uses missing edge ({dag.labels[u]!r}, {dag.labels[v]!r})")
 
 
 def apply_rule(
@@ -505,6 +514,17 @@ def apply_rule(
     This is the checked single-path call. A rule already bound to `losses`
     is not bound again, so a caller evaluating many paths under one loss
     function binds once and passes the bound rule.
+
+    The path is checked on every call. The split is tested once per
+    distinct split: the bound rule keeps, per `(type(total), total)`, the
+    last split tuple that passed, and a split that is that same tuple
+    returns at once. That is not a weaker check, because the tests below
+    read only the split's values and the total, and a tuple of numbers
+    cannot change; a split that fails is not kept, so it raises on every
+    call, and a fresh tuple of equal total is tested in full. Rules that
+    return one tuple per total (the fixed-weight rules, punish-first on
+    efficient paths) are thus tested once per total, however many paths
+    share it.
 
     A split of ints and `Fraction`s, with an int or `Fraction` total, is
     tested in integers first: over the common denominator of the values
@@ -522,22 +542,33 @@ def apply_rule(
     yields a negative or unbalanced split.
     """
     check_path(rule.dag, path)
-    values = rule.bind(losses).vector(path)
+    bound = rule.bind(losses)
+    values = bound.vector(path)
     total = path_loss(losses, path)
+    key = (type(total), total)
+    if bound._passed.get(key) is not values:
+        _check_split(rule.spec_string, values, total)
+        if type(values) is tuple:
+            bound._passed[key] = values
+    return LiabilityVector(values)
+
+
+def _check_split(spec_string: str, values: Sequence[Num], total: Num) -> None:
+    """Raise RuleSpecError unless `values` is a non-negative split of
+    `total`: in integers when it can be, else within float tolerances."""
     if type(total) is not float and _exactly_balanced(values, total):
-        return LiabilityVector(values)
+        return
     slack = 1e-9 * max(1.0, abs(float(total)))
     # `x >= 0` is exact and cheap for int and Fraction values; only a
     # negative value (or NaN) pays for the float comparison, whose
     # threshold alone decides the outcome
     if not all(x >= 0 or x >= -1e-12 for x in values):
-        raise RuleSpecError(f"negative liability from {rule.spec_string}")
+        raise RuleSpecError(f"negative liability from {spec_string}")
     if not abs(float(sum(values) - total)) <= slack:
         raise RuleSpecError(
-            f"unbalanced liabilities from {rule.spec_string}: "
+            f"unbalanced liabilities from {spec_string}: "
             f"{float(sum(values))} vs {float(total)}"
         )
-    return LiabilityVector(values)
 
 
 # the value types `_exactly_balanced` tests in integers

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import liabnet.graph
 import liabnet.rules
 from liabnet.cli import main
+from liabnet.graph import efficient_paths
+from liabnet.io import load_graph_file, load_losses_file
+
+from conftest import ALL_RULE_SPECS, ladder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK = str(FIXTURES / "fork.json")
@@ -20,6 +26,38 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     data = json.loads(out.out) if out.out.strip() else None
     return code, data, out.err
+
+
+# every fixture graph but grid20, whose 2^20 paths are too many to list
+REPORT_GRAPHS = sorted(
+    p for p in FIXTURES.glob("*.json")
+    if p.name != "grid20.json" and "nodes" in json.loads(p.read_text())
+)
+
+
+def _loss_variants(dag, embedded, graph, tmp_path):
+    """Extra argv per loss function: the graph's own losses where it has
+    them on every edge, then a seeded integer and a seeded float file."""
+    variants = [[]] if all(e in embedded for e in dag.edges) else []
+    rng = random.Random(graph.name)
+    for kind, draw in (("int", lambda: rng.randint(0, 3)),
+                       ("float", lambda: rng.choice([0.1, 0.2, 0.3]))):
+        path = tmp_path / f"{graph.stem}.{kind}.json"
+        path.write_text(json.dumps({f"{dag.labels[u]}->{dag.labels[v]}": draw()
+                                    for u, v in dag.edges}))
+        variants.append(["--losses", str(path)])
+    return variants
+
+
+def ladder_file(tmp_path, stages: int) -> str:
+    """The all-ties ladder of `conftest.ladder` as a graph file."""
+    dag, _ = ladder(stages)
+    path = tmp_path / f"ladder{stages}.json"
+    path.write_text(json.dumps({
+        "nodes": list(dag.labels),
+        "edges": [{"from": dag.labels[u], "to": dag.labels[v], "loss": 1} for u, v in dag.edges],
+    }))
+    return str(path)
 
 
 class TestValidate:
@@ -72,6 +110,23 @@ class TestPaths:
         assert code == 2
         assert data is None
         assert err == "error: more than 0 paths\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [(("paths",), 10_000), (("weights", "--method", "enumerate"), 100_000)],
+    ids=["paths", "weights-enumerate"],
+)
+def test_over_cap_refused_before_listing(capsys, monkeypatch, argv, cap):
+    # grid20 has 2^20 paths: the count alone refuses it, no path is built
+    def listing(*args):
+        raise AssertionError("paths listed")
+
+    monkeypatch.setattr(liabnet.graph, "_paths_along", listing)
+    code, data, err = run(capsys, argv[0], str(FIXTURES / "grid20.json"), *argv[1:])
+    assert code == 2
+    assert data is None
+    assert err == f"error: more than {cap} paths\n"
 
 
 class TestWeights:
@@ -184,6 +239,45 @@ class TestSpe:
         assert code == 0
         assert len(data["liabilities"]) == 3
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("rule", ["fixed:wstar", "punish-first"])
+    def test_one_balance_test_per_distinct_split(self, capsys, tmp_path, monkeypatch, rule):
+        # all 256 ladder paths tie, so both rules give every outcome one split
+        calls = []
+        balanced = liabnet.rules._exactly_balanced
+
+        def counting(*args):
+            calls.append(args)
+            return balanced(*args)
+
+        monkeypatch.setattr(liabnet.rules, "_exactly_balanced", counting)
+        code, data, _ = run(capsys, "spe", ladder_file(tmp_path, 8), "--rule", rule)
+        assert code == 0
+        assert len(data["liabilities"]) == 256
+        assert len(calls) == 1
+
+    def test_efficient_paths_as_efficient_reports_them(self, capsys, tmp_path):
+        # whether or not the outcomes coincide with the efficient paths,
+        # the report lists the paths and cost that `efficient` does
+        seen = set()
+        for graph in REPORT_GRAPHS:
+            dag, embedded = load_graph_file(graph)
+            for extra in _loss_variants(dag, embedded, graph, tmp_path):
+                losses = {**embedded, **(load_losses_file(extra[1], dag) if extra else {})}
+                for tol in (None, "0", "0.25"):
+                    want = efficient_paths(
+                        dag, losses, tie_tolerance=None if tol is None else float(tol)
+                    ).to_dict(dag)
+                    for rule in ALL_RULE_SPECS:
+                        argv = ["spe", str(graph), "--rule", rule, *extra]
+                        argv += ["--tol", tol] if tol else []
+                        code, data, _ = run(capsys, *argv)
+                        assert code == 0
+                        assert data["efficient"] == want["paths"], argv
+                        assert data["min_cost"] == want["min_cost"], argv
+                        seen.add(data["coincide"])
+        assert seen == {True, False}
 
 
 class TestCheck:
@@ -445,6 +539,7 @@ GUARD_ARGV = {
     "efficient-tol-nan": (("efficient", CHAIN3, "--tol", "nan"), "tie tolerance"),
     "spe-tol-negative": (("spe", CHAIN3, "--rule", "local", "--tol", "-1"), "tie tolerance"),
     "spe-tol-inf": (("spe", CHAIN3, "--rule", "local", "--tol", "inf"), "tie tolerance"),
+    "spe-tol-nan": (("spe", CHAIN3, "--rule", "local", "--tol", "nan"), "tie tolerance"),
     "axiom-trials-negative": (
         ("check", "--axiom", "EI", "--rule", "fixed:wstar", "--trials", "-3"), "trials"
     ),
@@ -529,6 +624,24 @@ def test_loss_too_large_for_float_exits_2(capsys, tmp_path, argv):
     assert data is None
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "too large" in err
+
+
+@pytest.mark.parametrize("rule", ["fixed:wstar", "local"])
+def test_cost_off_the_outcomes_too_large_for_float_exits_2(capsys, tmp_path, rule):
+    # only s->b->t is efficient and an outcome, but a continuation cost
+    # beyond the float range fails the report as it fails `efficient`,
+    # whether or not the outcomes coincide with the efficient paths
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps({
+        "nodes": ["s", "a", "b", "t"],
+        "edges": [{"from": "s", "to": "a", "loss": 0}, {"from": "s", "to": "b", "loss": 1},
+                  {"from": "a", "to": "t", "loss": 10**400},
+                  {"from": "b", "to": "t", "loss": 0}],
+    }))
+    code, data, err = run(capsys, "spe", str(graph), "--rule", rule)
+    assert code == 2
+    assert data is None
+    assert err == "error: int too large to convert to float\n"
 
 
 class TestDeepChain:

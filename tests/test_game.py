@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from liabnet.game import (
     spe_solve,
 )
 from liabnet.generators import random_dag, random_losses, random_simplex_weights
-from liabnet.graph import Path, build_dag, efficient_paths, enumerate_paths
+from liabnet.graph import GraphError, Path, build_dag, efficient_paths, enumerate_paths
 from liabnet.rules import (
     MODE_GENERAL,
     PunishFirstRule,
@@ -481,6 +482,15 @@ class TestEfficiencyCounts:
             assert sol.coincides(tol) == (spe == eff)
             if oracle:
                 assert spe == nodeset(spe_bruteforce(dag, losses, rule)), rule.spec_string
+
+    @pytest.mark.parametrize("tol", [-1, math.inf, math.nan], ids=["negative", "inf", "nan"])
+    def test_refuses_what_efficient_paths_refuses(self, chain3, tol):
+        dag, losses = chain3
+        sol = spe_solve(dag, losses, make_rule("local", dag))
+        for call in (sol.efficiency_counts, sol.coincides,
+                     lambda t: efficient_paths(dag, losses, tie_tolerance=t)):
+            with pytest.raises(GraphError, match=f"finite non-negative number, got {tol}"):
+                call(tol)
 
     def test_ladder_counts_without_listing(self):
         dag, losses = ladder(40)

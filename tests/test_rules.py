@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import liabnet.rules
 from liabnet.cli import main
 from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
@@ -463,6 +464,57 @@ def test_verdict_matches_float_test(drawn):
     else:
         assert want is None
         assert got.values is split
+
+
+class TestSplitTestedOnce:
+    """A bound rule tests each split tuple once per total: the same tuple
+    with the same total is not tested again, and anything else is."""
+
+    LOSSES = {(0, 1): 1, (1, 2): 1, (0, 2): 3}
+
+    @staticmethod
+    def bound(split):
+        # s->a->t totals 2, s->t totals 3
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
+        rule = _Given(dag, "given").bind(TestSplitTestedOnce.LOSSES)
+        rule.split = split
+        return rule
+
+    def test_same_tuple_tested_once(self, monkeypatch):
+        calls = []
+        balanced = liabnet.rules._exactly_balanced
+        monkeypatch.setattr(
+            liabnet.rules, "_exactly_balanced", lambda *a: calls.append(a) or balanced(*a)
+        )
+        rule = self.bound((1, 1, 0))
+        for _ in range(3):
+            assert apply_rule(rule, Path((0, 1, 2)), self.LOSSES).values == (1, 1, 0)
+        assert len(calls) == 1
+        # a fresh binding starts with nothing passed
+        apply_rule(rule.bind(dict(self.LOSSES)), Path((0, 1, 2)), self.LOSSES)
+        assert len(calls) == 2
+
+    def test_fresh_unbalanced_tuple_of_a_passed_total_raises(self):
+        rule = self.bound((1, 1, 0))
+        apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
+        for _ in range(2):
+            rule.split = (2, 1, 0)
+            with pytest.raises(RuleSpecError, match="unbalanced liabilities from given"):
+                apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
+        rule.split = tuple([1, 1, 0])
+        assert apply_rule(rule, Path((0, 1, 2)), self.LOSSES).values == (1, 1, 0)
+
+    def test_passed_tuple_with_another_total_raises(self):
+        rule = self.bound((1, 1, 0))
+        apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
+        with pytest.raises(RuleSpecError, match="unbalanced liabilities from given"):
+            apply_rule(rule, Path((0, 2)), self.LOSSES)
+
+    def test_failing_tuple_raises_every_time(self):
+        rule = self.bound((0, 3, -1))
+        for _ in range(2):
+            with pytest.raises(RuleSpecError, match="negative liability from given"):
+                apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
 
 
 class TestPerTotalSplits:

@@ -18,6 +18,12 @@ byte-for-byte alike. The list:
   of nodes;
 - `spe` for all 8 rule specs on every fixture graph but grid20, and on
   the 8- and 10-stage all-ties ladders;
+- `spe --tol 0` and `spe --tol 0.25` for all 8 rule specs on fork,
+  bypass_diamond and shortcut_line under the seeded float losses, where
+  the outcomes and the efficient paths may or may not coincide;
+- `spe` for `fixed:wstar`, `local` and `punish-first` on the 12-stage
+  all-ties ladder, whose 4,096 outcomes share one split under the first
+  and the last;
 - `check --axiom PCP --trials 1` for all 8 rule specs on the 8-stage
   ladder, where all 256 paths are equilibria;
 - `spe --rule punish-first` and `check --axiom EI --rule punish-first` on
@@ -78,6 +84,9 @@ RULES = (
 SEEDS = (7, 202408)
 TRIALS = "300"
 LADDERS = (8, 10)
+# `spe` with an explicit tie tolerance, on these fixtures' float losses
+TOL_GRAPHS = ("bypass_diamond.json", "fork.json", "shortcut_line.json")
+TOLS = ("0", "0.25")
 
 
 def run(argv: list[str], tmp: str) -> tuple[int, str, str]:
@@ -188,6 +197,13 @@ def commands(tmp: Path):
             if name != "grid20.json":
                 for rule in RULES:
                     yield f"spe {name} {kind} {rule}", ["spe", str(graph), "--rule", rule, *extra], None
+                    if kind == "float" and name in TOL_GRAPHS:
+                        for tol in TOLS:
+                            yield (
+                                f"spe {name} {kind} {rule} --tol {tol}",
+                                ["spe", str(graph), "--rule", rule, *extra, "--tol", tol],
+                                None,
+                            )
                     for path in ends:
                         yield (
                             f"liability {name} {kind} {rule} {path}",
@@ -197,6 +213,10 @@ def commands(tmp: Path):
     for graph in ladders:
         for rule in RULES:
             yield f"spe {graph.name} {rule}", ["spe", str(graph), "--rule", rule], None
+    ladder12 = tmp / "ladder12.json"
+    ladder12.write_text(json.dumps(ladder(12)))
+    for rule in ("fixed:wstar", "local", "punish-first"):
+        yield f"spe {ladder12.name} {rule}", ["spe", str(ladder12), "--rule", rule], None
     for rule in RULES:
         yield (
             f"check PCP {ladders[0].name} {rule}",
