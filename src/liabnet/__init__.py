@@ -25,7 +25,6 @@ from .axioms import (
 )
 from .game import (
     GameError,
-    HistoryCapExceeded,
     ProfileCapExceeded,
     RobustnessResult,
     SpeSolution,

@@ -10,27 +10,22 @@ some SPE realizes.
 `spe_outcomes` computes that set by set-valued backward induction:
 an outcome surviving at a node must be no worse for the mover than the
 worst credible continuation of every alternative edge (the continuations
-of the alternative act as threats). It solves each subgame state once.
-For rules that rank continuations by their total or by the mover's own
-edge, the subgame state is the node, and the solver builds per-node
-outcome states instead of path lists: one per distinct suffix total, or
-one per node for own-edge rules, each keeping the (successor, child state)
-links that survive. The outcome set is the set of paths through those
-states, so its size, and how many of its paths are efficient, are
-backward counts over the table (`SpeSolution.efficiency_counts`); that
-decides whether the outcomes are exactly the efficient paths without
-listing either set. For other rules the state is the rule's `subgame_key`
-of the history: the history itself by default, or a coarser key
-(punish-first uses the node and whether play is still on an efficient
-path), and the solver memoizes the list of SPE suffixes, the paths from
-the state's node on. The rule prices those suffixes for the mover
-(`Rule.mover_pays`) as labels with one pay each, so the solver compares
-each distinct pay once; punish-first prices by class without calling
-`vector`. Outcome paths are enumerated only when asked for
-(`SpeSolution.continuations`, `outcomes`, `spe_outcomes`).
-`spe_bruteforce` is the definitional oracle: enumerate
-every pure strategy profile over all histories and keep the ones with no
-profitable one-shot deviation anywhere, on or off the realized path.
+of the alternative act as threats). The solver builds per-node outcome
+states instead of path lists, each keeping the (successor, child state)
+links that survive, and which state a history's subgame starts in depends
+on the rule's `mode`: one state per distinct suffix total for rules that
+rank continuations by their total, one per node for own-edge rules, and
+for punish-first an on-track and an off-track state per node, told apart
+by whether the history took a foreclosing step. The outcome set is the
+set of paths through those states, so its size, and how many of its
+paths are efficient, are backward counts over the table
+(`SpeSolution.efficiency_counts`); that decides whether the outcomes are
+exactly the efficient paths without listing either set. Outcome paths
+are enumerated only when asked for (`SpeSolution.continuations`,
+`outcomes`, `spe_outcomes`). `spe_bruteforce` is the definitional oracle:
+enumerate every pure strategy profile over all histories and keep the
+ones with no profitable one-shot deviation anywhere, on or off the
+realized path.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .graph import (
     Dag,
@@ -55,15 +50,12 @@ from .graph import (
     tight_step,
     widen,
 )
-from .rules import MODE_OWN_EDGE, MODE_TOTALS, Rule
+from .rules import MODE_OWN_EDGE, MODE_PUNISH_FIRST, MODE_TOTALS, Rule
 
 
 class GameError(Exception):
-    """Raised when a game computation exceeds its stated caps."""
-
-
-class HistoryCapExceeded(GameError):
-    pass
+    """Raised when a game computation exceeds its stated caps, or has no
+    solver for the rule's mode."""
 
 
 class ProfileCapExceeded(GameError):
@@ -93,11 +85,11 @@ def profile_count(dag: Dag) -> int:
 
 @dataclass
 class _StateTable:
-    """Outcome states of the node-keyed solver modes, numbered in the
-    order they are built: backward by node, so every state's children have
-    smaller numbers than it."""
+    """Outcome states, numbered in the order they are built: backward by
+    node, so every state's children have smaller numbers than it."""
 
     at_node: list[list[int]]  # per node: its states, in number order
+    node: list[int]  # per state: its node
     kept: list[list[tuple[int, int]]]  # per state: (successor, child state) links
 
 
@@ -106,153 +98,106 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
 
     A state holds a set of suffixes from its node: a kept link to a child
     state at a successor j extends each of the child's suffixes by the
-    step to j; a sink's one state holds the sink alone. In MODE_TOTALS a
-    node has one state per distinct suffix total, summed from the sink
-    back as `step + total`: the mover's payment is monotone in the final
-    total and the prefix cost is a constant inside each subgame, so suffix
-    totals rank continuations identically at every history, and a suffix
-    survives iff its total is within `tol` of the least worst case over
-    the mover's actions. In MODE_OWN_EDGE the mover pays only for the edge
-    they cancel, so a node has one state, which keeps its cheapest
-    outgoing edges and everything downstream of them.
+    step to j; a sink's one state holds the sink alone.
+
+    In MODE_TOTALS a node has one state per distinct suffix total, summed
+    from the sink back as `step + total`: the mover's payment is monotone
+    in the final total and the prefix cost is a constant inside each
+    subgame, so suffix totals rank continuations identically at every
+    history, and a suffix survives iff its total is within `tol` of the
+    least worst case over the mover's actions.
+
+    In MODE_OWN_EDGE the mover pays only for the edge they cancel, so a
+    node has one state, which keeps its cheapest outgoing edges and
+    everything downstream of them.
+
+    In MODE_PUNISH_FIRST a node has an on-track state, first, which keeps
+    the steps that do not foreclose efficiency into the children's
+    on-track states, and an off-track state, last, which keeps every step
+    into the children's off-track states; where the two would keep the
+    same links, the node has one state for both. Off track an earlier
+    agent is blamed, so every suffix pays the mover 0 and all are kept.
+    On track, a step that forecloses costs the mover the path's total,
+    above the cheapest total by more than the tolerance, while a tight
+    step costs them an equal share of an efficient total or 0, so only
+    tight steps survive. With float losses within a few tolerances of 0
+    that margin can vanish, and the profile oracle may keep a foreclosing
+    step there.
     """
     at_node: list[list[int]] = [[] for _ in range(dag.n)]
+    node: list[int] = []
     kept: list = []
     totals: list[Num] = []  # per state, read in MODE_TOTALS only
-    own_edge = bound.mode == MODE_OWN_EDGE
+    mode = bound.mode
     for i in range(dag.n - 1, -1, -1):
         succ = dag.succ[i]
-        if not succ or own_edge:
-            links = []
-            if succ:
-                steps = [losses[(i, j)] for j in succ]
-                cheapest = widen(min(steps), tol)
-                links = [(j, at_node[j][0]) for j, step in zip(succ, steps) if step <= cheapest]
-            at_node[i] = [len(kept)]
-            kept.append(links)
-            totals.append(0)
-            continue
-        per_action = [[(losses[(i, j)] + totals[c], j, c) for c in at_node[j]] for j in succ]
-        limit = None
-        if bound.cares[i]:
-            limit = widen(min([max(opts)[0] for opts in per_action]), tol)
-        # one state per (total, type): equal totals of different types stay
-        # apart, as 1/3 + 1 and 1/3 + 1.0 differ
-        by_total: dict = {}
-        for opts in per_action:
-            for total, j, c in opts:
-                if limit is None or total <= limit:
-                    key = (total, type(total))
-                    if key in by_total:
-                        by_total[key].append((j, c))
-                    else:
-                        by_total[key] = [(j, c)]
-        at_node[i] = list(range(len(kept), len(kept) + len(by_total)))
-        kept.extend(by_total.values())
-        totals.extend([total for total, _ in by_total])
-    return _StateTable(at_node, kept)
+        state_totals = None
+        if not succ:
+            groups = [[]]
+        elif mode == MODE_OWN_EDGE:
+            steps = [losses[(i, j)] for j in succ]
+            cheapest = widen(min(steps), tol)
+            groups = [[(j, at_node[j][0]) for j, step in zip(succ, steps) if step <= cheapest]]
+        elif mode == MODE_PUNISH_FIRST:
+            foreclosing = bound.foreclosing
+            on = [(j, at_node[j][0]) for j in succ if (i, j) not in foreclosing]
+            off = [(j, at_node[j][-1]) for j in succ]
+            groups = [off] if on == off else [on, off]
+        else:
+            per_action = [[(losses[(i, j)] + totals[c], j, c) for c in at_node[j]] for j in succ]
+            limit = None
+            if bound.cares[i]:
+                limit = widen(min([max(opts)[0] for opts in per_action]), tol)
+            # one state per (total, type): equal totals of different types
+            # stay apart, as 1/3 + 1 and 1/3 + 1.0 differ
+            by_total: dict = {}
+            for opts in per_action:
+                for total, j, c in opts:
+                    if limit is None or total <= limit:
+                        key = (total, type(total))
+                        if key in by_total:
+                            by_total[key].append((j, c))
+                        else:
+                            by_total[key] = [(j, c)]
+            groups = list(by_total.values())
+            state_totals = [total for total, _ in by_total]
+        at_node[i] = list(range(len(kept), len(kept) + len(groups)))
+        node.extend([i] * len(groups))
+        kept.extend(groups)
+        totals.extend(state_totals or [0] * len(groups))
+    return _StateTable(at_node, node, kept)
+
+
+_MODES = (MODE_TOTALS, MODE_OWN_EDGE, MODE_PUNISH_FIRST)
 
 
 class SpeSolution:
     """Solved game: SPE outcome sets for the whole game and every subgame.
 
-    Total-monotone and own-edge rules are solved into a table of per-node
-    outcome states (see `_node_states`): every state lists the (successor,
-    child state) links it keeps, so the suffixes a node holds are the
-    paths through its states. `continuations` lists them from the table,
-    building each state's suffix list once. Other rules memoize, per the
-    rule's `subgame_key` of a history (the history itself unless the rule
-    says otherwise), the list of SPE suffixes that start at its node. The
-    rule's `mover_pays` prices the suffixes of each action, and the mover
-    keeps a suffix when its pay is at most the least, over the actions, of
-    each action's largest pay, widened by the tie tolerance. Those are
-    solved only for a subgame of at most `history_cap` histories, however
-    few states it has.
+    The rule is solved into a table of per-node outcome states (see
+    `_node_states`): every state lists the (successor, child state) links
+    it keeps, so the suffixes a subgame holds are the paths through its
+    start states. `continuations` lists them from the table, building the
+    suffix list of each state it reaches once.
 
     `efficiency_counts` and `coincides` compare the outcome set with the
-    efficient paths by counting: backward over the state table for the
-    node-keyed modes, over the memoized suffix list otherwise, and over
+    efficient paths by counting: backward over the state table, and over
     the tight edges for the efficient set. Only `continuations` and
     `outcomes` list paths.
     """
 
-    def __init__(
-        self,
-        dag: Dag,
-        losses: Mapping[Edge, Num],
-        rule: Rule,
-        history_cap: int = 1_000_000,
-    ):
+    def __init__(self, dag: Dag, losses: Mapping[Edge, Num], rule: Rule):
         self.dag = dag
         self.losses = losses
         self.bound = rule.bind(losses)
-        self.tol = default_tolerance(losses)
-        self._history_cap = history_cap
-        self._states = None
-        if self.bound.mode in (MODE_TOTALS, MODE_OWN_EDGE):
-            self._states = _node_states(dag, losses, self.bound, self.tol)
-            # per state, in state order: its suffixes, listed on demand
-            self._suffix_lists: list[list[tuple[int, ...]]] = []
-            self._listed_from = dag.n
-        else:
-            self._state_memo: dict[Hashable, list[tuple[int, ...]]] = {}
-
-    def _solve_state(
-        self, hist: tuple[int, ...], key: Hashable
-    ) -> list[tuple[int, ...]]:
-        # Depth-first over subgame states with an explicit stack, children
-        # in successor order, so depth is not bounded by the recursion
-        # limit. `path` is the history being solved; by the subgame_key
-        # contract any history with the same key would price alike.
-        memo = self._state_memo
-        if key in memo:
-            return memo[key]
-        # the cap bounds the subgame, not the memo: a coarse key memoizes
-        # few states, but their outcome sets still grow with the subgame
-        histories = history_count(self.dag, hist[-1])
-        if histories > self._history_cap:
-            raise HistoryCapExceeded(
-                f"{histories} histories exceed the cap of {self._history_cap}; "
-                "raise history_cap"
+        if self.bound.mode not in _MODES:
+            raise GameError(
+                f"no solver for mode {self.bound.mode!r} of rule {rule.spec_string}"
             )
-        succ = self.dag.succ
-        subgame_key = self.bound.subgame_key
-        path = list(hist)
-        stack = [(key, iter(succ[hist[-1]]))]
-        while stack:
-            k, untried = stack[-1]
-            mover = path[-1]
-            for j in untried:
-                child = subgame_key(k, mover, j)
-                if child not in memo:
-                    path.append(j)
-                    stack.append((child, iter(succ[j])))
-                    break
-            else:
-                stack.pop()
-                memo[k] = self._keep(k, path) if succ[mover] else [(mover,)]
-                path.pop()
-        return memo[key]
-
-    def _keep(self, key: Hashable, path: list[int]) -> list[tuple[int, ...]]:
-        """SPE suffixes at the mover ending history `path` (state `key`)
-        from its children's: each costs the mover no more than the
-        costliest outcome of every action would."""
-        mover = path[-1]
-        per_action = [
-            self._state_memo[self.bound.subgame_key(key, mover, j)]
-            for j in self.dag.succ[mover]
-        ]
-        if len(per_action) == 1:
-            # a lone action is kept whole: its costliest outcome bounds itself
-            return [(mover,) + s for s in per_action[0]]
-        priced = self.bound.mover_pays(key, tuple(path), per_action)
-        limit = widen(min([max(pays) for _, pays in priced]), self.tol)
-        kept = []
-        for outs, (labels, pays) in zip(per_action, priced):
-            ok = [pay <= limit for pay in pays]
-            kept += [(mover,) + s for s, label in zip(outs, labels) if ok[label]]
-        return kept
+        self.tol = default_tolerance(losses)
+        self._states = _node_states(dag, losses, self.bound, self.tol)
+        # per state: its suffixes, listed on demand
+        self._suffix_lists: dict[int, list[tuple[int, ...]]] = {}
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -261,33 +206,38 @@ class SpeSolution:
             if not self.dag.has_edge(u, v):
                 raise GameError(f"history uses missing edge ({u}, {v})")
 
-    def _node_suffixes(self, node: int) -> list[tuple[int, ...]]:
-        """Every suffix the states at `node` hold. The suffix lists of the
-        states at `node` and every later node are built once, backward,
-        and kept for later queries."""
-        table, lists = self._states, self._suffix_lists
-        for i in range(self._listed_from - 1, node - 1, -1):
-            for state in table.at_node[i]:
-                links = table.kept[state]
-                lists.append([(i,) + s for _, c in links for s in lists[c]] or [(i,)])
-        self._listed_from = min(self._listed_from, node)
-        return [s for state in table.at_node[node] for s in lists[state]]
+    def _start_states(self, history: tuple[int, ...]) -> list[int]:
+        """The states whose suffixes are the subgame's SPE outcomes after
+        `history`: every state at its node, or under punish-first the
+        on-track or the off-track one."""
+        states = self._states.at_node[history[-1]]
+        if self.bound.mode != MODE_PUNISH_FIRST:
+            return states
+        on_track = self.bound.foreclosing.isdisjoint(zip(history, history[1:]))
+        return states[:1] if on_track else states[-1:]
 
-    def _history_key(self, history: tuple[int, ...]) -> Hashable:
-        key = self.bound.subgame_key(None, None, history[0])
-        for i, j in zip(history, history[1:]):
-            key = self.bound.subgame_key(key, i, j)
-        return key
+    def _suffixes(self, roots: list[int]) -> list[tuple[int, ...]]:
+        """Every suffix the states `roots` hold. The suffix list of each
+        state they reach is built once, children first, and kept for later
+        queries."""
+        table, lists = self._states, self._suffix_lists
+        todo: set[int] = set()
+        stack = [c for c in roots if c not in lists]
+        while stack:
+            c = stack.pop()
+            if c not in todo:
+                todo.add(c)
+                stack.extend(d for _, d in table.kept[c] if d not in lists)
+        for c in sorted(todo):
+            i = table.node[c]
+            lists[c] = [(i,) + s for _, d in table.kept[c] for s in lists[d]] or [(i,)]
+        return [s for c in roots for s in lists[c]]
 
     def continuations(self, history: tuple[int, ...]) -> set[Path]:
         """SPE outcomes of the subgame after `history`, as full paths."""
         self._check_history(history)
         prefix = history[:-1]
-        if self._states is not None:
-            suffixes = self._node_suffixes(history[-1])
-        else:
-            suffixes = self._solve_state(history, self._history_key(history))
-        return {Path(prefix + sfx) for sfx in suffixes}
+        return {Path(prefix + sfx) for sfx in self._suffixes(self._start_states(history))}
 
     def outcomes(self) -> set[Path]:
         return self.continuations((self.dag.source,))
@@ -309,27 +259,19 @@ class SpeSolution:
         tol = resolve_tolerance(losses, tie_tolerance)
         tight = tight_step(losses, continuation_costs(dag, losses), tol)
         eff = _backward_ways(dag, tight)[dag.source]
-        if self._states is None:
-            source = (dag.source,)
-            suffixes = self._solve_state(source, self._history_key(source))
-            loose = {e for e in dag.edges if not tight(*e)}
-            both = sum(loose.isdisjoint(zip(s, s[1:])) for s in suffixes)
-            return len(suffixes), eff, both
         # per state: the suffixes it holds, and those using only tight edges
         table = self._states
         every: list[int] = []
         on_tight: list[int] = []
-        for i in range(dag.n - 1, -1, -1):
-            for state in table.at_node[i]:
-                links = table.kept[state]
-                n_all = n_tight = 0 if links else 1  # a sink ends one suffix
-                for j, c in links:
-                    n_all += every[c]
-                    if tight(i, j):
-                        n_tight += on_tight[c]
-                every.append(n_all)
-                on_tight.append(n_tight)
-        at_source = table.at_node[dag.source]
+        for i, links in zip(table.node, table.kept):
+            n_all = n_tight = 0 if links else 1  # a sink ends one suffix
+            for j, c in links:
+                n_all += every[c]
+                if tight(i, j):
+                    n_tight += on_tight[c]
+            every.append(n_all)
+            on_tight.append(n_tight)
+        at_source = self._start_states((dag.source,))
         return (
             sum(every[c] for c in at_source),
             eff,
@@ -343,32 +285,18 @@ class SpeSolution:
         return spe == eff == both
 
 
-def spe_solve(
-    dag: Dag,
-    losses: Mapping[Edge, Num],
-    rule: Rule,
-    history_cap: int = 1_000_000,
-) -> SpeSolution:
-    return SpeSolution(dag, losses, rule, history_cap)
+def spe_solve(dag: Dag, losses: Mapping[Edge, Num], rule: Rule) -> SpeSolution:
+    return SpeSolution(dag, losses, rule)
 
 
-def spe_outcomes(
-    dag: Dag,
-    losses: Mapping[Edge, Num],
-    rule: Rule,
-    history_cap: int = 1_000_000,
-) -> set[Path]:
+def spe_outcomes(dag: Dag, losses: Mapping[Edge, Num], rule: Rule) -> set[Path]:
     """Exact set of SPE outcome paths, minimizing each agent's liability.
 
     Comparisons are exact when losses are exact-valued, else use a 1e-9
-    tolerance. Rules whose payments are monotone in the realized total or
-    depend on the mover's own edge only are solved into per-node outcome
-    states; other rules with one suffix list per subgame state (see
-    `Rule.subgame_key`), and raise HistoryCapExceeded on a game of more
-    than `history_cap` histories. Either way the returned set lists every
-    outcome; `SpeSolution.efficiency_counts` counts them instead.
+    tolerance. The returned set lists every outcome;
+    `SpeSolution.efficiency_counts` counts them instead.
     """
-    return SpeSolution(dag, losses, rule, history_cap).outcomes()
+    return SpeSolution(dag, losses, rule).outcomes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ Each rule kind is one `Rule` subclass, used in three steps::
 computes what depends on the graph only (canonical weights, phi3's
 on-path share); the text becomes the rule's `spec_string`. `bind`
 checks the loss function once and computes what depends on it (phi2's
-weights, punish-first's foreclosing steps). The equilibrium solver
-prices a history's continuations through `mover_pays`, which calls
-`vector` once per full path unless the rule prices by class, as
-punish-first does.
+weights, punish-first's foreclosing steps). A rule whose split reads the
+realized total gets it through `_vector(path, total)`: `vector` sums the
+path's losses once, and `apply_rule`, which sums them for its balance
+test anyway, passes its sum on.
 `apply_rule(rule, path, losses)` is the checked single-path call: it also
 rejects a path that is not source-to-sink and a split that is negative or
 unbalanced. It tests an int or `Fraction` split first in integers, over
@@ -56,7 +56,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graph import (
     Dag,
@@ -75,7 +75,7 @@ from .weights import WeightVector, wstar_dp
 # solver interaction modes, see game.spe_outcomes
 MODE_TOTALS = "totals"
 MODE_OWN_EDGE = "own_edge"
-MODE_GENERAL = "general"
+MODE_PUNISH_FIRST = "punish_first"
 
 
 class RuleSpecError(Exception):
@@ -97,16 +97,21 @@ class LiabilityVector:
         return sum(self.values)
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(map(_to_float, self.values))
+        return tuple(_floats(self.values))
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
-        return dict(zip(dag.labels, map(_to_float, self.values)))
+        return dict(zip(dag.labels, _floats(self.values)))
+
+
+def _floats(values: Sequence[Num]):
+    """The values as floats, each the correctly rounded `float(x)`: by the
+    builtin `float`, or by `_to_float` when a value is a `Fraction`, which
+    CPython 3.11 converts through `numbers.Rational.__float__` with two
+    property reads and two int() calls more."""
+    return map(_to_float if Fraction in map(type, values) else float, values)
 
 
 def _to_float(x: Num) -> float:
-    # the correctly rounded float `float(x)` gives; CPython 3.11 converts a
-    # Fraction through `numbers.Rational.__float__`, which adds two property
-    # reads and two int() calls
     return x.numerator / x.denominator if type(x) is Fraction else float(x)
 
 
@@ -115,22 +120,18 @@ class Rule:
 
     `make_rule` builds it with its graph-dependent parameters frozen;
     `bind(losses)` returns a copy evaluating under one loss function, whose
-    `vector(path)` is the unchecked per-path split the solver calls.
+    `vector(path)` is the unchecked per-path split. A subclass defines
+    `vector`, or `_vector(path, total)` when its split reads the path's
+    `path_loss`; each default calls the other.
 
     `mode` tells the equilibrium solver how the mover at a node ranks
     outcomes; it is fixed per rule kind:
       - MODE_TOTALS: by the continuation's total loss, strictly increasing
         wherever cares[node] is True, constant otherwise;
       - MODE_OWN_EDGE: by the loss of the mover's own chosen edge only;
-      - MODE_GENERAL: no structure, evaluate full outcome paths.
-
-    In MODE_GENERAL the solver memoizes subgames by `subgame_key`: two
-    histories with equal keys must end at the same node, and the mover at
-    that node must rank every continuation alike after either history. The
-    default key is the history itself, which is always sound. The solver
-    prices suffixes through `mover_pays`, which labels them per action and
-    gives one pay per label; the default labels each suffix apart and
-    reads the mover's entry of `vector` on the full path.
+      - MODE_PUNISH_FIRST: on track, while no step has foreclosed
+        efficiency, by whether the mover's step is tight; off track, not
+        at all (see `PunishFirstRule`).
 
     `weights` is the per-graph weight vector of a rule that pays w_i times
     the realized total under every loss function, and None for every other
@@ -163,7 +164,6 @@ class Rule:
         check_losses(self.dag, losses)
         bound = copy.copy(self)
         bound.losses = losses
-        bound._vectors = {}  # full path -> vector, read by mover_pays
         bound._passed = {}  # (type(total), total) -> split, read by apply_rule
         bound._derive()
         return bound
@@ -172,42 +172,11 @@ class Rule:
         """Compute the state that depends on `self.losses`; none by default."""
 
     def vector(self, path: Path) -> tuple[Num, ...]:
-        raise NotImplementedError
+        return self._vector(path, path_loss(self.losses, path))
 
-    def mover_pays(
-        self, key: Hashable, hist: tuple[int, ...], per_action: list[list[tuple[int, ...]]]
-    ) -> list[tuple[Sequence[int], list[Num]]]:
-        """What the mover ending `hist` pays on each suffix of each action.
-
-        `key` is the `subgame_key` of `hist`, and `per_action[a]` lists
-        suffixes from the mover's a-th action: each starts at that
-        successor and ends at a sink. Per action the result is
-        `(labels, pays)`: `pays[labels[k]]` equals the mover's entry of
-        `vector` on the full path `hist + per_action[a][k]`. Suffixes that
-        share a label pay alike, so the solver compares each entry of
-        `pays` once, and a rule that can price its suffixes by class lists
-        each class once. By default every suffix has a label of its own,
-        and `vector` prices each full path once while the rule is bound.
-        """
-        mover = hist[-1]
-        vectors = self._vectors
-        priced = []
-        for outs in per_action:
-            pays = []
-            for s in outs:
-                full = hist + s
-                vec = vectors.get(full)
-                if vec is None:
-                    vec = vectors[full] = self.vector(Path(full))
-                pays.append(vec[mover])
-            priced.append((range(len(pays)), pays))
-        return priced
-
-    def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
-        """Key of the history that extends the history keyed `key`, which
-        ends at i, by the edge (i, j). With `key` and i None, the key of
-        the one-node history (j,) at the source."""
-        return (j,) if key is None else key + (j,)
+    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+        """`vector(path)`, given the path's `path_loss` `total`."""
+        return self.vector(path)
 
     def __repr__(self) -> str:
         return f"<Rule {self.spec_string} on {self.dag.n} nodes>"
@@ -244,8 +213,7 @@ class FixedWeightRule(Rule):
     def _derive(self) -> None:
         self._splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
 
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self.losses, path)
+    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
         key = (type(total), total)
         split = self._splits.get(key)
         if split is None:
@@ -314,8 +282,7 @@ class OnPathAlphaRule(Rule):
                 longest[i] = 1 + max(longest[j] for j in dag.succ[i])
         self.alpha = Fraction(1, longest[dag.source] + 1)
 
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self.losses, path)
+    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
         onpath = set(path.nodes)
         k = len(path.nodes)
         rest = self.dag.n - k
@@ -333,8 +300,8 @@ class SqrtSourceRule(Rule):
     The source's payment still grows with the total, so equilibria stay
     efficient, but the split is not invariant under scaling the losses."""
 
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = float(path_loss(self.losses, path))
+    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+        total = float(total)
         w_source = 1.0 / math.sqrt(total + 1.0)
         other = (1.0 - w_source) * total / (self.dag.n - 1)
         return tuple(
@@ -357,64 +324,36 @@ class LocalRule(Rule):
 
 class PunishFirstRule(Rule):
     """Equal split on efficient paths; otherwise the first agent to choose
-    a step that foreclosed efficiency pays the whole loss."""
+    a step that foreclosed efficiency pays the whole loss.
 
-    mode = MODE_GENERAL
+    `foreclosing`, set at bind, holds the steps that leave only
+    inefficient continuations: those `graph.tight_step` rejects under the
+    tie tolerance `efficient_paths` uses. The equal split divides the
+    path's total summed from the sink back, `l1 + (l2 + (... + 0))`, the
+    association `continuation_costs` uses, so float paths that tie in
+    `efficient_paths` split alike. The blamed agent pays the `path_loss`
+    total.
+    """
+
+    mode = MODE_PUNISH_FIRST
 
     def _derive(self) -> None:
-        # the steps that leave only inefficient continuations, under the
-        # tie tolerance `efficient_paths` uses
         cont = continuation_costs(self.dag, self.losses)
         tight = tight_step(self.losses, cont, default_tolerance(self.losses))
-        self._foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
+        self.foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
         self._equal_splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
 
-    def vector(self, path: Path) -> tuple[Num, ...]:
-        total = path_loss(self.losses, path)
-        # blame the first mover whose step left only inefficient continuations
-        for (i, j) in path.edges:
-            if (i, j) in self._foreclosing:
-                values = [0] * self.dag.n
-                values[i] = total
-                return tuple(values)
-        return self._equal_split(total)
-
-    def mover_pays(self, key, hist, per_action):
-        """Price suffixes by class instead of calling `vector`.
-
-        Off track an earlier agent is blamed, so every suffix pays the int
-        0. On track the mover pays the path's total when their own step
-        forecloses efficiency, 0 when a later step of the suffix does, and
-        an equal share of the total otherwise; the suffixes of one class
-        and equal totals of one type share a label. Each total continues
-        the sum of `hist`'s losses left to right, so it is the number
-        `path_loss` takes over the full path, bit for bit.
-        """
-        if not key[1]:
-            return [([0] * len(outs), [0]) for outs in per_action]
-        losses, foreclosing = self.losses, self._foreclosing
-        loss = losses.__getitem__
-        mover = hist[-1]
-        prefix = sum(map(loss, zip(hist, hist[1:])))
-        priced = []
-        for outs in per_action:
-            step = (mover, outs[0][0])
-            base = prefix + losses[step]
-            own = step in foreclosing
-            # per suffix: the path's total, or None where a later step forecloses
-            totals = [
-                sum(map(loss, zip(s, s[1:])), base)
-                if own or foreclosing.isdisjoint(zip(s, s[1:])) else None
-                for s in outs
-            ]
-            label_of: dict[tuple[type, Num | None], int] = {}
-            labels = [label_of.setdefault((type(t), t), len(label_of)) for t in totals]
-            if own:
-                pays = [t for _, t in label_of]
-            else:
-                pays = [0 if t is None else self._equal_split(t)[0] for _, t in label_of]
-            priced.append((labels, pays))
-        return priced
+    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+        edges = path.edges
+        foreclosing = self.foreclosing
+        if foreclosing.isdisjoint(edges):
+            back = 0
+            for e in reversed(edges):
+                back = self.losses[e] + back
+            return self._equal_split(back)
+        values = [0] * self.dag.n
+        values[next(i for i, j in edges if (i, j) in foreclosing)] = total
+        return tuple(values)
 
     def _equal_split(self, total: Num) -> tuple[Num, ...]:
         """The split of an efficient path of this total, made once per
@@ -426,15 +365,6 @@ class PunishFirstRule(Rule):
             n = self.dag.n
             split = self._equal_splits[key] = (Fraction(1, n) * total,) * n
         return split
-
-    def subgame_key(self, key: Hashable | None, i: int | None, j: int) -> Hashable:
-        # (node, on_track). On track, every step so far was efficient, so
-        # the prefix cost is cont[source] - cont[node] whatever the route;
-        # off track, an earlier agent is blamed and the mover pays 0 on
-        # every continuation.
-        if key is None:
-            return (j, True)
-        return (j, key[1] and (i, j) not in self._foreclosing)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +473,8 @@ def apply_rule(
     """
     check_path(rule.dag, path)
     bound = rule.bind(losses)
-    values = bound.vector(path)
     total = path_loss(losses, path)
+    values = bound._vector(path, total)
     key = (type(total), total)
     if bound._passed.get(key) is not values:
         _check_split(rule.spec_string, values, total)

@@ -112,3 +112,27 @@ def tiers():
 def fixture_json(name: str) -> dict:
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def near_tie_game(rng: random.Random, magnitude: float):
+    """From r, one edge to s, then two 4-edge paths s-a1-a2-a3-t and
+    s-b1-b2-b3-t whose 3-decimal float losses are the same four in reverse
+    order, so their sums tie up to rounding, plus two dearer cross edges
+    a1-b2 and b1-a2. The tie is decided after a history with a loss of its
+    own, which every compared total includes. With `random.Random(0)` at
+    1e8 it is `tools/identity.py`'s near_tie_1e8.json."""
+    dag = build_dag(
+        ["r", "s", "a1", "b1", "a2", "b2", "a3", "b3", "t"],
+        [("r", "s"), ("s", "a1"), ("s", "b1"), ("a1", "a2"), ("a1", "b2"),
+         ("b1", "b2"), ("b1", "a2"), ("a2", "a3"), ("b2", "b3"), ("a3", "t"),
+         ("b3", "t")],
+    )
+    v, w, x, y, z = (round(rng.uniform(0, magnitude), 3) for _ in range(5))
+    r, s, a1, b1, a2, b2, a3, b3, t = range(9)
+    losses = {
+        (r, s): v,
+        (s, a1): w, (a1, a2): x, (a2, a3): y, (a3, t): z,
+        (s, b1): z, (b1, b2): y, (b2, b3): x, (b3, t): w,
+        (a1, b2): x + magnitude, (b1, a2): y + magnitude,
+    }
+    return dag, losses

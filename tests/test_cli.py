@@ -14,7 +14,7 @@ from liabnet.cli import main
 from liabnet.graph import efficient_paths
 from liabnet.io import load_graph_file, load_losses_file
 
-from conftest import ALL_RULE_SPECS, ladder
+from conftest import ALL_RULE_SPECS, ladder, near_tie_game
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK = str(FIXTURES / "fork.json")
@@ -301,7 +301,7 @@ class TestCheck:
         assert data["passed"] is True
         assert data["passes"] == 25
 
-    @pytest.mark.parametrize("rule", ["fixed:wstar", "local"])
+    @pytest.mark.parametrize("rule", ["fixed:wstar", "local", "punish-first"])
     def test_ei_on_grid20_counts_instead_of_listing(self, capsys, tmp_path, rule):
         # 2^20 tied paths: listing both sets took 16-23 s, counting them
         # takes milliseconds
@@ -316,6 +316,36 @@ class TestCheck:
         assert time.perf_counter() - start < 2.0
         assert code == 0
         assert data["passed"] is True and data["passes"] == 1
+
+    def test_punish_first_keeps_the_near_tie(self, capsys, tmp_path):
+        # the two reversed-order paths tie in `efficient_paths`; their
+        # left-to-right totals differ, and an equal split of those once
+        # dropped one of them
+        dag, losses = near_tie_game(random.Random(0), 1e8)
+        graph = tmp_path / "near_tie_1e8.json"
+        graph.write_text(json.dumps({
+            "nodes": list(dag.labels),
+            "edges": [{"from": dag.labels[u], "to": dag.labels[v], "loss": x}
+                      for (u, v), x in losses.items()],
+        }))
+        code, data, _ = run(capsys, "check", str(graph), "--axiom", "EI",
+                            "--trials", "1", "--rule", "punish-first")
+        assert code == 0 and data["passed"] is True
+        code, data, _ = run(capsys, "spe", str(graph), "--rule", "punish-first")
+        assert code == 0
+        assert data["outcomes"] == [
+            ["r", "s", "a1", "a2", "a3", "t"], ["r", "s", "b1", "b2", "b3", "t"],
+        ]
+        assert data["coincide"] is True
+        assert len(set(map(json.dumps, data["liabilities"].values()))) == 1
+
+    def test_unknown_solver_mode_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(liabnet.rules.PunishFirstRule, "mode", "bogus")
+        for argv in (["spe", CHAIN3],
+                     ["check", "--axiom", "EI", "--trials", "1"]):
+            code, data, err = run(capsys, *argv, "--rule", "punish-first")
+            assert code == 2 and data is None
+            assert err == "error: no solver for mode 'bogus' of rule punish-first\n"
 
     def test_property_not_applicable_exits_2(self, capsys):
         code, data, _ = run(

@@ -25,8 +25,8 @@ from liabnet.graph import (
     path_loss,
 )
 from liabnet.rules import (
-    MODE_GENERAL,
     MODE_OWN_EDGE,
+    MODE_PUNISH_FIRST,
     MODE_TOTALS,
     LiabilityVector,
     Rule,
@@ -108,7 +108,7 @@ class TestSpecGrammar:
         assert make_rule("phi3", fork).bind(losses).mode == MODE_TOTALS
         assert make_rule("phi5", fork).bind(losses).mode == MODE_TOTALS
         assert make_rule("local", fork).bind(losses).mode == MODE_OWN_EDGE
-        assert make_rule("punish-first", fork).bind(losses).mode == MODE_GENERAL
+        assert make_rule("punish-first", fork).bind(losses).mode == MODE_PUNISH_FIRST
 
     def test_fixed_cares_follow_weights(self, fork):
         w = WeightVector((Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)))

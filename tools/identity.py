@@ -27,8 +27,10 @@ byte-for-byte alike. The list:
 - `check --axiom PCP --trials 1` for all 8 rule specs on the 8-stage
   ladder, where all 256 paths are equilibria;
 - `spe --rule punish-first` and `check --axiom EI --rule punish-first` on
-  a float near-tie graph, two paths whose 3-decimal losses near 1e8 are
-  the same four in reverse order;
+  three float near-tie graphs, two paths whose 3-decimal losses near 1e6,
+  1e8 or 1e10 are the same four in reverse order;
+- `check --axiom EI --rule punish-first` on grid20 with unit losses, whose
+  2^20 paths all tie;
 - `liability` for all 8 rule specs on every fixture graph but grid20, on
   its first and last enumerated path;
 - `spe` and `liability` on fork with a `fixed:file=` weights file, the
@@ -84,6 +86,8 @@ RULES = (
 SEEDS = (7, 202408)
 TRIALS = "300"
 LADDERS = (8, 10)
+# near-tie graphs at 10^exponent
+NEAR_TIE_EXPONENTS = (6, 8, 10)
 # `spe` with an explicit tie tolerance, on these fixtures' float losses
 TOL_GRAPHS = ("bypass_diamond.json", "fork.json", "shortcut_line.json")
 TOLS = ("0", "0.25")
@@ -232,12 +236,24 @@ def commands(tmp: Path):
                 ["weights", str(graph), "--method", method],
                 no_runtime,
             )
-    tie = tmp / "near_tie_1e8.json"
-    tie.write_text(json.dumps(near_tie()))
-    yield f"spe {tie.name} punish-first", ["spe", str(tie), "--rule", "punish-first"], None
+    for exponent in NEAR_TIE_EXPONENTS:
+        tie = tmp / f"near_tie_1e{exponent}.json"
+        tie.write_text(json.dumps(near_tie(10.0 ** exponent)))
+        yield f"spe {tie.name} punish-first", ["spe", str(tie), "--rule", "punish-first"], None
+        yield (
+            f"check EI {tie.name} punish-first",
+            ["check", str(tie), "--axiom", "EI", "--trials", "1", "--rule", "punish-first"],
+            None,
+        )
+    grid20 = ROOT / "fixtures" / "grid20.json"
+    unit = tmp / "grid20.unit.json"
+    unit.write_text(json.dumps(
+        {f"{e['from']}->{e['to']}": 1 for e in json.loads(grid20.read_text())["edges"]}
+    ))
     yield (
-        f"check EI {tie.name} punish-first",
-        ["check", str(tie), "--axiom", "EI", "--trials", "1", "--rule", "punish-first"],
+        "check EI grid20.json unit punish-first",
+        ["check", str(grid20), "--losses", str(unit), "--axiom", "EI", "--trials", "1",
+         "--rule", "punish-first"],
         None,
     )
     # rule-spec texts beyond the plain grammar, named without the tmp path
