@@ -56,7 +56,6 @@ from .graph import (
     efficient_paths,
     enumerate_paths,
     path_loss,
-    path_totals,
     validate,
 )
 from .rules import (
@@ -423,8 +422,8 @@ def _trial_redistribution_inv(rng, dag, losses, rule, paths):
 
 def _trial_path_indep(rng, dag, losses, rule, paths):
     groups: dict = {}
-    for p, total in zip(paths(dag), path_totals(dag, losses)):
-        groups.setdefault(total, []).append(p)
+    for p in paths(dag):
+        groups.setdefault(path_loss(losses, p), []).append(p)
     tied = [ps for ps in groups.values() if len(ps) >= 2]
     if not tied:
         return _NO_PREMISE
@@ -441,8 +440,7 @@ def _trial_total_loss_dep(rng, dag, losses, rule, paths):
     p1 = rng.choice(paths)
     target = path_loss(losses, p1)
     second = random_losses(rng, dag)
-    totals = path_totals(dag, second)
-    matches = [p for p, total in zip(paths, totals) if total == target]
+    matches = [p for p in paths if path_loss(second, p) == target]
     if not matches:
         return _NO_PREMISE
     others = [p for p in matches if p.nodes != p1.nodes]

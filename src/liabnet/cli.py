@@ -265,13 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, graph: bool = True, graph_required: bool = True):
+    def add(name: str, help_: str, graph_required: bool = True):
         p = sub.add_parser(name, help=help_)
-        if graph:
-            if graph_required:
-                p.add_argument("graph", help="graph JSON file")
-            else:
-                p.add_argument("graph", nargs="?", default=None, help="graph JSON file")
+        if graph_required:
+            p.add_argument("graph", help="graph JSON file")
+        else:
+            p.add_argument("graph", nargs="?", default=None, help="graph JSON file")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
         return p
 

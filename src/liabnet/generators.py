@@ -2,9 +2,9 @@
 
 All generators take a `random.Random` so callers control determinism; the
 axiom checkers derive one per trial from a master seed. Random graphs are
-drawn in topological index order and built from their index edges
-(`graph.dag_from_indices`), with the structural checks in integer form,
-not sent through the label-based `build_dag`.
+drawn in topological index order, valid by construction, and assembled
+from their index edges (`graph._index_dag`) without the label-based
+checks of `build_dag`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Dag, Edge, count_paths, dag_from_indices
+from .graph import Dag, Edge, GraphValidationError, _index_dag, count_paths
 
 
 def random_dag(
@@ -27,11 +27,14 @@ def random_dag(
     kept with probability `density`, and every node after the first gets a
     fallback incoming edge so the source is unique and everything is
     reachable. Node n-1 never has outgoing edges, so a sink always exists.
-    The indices are therefore already topological, so the Dag is built
-    from the index edges by `dag_from_indices`, which checks them in
-    integer form; it equals `build_dag` on the same labels and label edges.
+    The indices are therefore already topological and every structural
+    check of `build_dag` holds, but for its minimum of 3 nodes, which a
+    draw of fewer raises as GraphValidationError. The Dag equals
+    `build_dag`'s on the same labels and label edges.
     """
     n = rng.randint(min_nodes, max_nodes)
+    if n < 3:
+        raise GraphValidationError(f"min_size: {n} nodes (need at least 3)")
     labels = [f"n{i}" for i in range(n)]
     labels[0] = "s"
     edges: list[Edge] = []
@@ -40,14 +43,12 @@ def random_dag(
         if not preds:
             preds = [rng.randrange(j)]
         edges.extend((i, j) for i in preds)
-    return dag_from_indices(labels, edges)
+    return _index_dag(labels, {x: k for k, x in enumerate(labels)}, sorted(edges))
 
 
-def random_losses(
-    rng: random.Random, dag: Dag, low: int = 0, high: int = 9
-) -> dict[Edge, int]:
-    """Integer edge losses drawn uniformly from [low, high]."""
-    return {e: rng.randint(low, high) for e in dag.edges}
+def random_losses(rng: random.Random, dag: Dag) -> dict[Edge, int]:
+    """Integer edge losses drawn uniformly from [0, 9]."""
+    return {e: rng.randint(0, 9) for e in dag.edges}
 
 
 def random_dag_with_paths(
@@ -56,10 +57,10 @@ def random_dag_with_paths(
     max_nonsinks: int,
     max_paths: int,
     density: float = 0.4,
-    tries: int = 1000,
 ) -> Dag:
-    """Random DAG whose non-sink count and path count fall in given bounds."""
-    for _ in range(tries):
+    """Random DAG whose non-sink count and path count fall in given bounds,
+    from the first of 1,000 draws that does."""
+    for _ in range(1000):
         # A couple of extra nodes leaves room for sinks.
         dag = random_dag(rng, min_nonsinks + 1, max_nonsinks + 3, density)
         nonsinks = dag.n - len(dag.sinks)

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 Num = Union[int, float, Fraction]
 Edge = tuple[int, int]
@@ -284,45 +284,6 @@ def build_dag(
     return _assemble_dag(order, edge_pairs)
 
 
-def dag_from_indices(labels: Sequence[str], edges: Iterable[Edge]) -> Dag:
-    """Construct a Dag whose labels are already in topological order.
-
-    `edges` are (u, v) index pairs into `labels`, in any order. The checks
-    are those of `build_dag`, in integer form and O(n + m): unique labels
-    and at least 3 nodes; 0 <= u < v < n for every edge, so the graph is
-    acyclic and its indices are topological; no repeated edge; and a
-    predecessor for every node but 0, so node 0 is the unique source and
-    reaches every node. Node n-1 has no successor, so a sink exists.
-
-    Raises:
-        GraphValidationError: naming the first check that failed.
-    """
-    n = len(labels)
-    index = {x: k for k, x in enumerate(labels)}
-    if len(index) != n:
-        seen: set[str] = set()
-        dup = sorted({x for x in labels if x in seen or seen.add(x)})
-        raise GraphValidationError(f"labels: duplicate node labels: {dup}")
-    if n < 3:
-        raise GraphValidationError(f"min_size: {n} nodes (need at least 3)")
-    idx_edges = sorted(edges)
-    for u, v in idx_edges:
-        if not 0 <= u < v < n:
-            raise GraphValidationError(
-                f"topological: edge ({u}, {v}) does not satisfy 0 <= u < v < {n}"
-            )
-    dag = _index_dag(labels, index, idx_edges)
-    if len(dag._edge_set) != len(idx_edges):
-        u, v = next(a for a, b in zip(idx_edges, idx_edges[1:]) if a == b)
-        raise GraphValidationError(f"labels: duplicate edge ({u}, {v})")
-    orphans = [labels[v] for v in range(1, n) if not dag.pred[v]]
-    if orphans:
-        raise GraphValidationError(
-            f"unique_source: nodes other than {labels[0]!r} without a predecessor: {orphans}"
-        )
-    return dag
-
-
 def _assemble_dag(order: Sequence[str], edge_pairs: Sequence[LabelEdge]) -> Dag:
     """Index the order and edge pairs of a passing `_structural_checks`."""
     index = {x: k for k, x in enumerate(order)}
@@ -333,9 +294,9 @@ def _index_dag(
     labels: Sequence[str], index: dict[str, int], idx_edges: Sequence[Edge]
 ) -> Dag:
     """The assembly step shared by `build_dag`, `validate` and
-    `dag_from_indices`, which have checked their input. `idx_edges` are
-    sorted (u, v) pairs, u < v, into `labels`; `index` maps each label to
-    its position."""
+    `generators.random_dag`, whose input is checked or valid by
+    construction. `idx_edges` are sorted (u, v) pairs, u < v, into
+    `labels`; `index` maps each label to its position."""
     succ: list[list[int]] = [[] for _ in labels]
     pred: list[list[int]] = [[] for _ in labels]
     for u, v in idx_edges:
@@ -479,25 +440,6 @@ def path_loss(losses: Mapping[Edge, Num], path: Path) -> Num:
     """The path's total loss, its edges' losses added left to right."""
     nodes = path.nodes
     return sum(map(losses.__getitem__, zip(nodes, nodes[1:])))
-
-
-def path_totals(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
-    """`path_loss` of every source-to-sink path, in `enumerate_paths` order.
-
-    One depth-first walk carries each prefix's sum, so every total is
-    `0 + l1 + l2 + ...` added left to right, as `path_loss`'s `sum` adds
-    it on CPython before 3.12 (3.12's `sum` compensates float rounding).
-    """
-    out: list[Num] = []
-    stack: list[tuple[int, Num]] = [(dag.source, 0)]
-    while stack:
-        i, acc = stack.pop()
-        succ = dag.succ[i]
-        if not succ:
-            out.append(acc)
-        for j in reversed(succ):
-            stack.append((j, acc + losses[(i, j)]))
-    return out
 
 
 def exact_valued(losses: Mapping[Edge, Num]) -> bool:

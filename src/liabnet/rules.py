@@ -16,8 +16,9 @@ Each rule kind is one `Rule` subclass, used in three steps::
 computes what depends on the graph only (canonical weights, phi3's
 on-path share); the text becomes the rule's `spec_string`. `bind`
 checks the loss function once and computes what depends on it (phi2's
-weights, punish-first's foreclosing steps). A rule whose split reads the
-realized total gets it through `_vector(path, total)`: `vector` sums the
+weights, punish-first's foreclosing steps). Each rule kind implements
+one method, `split(path, total)`, given the path's `path_loss` total,
+which a split that does not read it (`local`) ignores: `vector` sums the
 path's losses once, and `apply_rule`, which sums them for its balance
 test anyway, passes its sum on.
 `apply_rule(rule, path, losses)` is the checked single-path call: it also
@@ -26,9 +27,10 @@ unbalanced. It tests an int or `Fraction` split first in integers, over
 one common denominator, and any other split within float tolerances.
 A fixed-weight split depends on the realized total alone, so a bound
 fixed-weight rule splits each distinct total once, and punish-first's
-equal split does too. `apply_rule` checks the path on every call but
-tests a split once per total: the bound rule keeps the last split tuple
-that passed for each total, and the sign and balance tests read only the
+equal split does too, both through the bound rule's one memo,
+`_by_total`. `apply_rule` checks the path on every call but tests a
+split once per total: the bound rule keeps the last split tuple that
+passed for each total, and the sign and balance tests read only the
 split's values and the total, so that same tuple would pass again. Each
 class declares its solver `mode` and `cares` (see `Rule`); neither
 depends on the losses.
@@ -56,7 +58,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import (
     Dag,
@@ -121,8 +123,8 @@ class Rule:
     `make_rule` builds it with its graph-dependent parameters frozen;
     `bind(losses)` returns a copy evaluating under one loss function, whose
     `vector(path)` is the unchecked per-path split. A subclass defines
-    `vector`, or `_vector(path, total)` when its split reads the path's
-    `path_loss`; each default calls the other.
+    `split(path, total)`, the split of a path whose `path_loss` is
+    `total`; the base `split` raises NotImplementedError.
 
     `mode` tells the equilibrium solver how the mover at a node ranks
     outcomes; it is fixed per rule kind:
@@ -157,7 +159,8 @@ class Rule:
         `apply_rule` without checking the losses again, and `apply_rule`
         keeps what it has checked on the bound copy: per `(type(total),
         total)`, the last split tuple that passed, one entry per distinct
-        total. Every `bind` to another mapping starts it empty.
+        total. Every `bind` to another mapping starts it, and the memo of
+        `_by_total`, empty.
         """
         if losses is self.losses:
             return self
@@ -165,6 +168,7 @@ class Rule:
         bound = copy.copy(self)
         bound.losses = losses
         bound._passed = {}  # (type(total), total) -> split, read by apply_rule
+        bound._splits = {}  # (type(total), total) -> split, read by _by_total
         bound._derive()
         return bound
 
@@ -172,11 +176,24 @@ class Rule:
         """Compute the state that depends on `self.losses`; none by default."""
 
     def vector(self, path: Path) -> tuple[Num, ...]:
-        return self._vector(path, path_loss(self.losses, path))
+        return self.split(path, path_loss(self.losses, path))
 
-    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
-        """`vector(path)`, given the path's `path_loss` `total`."""
-        return self.vector(path)
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
+        """The unchecked split of `path`, whose `path_loss` is `total`."""
+        raise NotImplementedError(f"{type(self).__name__} defines no split")
+
+    def _by_total(
+        self, total: Num, make: Callable[[Num], tuple[Num, ...]]
+    ) -> tuple[Num, ...]:
+        """`make(total)`, made once per distinct total while bound, so that
+        every path of that total gets the same tuple. The memo is keyed by
+        the total's type as well, since `3`, `3.0` and `Fraction(3)` are
+        equal but split to different types."""
+        key = (type(total), total)
+        split = self._splits.get(key)
+        if split is None:
+            split = self._splits[key] = make(total)
+        return split
 
     def __repr__(self) -> str:
         return f"<Rule {self.spec_string} on {self.dag.n} nodes>"
@@ -186,10 +203,8 @@ class FixedWeightRule(Rule):
     """Pay w_i * total realized loss; weights fixed per graph.
 
     The split depends on the realized total alone, so a bound rule splits
-    each distinct total once and returns the same tuple for every path
-    with that total. The memo is keyed by the total's type as well, since
-    `3`, `3.0` and `Fraction(3)` are equal but split to different types,
-    and it starts empty at every `bind`.
+    each distinct total once (`_by_total`) and returns the same tuple for
+    every path with that total.
 
     Weights that carry integer numerators over one denominator (the
     canonical weights of `wstar_dp`) split an int or `Fraction` total in
@@ -210,25 +225,15 @@ class FixedWeightRule(Rule):
         exact = weights.values if weights.nums is None else weights.nums
         self.cares = tuple(w > 0 for w in exact)
 
-    def _derive(self) -> None:
-        self._splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
-
-    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
-        key = (type(total), total)
-        split = self._splits.get(key)
-        if split is None:
-            split = self._splits[key] = self._split(total)
-        return split
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
+        return self._by_total(total, self._split)
 
     def _split(self, total: Num) -> tuple[Num, ...]:
         nums = self._nums
-        if nums is not None:
-            if isinstance(total, int):
-                den = self._den
-                return tuple(Fraction(a * total, den) for a in nums)
-            if isinstance(total, Fraction):
-                num, den = total.numerator, total.denominator * self._den
-                return tuple(Fraction(a * num, den) for a in nums)
+        if nums is not None and isinstance(total, (int, Fraction)):
+            num, den = total.as_integer_ratio()
+            den *= self._den
+            return tuple(Fraction(a * num, den) for a in nums)
         return tuple(w * total for w in self._shares)
 
 
@@ -247,7 +252,6 @@ class MaxOutWeightsRule(FixedWeightRule):
         Rule.__init__(self, dag, spec_string)
 
     def _derive(self) -> None:
-        super()._derive()
         dag, losses = self.dag, self.losses
         scale = max(losses[e] for e in dag.edges)
         if scale == 0:
@@ -282,7 +286,7 @@ class OnPathAlphaRule(Rule):
                 longest[i] = 1 + max(longest[j] for j in dag.succ[i])
         self.alpha = Fraction(1, longest[dag.source] + 1)
 
-    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         onpath = set(path.nodes)
         k = len(path.nodes)
         rest = self.dag.n - k
@@ -300,7 +304,7 @@ class SqrtSourceRule(Rule):
     The source's payment still grows with the total, so equilibria stay
     efficient, but the split is not invariant under scaling the losses."""
 
-    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         total = float(total)
         w_source = 1.0 / math.sqrt(total + 1.0)
         other = (1.0 - w_source) * total / (self.dag.n - 1)
@@ -315,7 +319,7 @@ class LocalRule(Rule):
 
     mode = MODE_OWN_EDGE
 
-    def vector(self, path: Path) -> tuple[Num, ...]:
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         values = [0] * self.dag.n
         for (i, j) in path.edges:
             values[i] = self.losses[(i, j)]
@@ -341,30 +345,22 @@ class PunishFirstRule(Rule):
         cont = continuation_costs(self.dag, self.losses)
         tight = tight_step(self.losses, cont, default_tolerance(self.losses))
         self.foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
-        self._equal_splits: dict[tuple[type, Num], tuple[Num, ...]] = {}
 
-    def _vector(self, path: Path, total: Num) -> tuple[Num, ...]:
+    def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         edges = path.edges
         foreclosing = self.foreclosing
         if foreclosing.isdisjoint(edges):
             back = 0
             for e in reversed(edges):
                 back = self.losses[e] + back
-            return self._equal_split(back)
+            return self._by_total(back, self._equal_split)
         values = [0] * self.dag.n
         values[next(i for i, j in edges if (i, j) in foreclosing)] = total
         return tuple(values)
 
     def _equal_split(self, total: Num) -> tuple[Num, ...]:
-        """The split of an efficient path of this total, made once per
-        distinct total and type while bound, so that every such path gets
-        the same tuple."""
-        key = (type(total), total)
-        split = self._equal_splits.get(key)
-        if split is None:
-            n = self.dag.n
-            split = self._equal_splits[key] = (Fraction(1, n) * total,) * n
-        return split
+        n = self.dag.n
+        return (Fraction(1, n) * total,) * n
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +439,8 @@ def apply_rule(
 
     This is the checked single-path call. A rule already bound to `losses`
     is not bound again, so a caller evaluating many paths under one loss
-    function binds once and passes the bound rule.
+    function binds once and passes the bound rule. The path's `path_loss`
+    is summed once, for the rule's `split` and for the balance test.
 
     The path is checked on every call. The split is tested once per
     distinct split: the bound rule keeps, per `(type(total), total)`, the
@@ -474,7 +471,7 @@ def apply_rule(
     check_path(rule.dag, path)
     bound = rule.bind(losses)
     total = path_loss(losses, path)
-    values = bound._vector(path, total)
+    values = bound.split(path, total)
     key = (type(total), total)
     if bound._passed.get(key) is not values:
         _check_split(rule.spec_string, values, total)

@@ -35,6 +35,10 @@ class WeightsError(Exception):
     """Raised on coalition or size-cap violations."""
 
 
+# the most non-sink players whose coalitions are tabled, 2^20 of them
+_PLAYER_CAP = 20
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Point of the simplex over all nodes, aligned with dag indices.
@@ -54,9 +58,9 @@ class WeightVector:
     def as_dict(self, dag: Dag) -> dict[str, float]:
         return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
 
-    def check_simplex(self, tol: float = 1e-12) -> None:
+    def check_simplex(self) -> None:
         """Raise unless the weights are non-negative and sum to 1: exactly
-        when `nums` are set, else within `tol`."""
+        when `nums` are set, else within 1e-12."""
         if self.nums is not None:
             negative = min(self.nums) < 0
             total, one = sum(self.nums), self.den
@@ -64,7 +68,7 @@ class WeightVector:
         else:  # written so that a NaN weight fails both tests
             negative = not all(x >= 0 for x in self.values)
             total, one = sum(self.values), 1
-            off = not abs(total - 1) <= tol
+            off = not abs(total - 1) <= 1e-12
         if negative:
             raise WeightsError("weights must be non-negative")
         if off:
@@ -213,9 +217,7 @@ def path_counting_value(dag: Dag, coalition: Iterable[int]) -> Fraction:
     return Fraction(covered, count_paths(dag))
 
 
-def _coverage_counts(
-    dag: Dag, player_cap: int, advice: str = ""
-) -> tuple[list[int], list[int]]:
+def _coverage_counts(dag: Dag, advice: str = "") -> tuple[list[int], list[int]]:
     """The path-counting game as a table over coalitions.
 
     Returns (players, counts): the non-sink nodes, and counts[mask] = the
@@ -225,13 +227,13 @@ def _coverage_counts(
     earlier non-sink nodes; each edge adds its tail's groups into its head
     with the tail's bit set, and each sink adds its groups into counts. A
     subset-sum transform then turns "exactly mask" into "within mask". No
-    path is listed. Refuses above `player_cap` players, adding `advice` to
+    path is listed. Refuses above `_PLAYER_CAP` players, adding `advice` to
     the message.
     """
     players = [i for i in range(dag.n) if i not in dag.sinks]
     k = len(players)
-    if k > player_cap:
-        raise WeightsError(f"{k} non-sink players exceeds cap {player_cap}{advice}")
+    if k > _PLAYER_CAP:
+        raise WeightsError(f"{k} non-sink players exceeds cap {_PLAYER_CAP}{advice}")
     bit = {node: 1 << p for p, node in enumerate(players)}
     counts = [0] * (1 << k)
     reach: list[dict[int, int]] = [{} for _ in range(dag.n)]
@@ -256,13 +258,13 @@ def _coverage_counts(
     return players, counts
 
 
-def shapley_bruteforce(dag: Dag, player_cap: int = 20) -> WeightVector:
+def shapley_bruteforce(dag: Dag) -> WeightVector:
     """Exact Shapley value of the path-counting game, in rationals.
 
     Exponential in the number of non-sink nodes; refuses above
-    `player_cap` players.
+    `_PLAYER_CAP` players.
     """
-    players, counts = _coverage_counts(dag, player_cap)
+    players, counts = _coverage_counts(dag)
     k = len(players)
     total = counts[-1]
     fact = [math.factorial(x) for x in range(k + 1)]
@@ -286,13 +288,12 @@ def core_check(
     dag: Dag,
     weights: Union[WeightVector, Mapping[int, Num]],
     coalitions: Iterable[Iterable[int]] | None = None,
-    tol: float = 1e-12,
-    player_cap: int = 20,
 ) -> list[dict]:
-    """Coalitions whose members' total weight falls below their worth.
+    """Coalitions whose members' total weight falls short of their worth by
+    more than 1e-12.
 
     With `coalitions` unset, every subset of non-sink nodes is checked
-    (exponential; capped at `player_cap` players). Returns one record per
+    (exponential; capped at `_PLAYER_CAP` players). Returns one record per
     violation: members, weight sum, coalition worth, deficit.
     """
     if isinstance(weights, WeightVector):
@@ -302,7 +303,7 @@ def core_check(
 
     def record(nodes: tuple[int, ...], value: Fraction) -> dict | None:
         wsum = sum(wv[i] for i in nodes)
-        if value - wsum > tol:
+        if value - wsum > 1e-12:
             return {
                 "coalition": tuple(dag.labels[i] for i in nodes),
                 "weight_sum": float(wsum),
@@ -320,7 +321,7 @@ def core_check(
                 violations.append(hit)
         return violations
 
-    players, counts = _coverage_counts(dag, player_cap, "; pass explicit coalitions")
+    players, counts = _coverage_counts(dag, "; pass explicit coalitions")
     k = len(players)
     total = counts[-1]
     for mask in range(1 << k):

@@ -206,6 +206,22 @@ class TestOtherProperties:
         assert not rep.passed
         assert rep.counterexample["total"] == 2
 
+    def test_path_independence_keeps_exact_float_ties(self):
+        # s-a-t sums 0.5 + 0.25, exactly s-t's 0.75: every trial finds the
+        # tie, which fixed:wstar splits alike and local does not
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
+        losses = {(0, 1): 0.5, (1, 2): 0.25, (0, 2): 0.75}
+        rep = check_property(
+            "PATH_INDEP", "fixed:wstar", dag=dag, trials=5, seed=0, losses=losses
+        )
+        assert rep.passed and "vacuous" not in rep.detail
+        rep = check_property("PATH_INDEP", "local", dag=dag, trials=1, seed=0, losses=losses)
+        assert rep.counterexample["total"] == 0.75
+        # 0.1 + 0.2 is not 0.3 in floats: no tie, so every trial is vacuous
+        losses = {(0, 1): 0.1, (1, 2): 0.2, (0, 2): 0.3}
+        rep = check_property("PATH_INDEP", "local", dag=dag, trials=3, seed=0, losses=losses)
+        assert rep.passed and rep.detail == {"vacuous": 3}
+
     def test_path_independence_fixed_passes(self):
         assert check_property("PATH_INDEP", "fixed:wstar", trials=60, seed=16).passed
 

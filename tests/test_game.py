@@ -376,14 +376,15 @@ class TestSubgameKeys:
         assert [len(s) for s in sol._states.at_node] == [2, 2, 2, 2, 1, 1, 1, 1, 1]
 
     def test_punish_first_prices_without_vector(self, monkeypatch):
+        # `vector` splits through `split`, so this spy sees either call
         calls = []
-        vector = PunishFirstRule.vector
+        split = PunishFirstRule.split
 
-        def spy(self, path):
+        def spy(self, path, total):
             calls.append(path)
-            return vector(self, path)
+            return split(self, path, total)
 
-        monkeypatch.setattr(PunishFirstRule, "vector", spy)
+        monkeypatch.setattr(PunishFirstRule, "split", spy)
         dag, losses = ladder(10)
         rule = make_rule("punish-first", dag)
         sol = spe_solve(dag, losses, rule)

@@ -307,7 +307,7 @@ from liabnet.rules import Rule, RuleSpecError, apply_rule
 
 
 class Leaky(Rule):
-    def vector(self, path):
+    def split(self, path, total):
         return (0,) * self.dag.n
 
 
@@ -347,7 +347,7 @@ from liabnet.rules import Rule, RuleSpecError, apply_rule
 
 class Leaky(Rule):
     # balanced: the agent at index 1 holds a tiny negative share
-    def vector(self, path):
+    def split(self, path, total):
         return (2 - self.eps, self.eps, 0)
 
 
@@ -372,11 +372,25 @@ def test_sign_guard_threshold(flags):
     ]
 
 
+def test_rule_without_split_raises():
+    # `split` is the one method a rule kind implements; a subclass without
+    # it fails at once rather than in a recursion between two defaults
+    class Bare(Rule):
+        pass
+
+    dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+    losses = {(0, 1): 1, (1, 2): 1}
+    with pytest.raises(NotImplementedError, match="Bare defines no split"):
+        apply_rule(Bare(dag, "bare"), Path((0, 1, 2)), losses)
+    with pytest.raises(NotImplementedError, match="Bare defines no split"):
+        Bare(dag, "bare").bind(losses).vector(Path((0, 1, 2)))
+
+
 class _Given(Rule):
     """Returns the split it was given, whatever the path."""
 
-    def vector(self, path):
-        return self.split
+    def split(self, path, total):
+        return self.given
 
 
 def _float_verdict(values, total) -> str | None:
@@ -454,7 +468,7 @@ def test_verdict_matches_float_test(drawn):
     losses, split = drawn
     dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
     rule = _Given(dag, "given")
-    rule.split = split
+    rule.given = split
     path = Path((0, 1, 2))
     want = _float_verdict(split, path_loss(losses, path))
     try:
@@ -477,7 +491,7 @@ class TestSplitTestedOnce:
         # s->a->t totals 2, s->t totals 3
         dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
         rule = _Given(dag, "given").bind(TestSplitTestedOnce.LOSSES)
-        rule.split = split
+        rule.given = split
         return rule
 
     def test_same_tuple_tested_once(self, monkeypatch):
@@ -498,10 +512,10 @@ class TestSplitTestedOnce:
         rule = self.bound((1, 1, 0))
         apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
         for _ in range(2):
-            rule.split = (2, 1, 0)
+            rule.given = (2, 1, 0)
             with pytest.raises(RuleSpecError, match="unbalanced liabilities from given"):
                 apply_rule(rule, Path((0, 1, 2)), self.LOSSES)
-        rule.split = tuple([1, 1, 0])
+        rule.given = tuple([1, 1, 0])
         assert apply_rule(rule, Path((0, 1, 2)), self.LOSSES).values == (1, 1, 0)
 
     def test_passed_tuple_with_another_total_raises(self):

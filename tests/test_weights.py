@@ -13,7 +13,6 @@ from liabnet.generators import random_dag, random_dag_with_paths, random_losses
 from liabnet.graph import (
     build_dag,
     count_paths,
-    dag_from_indices,
     enumerate_paths,
     path_loss,
 )
@@ -225,7 +224,7 @@ def spread_dags(draw):
         seed=seed,
     )
     hg = generate_hourglass(spec)
-    return dag_from_indices(hg.labels, hg.edges)
+    return build_dag(hg.labels, hg.edge_labels())
 
 
 class TestLengthRuns:

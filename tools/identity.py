@@ -21,6 +21,9 @@ byte-for-byte alike. The list:
 - `spe --tol 0` and `spe --tol 0.25` for all 8 rule specs on fork,
   bypass_diamond and shortcut_line under the seeded float losses, where
   the outcomes and the efficient paths may or may not coincide;
+- `check --property PATH_INDEP` and `TOTAL_LOSS_DEP` at 50 trials for
+  `fixed:wstar` and `phi3` on the same three graphs under the seeded
+  integer and float losses, whose trials group paths by their totals;
 - `spe` for `fixed:wstar`, `local` and `punish-first` on the 12-stage
   all-ties ladder, whose 4,096 outcomes share one split under the first
   and the last;
@@ -91,6 +94,9 @@ NEAR_TIE_EXPONENTS = (6, 8, 10)
 # `spe` with an explicit tie tolerance, on these fixtures' float losses
 TOL_GRAPHS = ("bypass_diamond.json", "fork.json", "shortcut_line.json")
 TOLS = ("0", "0.25")
+# `check` under these fixtures' seeded losses files
+TOTALS_PROPERTIES = ("PATH_INDEP", "TOTAL_LOSS_DEP")
+TOTALS_RULES = ("fixed:wstar", "phi3")
 
 
 def run(argv: list[str], tmp: str) -> tuple[int, str, str]:
@@ -198,6 +204,15 @@ def commands(tmp: Path):
         yield f"weights {name}", ["weights", str(graph), "--method", "dp"], no_runtime
         for kind, extra in loss_files(graph, tmp):
             yield f"efficient {name} {kind}", ["efficient", str(graph), *extra], None
+            if extra and name in TOL_GRAPHS:
+                for prop in TOTALS_PROPERTIES:
+                    for rule in TOTALS_RULES:
+                        yield (
+                            f"check {prop} {name} {kind} {rule}",
+                            ["check", str(graph), *extra, "--property", prop, "--rule", rule,
+                             "--trials", "50"],
+                            None,
+                        )
             if name != "grid20.json":
                 for rule in RULES:
                     yield f"spe {name} {kind} {rule}", ["spe", str(graph), "--rule", rule, *extra], None
