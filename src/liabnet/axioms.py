@@ -44,7 +44,7 @@ from functools import cache, partial
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .game import spe_outcomes, spe_solve
-from .generators import random_dag, random_losses
+from .generators import randbelow, random_dag, random_losses
 from .graph import (
     Dag,
     Edge,
@@ -210,9 +210,9 @@ def _trial_rld(rng, dag, losses, rule, paths):
     rule = rule()
     path = rng.choice(paths(dag))
     onpath = set(path.edges)
-    second = {
-        e: (v if e in onpath else rng.randint(0, 9)) for e, v in losses.items()
-    }
+    off = [e for e in losses if e not in onpath]
+    second = dict(losses)
+    second.update(zip(off, randbelow(rng, 10, len(off))))
     base = apply_rule(rule, path, losses).values
     other = apply_rule(rule, path, second).values
     if _vec_close(base, other):

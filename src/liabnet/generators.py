@@ -5,14 +5,52 @@ axiom checkers derive one per trial from a master seed. Random graphs are
 drawn in topological index order, valid by construction, and assembled
 from their index edges (`graph._index_dag`) without the label-based
 checks of `build_dag`.
+
+Integer draws here and in the RLD audit go through `randbelow`, which
+calls `rng.getrandbits` directly, skipping the argument handling of
+`randint`/`randrange` (about half the cost of a draw), and draws a
+graph's losses in one call. It must draw exactly what they draw: the
+identity sweep (`tools/identity.py`) hashes outputs made from these
+draws, and a reported counterexample is replayed from its seed.
+`tests/test_graph.py::TestDrawStream` pins the stream: a hash of 5,000
+seeded draws, and `randbelow(rng, n, count)` against `count` calls of
+`rng.randrange(n)`, with the same state after, so a change of CPython's
+`_randbelow` fails there instead of silently changing the audits.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .graph import Dag, Edge, GraphValidationError, _index_dag, count_paths
+
+
+def randbelow(rng: random.Random, n: int, count: int = 1) -> list[int]:
+    """The next `count` values of `rng.randrange(n)`, drawn as CPython
+    3.10-3.12 draws them: k = n.bit_length() bits, redrawn while the result
+    is n or more. Raises ValueError for n < 1, as `randrange` does (the
+    loop would not end)."""
+    if n < 1:
+        raise ValueError(f"randbelow needs n >= 1, got {n}")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+@cache
+def _labels(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels of an n-node draw and their index, shared by every Dag
+    drawn with n nodes; neither is ever mutated."""
+    labels = ("s", *(f"n{i}" for i in range(1, n)))
+    return labels, {x: k for k, x in enumerate(labels)}
 
 
 def random_dag(
@@ -32,23 +70,21 @@ def random_dag(
     draw of fewer raises as GraphValidationError. The Dag equals
     `build_dag`'s on the same labels and label edges.
     """
-    n = rng.randint(min_nodes, max_nodes)
+    n = min_nodes + randbelow(rng, max_nodes - min_nodes + 1)[0]  # randint
     if n < 3:
         raise GraphValidationError(f"min_size: {n} nodes (need at least 3)")
-    labels = [f"n{i}" for i in range(n)]
-    labels[0] = "s"
+    random_ = rng.random
     edges: list[Edge] = []
     for j in range(1, n):
-        preds = [i for i in range(j) if rng.random() < density]
-        if not preds:
-            preds = [rng.randrange(j)]
-        edges.extend((i, j) for i in preds)
-    return _index_dag(labels, {x: k for k, x in enumerate(labels)}, sorted(edges))
+        preds = [(i, j) for i in range(j) if random_() < density]
+        edges += preds or [(randbelow(rng, j)[0], j)]
+    edges.sort()
+    return _index_dag(*_labels(n), edges)
 
 
 def random_losses(rng: random.Random, dag: Dag) -> dict[Edge, int]:
     """Integer edge losses drawn uniformly from [0, 9]."""
-    return {e: rng.randint(0, 9) for e in dag.edges}
+    return dict(zip(dag.edges, randbelow(rng, 10, len(dag.edges))))
 
 
 def random_dag_with_paths(
@@ -81,7 +117,7 @@ def random_simplex_weights(
     raw = []
     for i in range(dag.n):
         lo = 1 if (positive_deciders and i in deciders) else 0
-        raw.append(rng.randint(lo, 9))
+        raw.append(lo + randbelow(rng, 10 - lo)[0])
     if sum(raw) == 0:
         raw[dag.source] = 1
     total = sum(raw)

@@ -302,14 +302,13 @@ def _index_dag(
     for u, v in idx_edges:
         succ[u].append(v)
         pred[v].append(u)
-    sinks = frozenset(i for i, s in enumerate(succ) if not s)
     return Dag(
         labels=tuple(labels),
         edges=tuple(idx_edges),
-        succ=tuple(tuple(s) for s in succ),
-        pred=tuple(tuple(p) for p in pred),
+        succ=tuple(map(tuple, succ)),
+        pred=tuple(map(tuple, pred)),
         source=0,
-        sinks=sinks,
+        sinks=frozenset([i for i, s in enumerate(succ) if not s]),
         _index=index,
         _edge_set=frozenset(idx_edges),
     )

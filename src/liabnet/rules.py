@@ -54,7 +54,6 @@ efficiency; local charges each on-path agent exactly the edge they cancel.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,7 +147,7 @@ class Rule:
         self.dag = dag
         self.spec_string = spec_string
         # read in MODE_TOTALS only: whose payment grows with the total
-        self.cares = tuple(i not in dag.sinks for i in range(dag.n))
+        self.cares = tuple([i not in dag.sinks for i in range(dag.n)])
 
     def bind(self, losses: Mapping[Edge, Num]) -> "Rule":
         """This rule evaluating under `losses`, which are checked once.
@@ -165,7 +164,8 @@ class Rule:
         if losses is self.losses:
             return self
         check_losses(self.dag, losses)
-        bound = copy.copy(self)
+        bound = object.__new__(type(self))
+        bound.__dict__.update(self.__dict__)
         bound.losses = losses
         bound._passed = {}  # (type(total), total) -> split, read by apply_rule
         bound._splits = {}  # (type(total), total) -> split, read by _by_total
@@ -223,7 +223,7 @@ class FixedWeightRule(Rule):
         self._shares = weights.values
         self._nums, self._den = weights.nums, weights.den
         exact = weights.values if weights.nums is None else weights.nums
-        self.cares = tuple(w > 0 for w in exact)
+        self.cares = tuple([w > 0 for w in exact])
 
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         return self._by_total(total, self._split)

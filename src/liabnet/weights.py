@@ -106,7 +106,9 @@ def _length_counts(dag: Dag, forward: bool) -> tuple[list[int], list[list[int]]]
     from the source to i (forward) or from i to any sink (backward). One
     pass in topological order (reverse order for backward); each edge
     shifts its tail's run by one and adds it in, so a node all of whose
-    subpaths have one length costs one add per edge.
+    subpaths have one length costs one add per edge. A node with one
+    neighbour gets that neighbour's run itself, one edge longer (lo + 1):
+    runs are shared between nodes, so no reader may mutate one.
     """
     n = dag.n
     order, links = (range(n), dag.pred) if forward else (range(n - 1, -1, -1), dag.succ)
@@ -116,8 +118,12 @@ def _length_counts(dag: Dag, forward: bool) -> tuple[list[int], list[list[int]]]
         nbrs = links[i]
         if not nbrs:
             continue
-        first = min(lo[j] for j in nbrs)
-        run = [0] * (max(lo[j] + len(counts[j]) for j in nbrs) - first)
+        if len(nbrs) == 1:  # the neighbour's run, shared, one edge longer
+            j = nbrs[0]
+            lo[i], counts[i] = lo[j] + 1, counts[j]
+            continue
+        first = min([lo[j] for j in nbrs])
+        run = [0] * (max([lo[j] + len(counts[j]) for j in nbrs]) - first)
         for j in nbrs:
             k = lo[j] - first
             for c in counts[j]:
@@ -185,7 +191,7 @@ def wstar_dp(dag: Dag) -> WeightVector:
                     acc += f * sum(map(operator.mul, bwd[i], per_len[x + blo[i]:]))
         nums.append(acc)
     den = denom * sum(bwd[src])
-    return WeightVector(tuple(Fraction(a, den) for a in nums), tuple(nums), den)
+    return WeightVector(tuple([Fraction(a, den) for a in nums]), tuple(nums), den)
 
 
 def wstar_enumerate(dag: Dag, cap: int | None = None) -> WeightVector:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,12 @@ from liabnet.graph import (
     reachable_subgraph,
     validate,
 )
-from liabnet.generators import random_dag, random_losses
+from liabnet.generators import (
+    randbelow,
+    random_dag,
+    random_losses,
+    random_simplex_weights,
+)
 
 from conftest import DAG_FIELDS
 
@@ -145,6 +151,53 @@ class TestDagFromIndices:
         # the one check random_dag makes; the others hold by construction
         with pytest.raises(GraphValidationError, match="min_size"):
             random_dag(random.Random(0), 2, 2)
+
+
+# made by `draw_stream_sha256()` on the generators that drew through
+# `randint`/`randrange`, before `randbelow`
+DRAW_STREAM_SHA256 = "58d6b1993715d508b8afc4d88ed94d99b195c8e1c5fc4eff23fc9a7fbfb03c3b"
+
+
+def draw_stream_sha256(seeds: int = 5000) -> str:
+    """A hash of seeded draws as the audits make them: a graph (the audits'
+    4-8 nodes, or 3-20 sparse ones whose fallback predecessors draw wider
+    ranges), its losses, simplex weights, and the rng's next `random()`."""
+    h = hashlib.sha256()
+    for t in range(seeds):
+        rng = random.Random(f"202408:{t}")
+        dag = random_dag(rng) if t % 2 == 0 else random_dag(rng, 3, 20, 0.2)
+        losses = random_losses(rng, dag)
+        weights = random_simplex_weights(rng, dag, positive_deciders=t % 3 == 0)
+        h.update(repr((dag.labels, dag.edges, sorted(losses.items()),
+                       sorted(weights.items()), rng.random())).encode())
+    return h.hexdigest()
+
+
+class TestDrawStream:
+    """`randbelow` draws exactly what `randrange` draws, so the audits'
+    instances, the identity sweep and replayed counterexamples do not
+    depend on which of the two drew them."""
+
+    def test_draws_unchanged(self):
+        assert draw_stream_sha256() == DRAW_STREAM_SHA256
+
+    def test_randbelow_is_randrange(self):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in range(1, 41):
+                want = [theirs.randrange(n) for _ in range(n % 3)]
+                assert randbelow(ours, n, n % 3) == want, (seed, n)
+                assert randbelow(ours, n) == [theirs.randrange(n)], (seed, n)
+            assert ours.getstate() == theirs.getstate(), seed
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_randbelow_refuses_empty_range(self, n):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0), n)
+
+    def test_empty_node_range_raises(self):
+        with pytest.raises(ValueError):
+            random_dag(random.Random(0), 5, 4)
 
 
 class TestTopology:

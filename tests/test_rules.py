@@ -110,6 +110,21 @@ class TestSpecGrammar:
         assert make_rule("local", fork).bind(losses).mode == MODE_OWN_EDGE
         assert make_rule("punish-first", fork).bind(losses).mode == MODE_PUNISH_FIRST
 
+    @pytest.mark.parametrize("spec", ALL_RULE_SPECS)
+    def test_bind_copies_with_fresh_memos(self, fork, spec):
+        rule = make_rule(spec, fork)
+        ones = {e: 1 for e in fork.edges}
+        a, b = rule.bind(ones), rule.bind(dict(ones))
+        assert type(a) is type(b) is type(rule)
+        assert rule.losses is None
+        assert a.losses is ones
+        apply_rule(a, enumerate_paths(fork)[0], ones)
+        assert a._passed and not b._passed
+        for memo in ("_passed", "_splits"):
+            assert getattr(a, memo) is not getattr(b, memo)
+            assert getattr(a, memo) is not getattr(a.bind(dict(ones)), memo)
+            assert not hasattr(rule, memo)
+
     def test_fixed_cares_follow_weights(self, fork):
         w = WeightVector((Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)))
         bound = fixed_rule(fork, w).bind({e: 1 for e in fork.edges})

@@ -183,23 +183,27 @@ class TestTables:
 
 def layer_sweep_tables(dag):
     """The tables as first built: dense rows, one sweep over every node and
-    edge per path length, and a dense convolution per node."""
+    edge per path length, and a dense convolution per node (skipping the
+    lengths at which no subpath reaches the node)."""
     n = dag.n
     forward, row = [], [int(i == dag.source) for i in range(n)]
     while any(row):
         forward.append(row)
-        row = [sum(row[i] for i in dag.pred[j]) for j in range(n)]
+        row = [sum(map(row.__getitem__, dag.pred[j])) for j in range(n)]
     backward, row = [], [int(i in dag.sinks) for i in range(n)]
     while any(row):
         backward.append(row)
-        row = [sum(row[j] for j in dag.succ[i]) for i in range(n)]
+        row = [sum(map(row.__getitem__, dag.succ[i])) for i in range(n)]
     max_len = len(forward) + len(backward) - 2
     through = []
     for i in range(n):
         conv = [0] * (max_len + 1)
+        column = [row[i] for row in backward]
         for x in range(len(forward)):
-            for y in range(len(backward)):
-                conv[x + y] += forward[x][i] * backward[y][i]
+            f = forward[x][i]
+            if f:
+                for y, b in enumerate(column, x):
+                    conv[y] += f * b
         through.append(tuple(conv))
     return PathCountTables(
         forward=tuple(map(tuple, forward)),
@@ -238,6 +242,45 @@ class TestLengthRuns:
         assert len(wv.nums) == dag.n
         assert sum(wv.nums) == wv.den
         assert all(Fraction(a, wv.den) == x for a, x in zip(wv.nums, wv.values))
+
+
+def chain_with_bypass(n: int):
+    """s, n1 .. n(n-2), t in a line, and the edge s -> t: every interior
+    node has one predecessor and one successor."""
+    labels = ["s", *(f"n{i}" for i in range(1, n - 1)), "t"]
+    return build_dag(labels, [*zip(labels, labels[1:]), ("s", "t")])
+
+
+class TestSharedRuns:
+    """`_length_counts` gives a node with one neighbour that neighbour's
+    run; the tables and weights read the shared runs and change none."""
+
+    @pytest.fixture(scope="class")
+    def long_chain(self):
+        return chain_with_bypass(1500)
+
+    def test_chain10_tables_equal_layer_sweep(self, chain10):
+        assert path_count_tables(chain10[0]) == layer_sweep_tables(chain10[0])
+
+    def test_long_chain_tables_equal_layer_sweep(self, long_chain):
+        assert path_count_tables(long_chain) == layer_sweep_tables(long_chain)
+
+    def test_chain10_dp_equals_enumeration(self, chain10):
+        assert wstar_dp(chain10[0]).values == wstar_enumerate(chain10[0]).values
+
+    def test_long_chain_closed_form(self, long_chain):
+        # two paths: the chain, whose n - 1 movers take 1/(2(n-1)) each, and s -> t
+        n = long_chain.n
+        got = wstar_dp(long_chain).values
+        assert got[0] == F(1, 2) + F(1, 2 * (n - 1))
+        assert got[1:-1] == (F(1, 2 * (n - 1)),) * (n - 2)
+        assert got[-1] == 0
+
+    def test_runs_unchanged_by_readers(self, chain10):
+        dag = chain10[0]
+        wstar_dp(dag)
+        first = path_count_tables(dag)
+        assert path_count_tables(dag) == first == layer_sweep_tables(dag)
 
 
 class TestDpWeights:
