@@ -55,6 +55,7 @@ from .graph import (
     default_tolerance,
     efficient_paths,
     enumerate_paths,
+    exact_valued,
     path_loss,
     validate,
 )
@@ -439,7 +440,11 @@ def _trial_total_loss_dep(rng, dag, losses, rule, paths):
     paths = paths(dag)
     p1 = rng.choice(paths)
     target = path_loss(losses, p1)
-    second = random_losses(rng, dag)
+    if exact_valued(losses):
+        second = random_losses(rng, dag)
+    else:  # float totals meet only when drawn from the same values
+        values = [losses[e] for e in dag.edges]
+        second = dict(zip(dag.edges, [values[k] for k in randbelow(rng, len(values), len(values))]))
     matches = [p for p in paths if path_loss(second, p) == target]
     if not matches:
         return _NO_PREMISE

@@ -506,7 +506,7 @@ def continuation_costs(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
     L: list[Num] = [0] * dag.n
     for i in range(dag.n - 1, -1, -1):
         if dag.succ[i]:
-            L[i] = min(losses[(i, j)] + L[j] for j in dag.succ[i])
+            L[i] = min([losses[(i, j)] + L[j] for j in dag.succ[i]])
     return L
 
 

@@ -233,8 +233,8 @@ class FixedWeightRule(Rule):
         if nums is not None and isinstance(total, (int, Fraction)):
             num, den = total.as_integer_ratio()
             den *= self._den
-            return tuple(Fraction(a * num, den) for a in nums)
-        return tuple(w * total for w in self._shares)
+            return tuple([Fraction(a * num, den) for a in nums])
+        return tuple([w * total for w in self._shares])
 
 
 class MaxOutWeightsRule(FixedWeightRule):

@@ -7,12 +7,11 @@ the realized cancellation paths: total losses, path lengths, per-agent
 mean and mean-squared liabilities, and the concentration (Gini) of the
 liability profile.
 
-Only rules whose equilibrium path reduces to a per-node greedy walk are
-supported by the vectorized engine: fixed-weight rules with every
-multi-option mover holding positive weight (the realized path is then a
-cheapest path; ties broken toward the smallest node index) and the local
-rule (each mover picks its cheapest outgoing edge). Losses are drawn as
-floats, so ties have probability zero.
+Only rules whose equilibrium path is a greedy walk are supported, and one
+forward walk plays them all: movers, in topological order over the draws
+that reach them, step onto the successor of least key, the smallest index
+on ties. The local rule's key is the edge's loss; a fixed-weight rule's, with
+positive weight on every multi-option mover, adds the head's cheapest cost.
 
 Each source's draws are summed into one tally per rule: the per-agent
 liabilities (`liab`) and their squares (`sq`), the realized totals
@@ -38,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graph import Dag, reachable_subgraph
+from .graph import Dag, GraphValidationError, reachable_subgraph
 from .io import load_json
 from .rules import LocalRule, make_rule
 
@@ -102,16 +101,13 @@ def generate_hourglass(spec: LayeredGraphSpec) -> HourglassGraph:
     non-initial node an incoming one (hence every sink is reachable)."""
     rng = random.Random(spec.seed)
     sizes = spec.sizes
-    layer_of: list[int] = []
     labels: list[str] = []
+    layer_of: list[int] = []
+    layers: list[list[int]] = []
     for layer, size in enumerate(sizes):
-        for k in range(size):
-            labels.append(f"n{layer}_{k}")
-            layer_of.append(layer)
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    layers = [list(range(offsets[l], offsets[l + 1])) for l in range(len(sizes))]
+        layers.append(list(range(len(labels), len(labels) + size)))
+        labels += [f"n{layer}_{k}" for k in range(size)]
+        layer_of += [layer] * size
 
     edge_set: set[tuple[int, int]] = set()
     for gap, p in ((1, spec.p_next), (2, spec.p_skip)):
@@ -317,14 +313,31 @@ def _simulate_source(args):
     """Play every draw from one source: (summed efficient totals, a tally
     per rule spec)."""
     (labels, label_edges, src_label, specs, draws, low, high, seed_seq, n_global) = args
-    sub = reachable_subgraph((list(labels), list(label_edges)), src_label)
+    try:
+        sub = reachable_subgraph((list(labels), list(label_edges)), src_label)
+    except GraphValidationError as exc:
+        raise SimError(f"cannot simulate from source {src_label!r}: {exc}") from None
     gmap = np.array([labels.index(lab) for lab in sub.labels])
     engines = _prepare_engines(sub, specs)
-    n = sub.n
-    edge_col = {e: c for c, e in enumerate(sub.edges)}
-    succ_cols = [np.array([edge_col[(i, j)] for j in sub.succ[i]], dtype=np.int64) for i in range(n)]
-    succ_nodes = [np.array(sub.succ[i], dtype=np.int64) for i in range(n)]
-    movers = [i for i in range(n) if sub.succ[i]]
+    # one column of U per edge; sorted edges list each node's heads in `succ` order
+    tails, heads = np.array(sub.edges, dtype=np.int64).T
+    succ_cols = [np.flatnonzero(tails == i) for i in range(sub.n)]
+    succ_nodes = [heads[cols] for cols in succ_cols]
+    movers = [i for i in range(sub.n) if sub.succ[i]]
+
+    def walk(U, L=None):
+        """Movers in topological order step their rows to the successor of least key (the
+        loss in U, plus `L` at the head if given), smallest index first; yields (i, rows, keys)."""
+        at = np.full(len(U), sub.source)
+        for i in movers:
+            rows = np.nonzero(at == i)[0]
+            if rows.size:
+                key = U[np.ix_(rows, succ_cols[i])]
+                if L is not None:
+                    key += L[np.ix_(rows, succ_nodes[i])]
+                choice = key.argmin(axis=1)
+                at[rows] = succ_nodes[i][choice]
+                yield i, rows, key[np.arange(rows.size), choice]
 
     eff = 0.0
     tallies = {
@@ -333,20 +346,12 @@ def _simulate_source(args):
         for r in specs
     }
     rng = np.random.default_rng(seed_seq)
-    done = 0
-    while done < draws:
+    for done in range(0, draws, _CHUNK):
         ch = min(_CHUNK, draws - done)
-        done += ch
         U = rng.uniform(low, high, size=(ch, len(sub.edges)))
-        L = np.zeros((ch, n))
-        # edges on the tight-argmin path from each node: the fixed rules' path length
-        depth = np.zeros((ch, n), dtype=np.int64)
-        all_rows = np.arange(ch)
+        L = np.zeros((ch, sub.n))
         for i in reversed(movers):
-            cand = U[:, succ_cols[i]] + L[:, succ_nodes[i]]
-            best = cand.argmin(axis=1)
-            L[:, i] = cand[all_rows, best]
-            depth[:, i] = 1 + depth[all_rows, succ_nodes[i][best]]
+            L[:, i] = (U[:, succ_cols[i]] + L[:, succ_nodes[i]]).min(axis=1)
         teff = L[:, sub.source]
         sum_t = float(teff.sum())
         eff += sum_t
@@ -354,35 +359,24 @@ def _simulate_source(args):
         for spec, weights in zip(specs, engines):
             t = tallies[spec]
             if weights is not None:
+                t["len"] += sum(rows.size for _, rows, _ in walk(U, L))
                 t["real"] += sum_t
                 np.add.at(t["liab"], gmap, weights * sum_t)
                 np.add.at(t["sq"], gmap, (weights * weights) * float((teff * teff).sum()))
-                t["len"] += int(depth[:, sub.source].sum())
                 positive = weights > 0
                 t["hist"] += _density(np.outer(teff, weights[positive]))
                 t["zeros"] += ch * (n_global - int(positive.sum()))
             else:
-                visit = np.zeros((ch, n), dtype=bool)
-                visit[:, sub.source] = True
                 total = np.zeros(ch)
-                n_pay = 0
-                for i in movers:
-                    rows = np.nonzero(visit[:, i])[0]
-                    if rows.size == 0:
-                        continue
-                    local_cand = U[np.ix_(rows, succ_cols[i])]
-                    choice = local_cand.argmin(axis=1)
-                    pay = local_cand[np.arange(rows.size), choice]
-                    visit[rows, succ_nodes[i][choice]] = True
-                    g = gmap[i]
-                    t["liab"][g] += float(pay.sum())
-                    t["sq"][g] += float((pay * pay).sum())
+                t["zeros"] += ch * n_global  # less one per mover's pay below
+                for i, rows, pay in walk(U):
+                    t["liab"][gmap[i]] += float(pay.sum())
+                    t["sq"][gmap[i]] += float((pay * pay).sum())
                     total[rows] += pay
-                    n_pay += rows.size
+                    t["len"] += rows.size
+                    t["zeros"] -= rows.size
                     t["hist"] += _density(pay)
                 t["real"] += float(total.sum())
-                t["len"] += n_pay
-                t["zeros"] += ch * n_global - n_pay
     return eff, tallies
 
 
@@ -410,7 +404,7 @@ def run_simulation(
         for k, src in enumerate(sources)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_simulate_source, jobs))
     else:
         results = [_simulate_source(job) for job in jobs]

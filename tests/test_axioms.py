@@ -319,6 +319,24 @@ class TestTrialDriver:
         assert rep.passed and rep.detail == {"vacuous": 4}
         assert len(redraws) == 4 * 60
 
+    def test_total_loss_dep_redraws_float_losses_from_their_values(self, monkeypatch):
+        # no 0-9 integers sum to a float total such as 0.1 + 0.2, so the
+        # second loss function draws each edge's loss from the first's values
+        dag, losses = _instance(
+            {("s", "a"): 0.1, ("s", "b"): 0.2, ("a", "b"): 0.3, ("a", "t"): 0.2, ("b", "t"): 0.1}
+        )
+        redraws = _spy(monkeypatch, "random_losses")
+        rep = check_property(
+            "TOTAL_LOSS_DEP", "fixed:wstar", dag=dag, trials=20, seed=0, losses=losses
+        )
+        assert rep.passed and rep.passes == rep.trials == 20
+        assert rep.detail == {}
+        assert redraws == []
+        rep = check_property("TOTAL_LOSS_DEP", "local", dag=dag, trials=20, seed=0, losses=losses)
+        cex = rep.counterexample
+        assert not rep.passed
+        assert {e["loss"] for e in cex["second_losses"]} <= {0.1, 0.2, 0.3}
+
     @pytest.mark.parametrize(
         "check, check_id",
         [

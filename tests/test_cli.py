@@ -550,9 +550,11 @@ class TestShapeErrors:
             ({"layers": [2, 2, 2], "draws": 5, "loss_high": 1.7e308}, "too large"),
             ({"layers": [2, 2, 2], "draws": 5, "loss_low": 1e308, "loss_high": 1e308},
              "too large"),
+            # n0_0 has one edge, so it reaches only 2 nodes
+            ({"layers": [3, 3], "draws": 5}, "cannot simulate from source 'n0_0'"),
         ],
         ids=["list", "draws-string", "layers-int", "rules-repeated", "loss-high-1e308",
-             "loss-high-1.7e308", "loss-low-1e308"],
+             "loss-high-1.7e308", "loss-low-1e308", "source-reaches-two-nodes"],
     )
     def test_simulate_config(self, capsys, tmp_path, config, message):
         path = tmp_path / "config.json"

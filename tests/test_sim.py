@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liabnet.sim
 from liabnet.graph import build_dag, continuation_costs, efficient_paths, reachable_subgraph
 from liabnet.game import spe_outcomes
 from liabnet.rules import make_rule
@@ -296,6 +297,48 @@ class TestEngineAgainstSolver:
             assert out["fixed:wstar"]["liab"][g] == pytest.approx(want, abs=1e-9)
 
 
+def source_tallies(hg, src, specs, draws, low, high):
+    """`_simulate_source`'s tallies for `draws` draws from node `src`."""
+    seed_seq = np.random.SeedSequence(3)
+    return _simulate_source(
+        (hg.labels, tuple(hg.edge_labels()), hg.labels[src], specs, draws, low, high,
+         seed_seq, hg.n)
+    )[1]
+
+
+class TestGreedyWalk:
+    """The one forward walk: where every step ties, the smallest successor
+    index decides each rule kind's realized path, and each rule walks alone."""
+
+    @pytest.mark.parametrize(
+        "spec, loss", [(LayeredGraphSpec(seed=5), 3.0), (SMALL, 0.0)], ids=["constant", "zero"]
+    )
+    def test_ties_go_to_the_smallest_successor(self, spec, loss):
+        hg = generate_hourglass(spec)
+        for src in hg.sources[:6]:
+            out = source_tallies(hg, src, ("fixed:wstar", "local"), 3, loss, loss)
+            sub = reachable_subgraph((list(hg.labels), hg.edge_labels()), hg.labels[src])
+            first = efficient_paths(sub, dict.fromkeys(sub.edges, loss)).paths[0]
+            assert out["fixed:wstar"]["len"] == 3 * (len(first) - 1)
+            steps, i = 0, sub.source
+            while sub.succ[i]:
+                steps, i = steps + 1, sub.succ[i][0]
+            assert out["local"]["len"] == 3 * steps
+
+    @pytest.mark.parametrize("low, high", [(0.0, 100.0), (3.0, 3.0)])
+    def test_each_rule_tallies_as_if_run_alone(self, low, high):
+        specs = ("fixed:wstar", "fixed:equal", "local")
+        together = run_simulation(small_config(rules=specs, loss_low=low, loss_high=high))
+        for r in specs:
+            alone = run_simulation(small_config(rules=(r,), loss_low=low, loss_high=high))
+            assert np.array_equal(together.mean_liab[r], alone.mean_liab[r]), r
+            assert np.array_equal(together.mean_sq[r], alone.mean_sq[r]), r
+            assert np.array_equal(together.density[r], alone.density[r]), r
+            assert together.mean_realized[r] == alone.mean_realized[r], r
+            assert together.mean_length[r] == alone.mean_length[r], r
+            assert together.zero_counts[r] == alone.zero_counts[r], r
+
+
 class TestRunSimulation:
     def test_balance_and_ordering(self):
         stats = run_simulation(small_config())
@@ -350,6 +393,33 @@ class TestRunSimulation:
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(SimError, match="workers must be at least 1"):
             run_simulation(small_config(draws=1), workers=workers)
+
+    @pytest.mark.parametrize("workers, started", [(2, 2), (100_000, 4)])
+    def test_pool_has_at_most_one_worker_per_source(self, monkeypatch, workers, started):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(liabnet.sim, "ProcessPoolExecutor", SerialPool)
+        stats = run_simulation(small_config(draws=2), workers=workers)
+        assert pools == [started]
+        assert stats.total_draws == 2 * 4
+
+    def test_source_reaching_two_nodes_is_named(self):
+        config = SimConfig(graph=LayeredGraphSpec(sizes=(3, 3)), draws=5)
+        with pytest.raises(SimError, match="cannot simulate from source 'n0_0': min_size"):
+            run_simulation(config)
 
     def test_worker_independence_and_artifacts(self, tmp_path):
         out1 = tmp_path / "w1"

@@ -46,7 +46,11 @@ byte-for-byte alike. The list:
   `--workers 0`, both refused with exit 2;
 - the default `simulate` at `--workers 1` and at `--workers 2`, each with
   its 4 artifacts; the second merges per-source results made in other
-  processes.
+  processes;
+- two tie-heavy `simulate` configs, each with its 4 artifacts: the default
+  layers with every loss 3.0, and a small graph with every loss 0, both
+  for `fixed:wstar`, `fixed:equal` and `local`, where every step ties and
+  the smallest successor index decides each realized path.
 
 `efficient`, `spe` and `liability` run under the graph's own losses where
 it has them, and under a seeded integer and a seeded float losses file.
@@ -97,6 +101,13 @@ TOLS = ("0", "0.25")
 # `check` under these fixtures' seeded losses files
 TOTALS_PROPERTIES = ("PATH_INDEP", "TOTAL_LOSS_DEP")
 TOTALS_RULES = ("fixed:wstar", "phi3")
+# `simulate` configs on which every step ties
+TIE_RULES = ["fixed:wstar", "fixed:equal", "local"]
+TIE_CONFIGS = {
+    "constant losses": {"draws": 50, "loss_low": 3.0, "loss_high": 3.0, "rules": TIE_RULES},
+    "zero losses": {"layers": [4, 3, 3], "draws": 50, "loss_low": 0, "loss_high": 0,
+                    "rules": TIE_RULES, "seed": 7},
+}
 
 
 def run(argv: list[str], tmp: str) -> tuple[int, str, str]:
@@ -304,6 +315,17 @@ def commands(tmp: Path):
     yield "simulate --workers 0", ["simulate", "--workers", "0"], None
 
 
+def simulate_commands(tmp: Path):
+    """Yield (label, argv) for every `simulate` run whose artifacts are
+    hashed too."""
+    yield "simulate", ["simulate", "--workers", "1"]
+    yield "simulate --workers 2", ["simulate", "--workers", "2"]
+    for name, config in TIE_CONFIGS.items():
+        path = tmp / f"sim_{name.replace(' ', '_')}.json"
+        path.write_text(json.dumps(config))
+        yield f"simulate {name}", ["simulate", str(path)]
+
+
 def read_baseline(path: Path) -> dict[str, str]:
     """label -> hash from a saved run, without its last, all-commands line."""
     lines = path.read_text().splitlines()
@@ -338,9 +360,9 @@ def main() -> int:
                 out = post(out)
             hashes.append((digest(str(code), out, err), label))
             print(*hashes[-1], sep="  ", flush=True)
-        for workers, label in (("1", "simulate"), ("2", "simulate --workers 2")):
-            sim_dir = tmp / f"simulate-w{workers}"
-            code, out, err = run(["simulate", "--workers", workers, "--out", str(sim_dir)], tmp_dir)
+        for label, argv in simulate_commands(tmp):
+            sim_dir = tmp / f"simulate-{len(hashes)}"
+            code, out, err = run([*argv, "--out", str(sim_dir)], tmp_dir)
             artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
             parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
             hashes.append((digest(*parts), f"{label} ({len(artifacts)} artifacts)"))
