@@ -7,11 +7,18 @@ the realized cancellation paths: total losses, path lengths, per-agent
 mean and mean-squared liabilities, and the concentration (Gini) of the
 liability profile.
 
+A run plans, then plays. Planning, in the calling process before the first
+draw, builds each source's reachable subgraph, its nodes' indices in the
+whole graph and its rules, and refuses, naming the source, one that reaches
+under 3 nodes or a rule the simulator cannot play there. Playing, one job
+per source, only draws, walks and tallies.
+
 Only rules whose equilibrium path is a greedy walk are supported, and one
 forward walk plays them all: movers, in topological order over the draws
 that reach them, step onto the successor of least key, the smallest index
 on ties. The local rule's key is the edge's loss; a fixed-weight rule's, with
-positive weight on every multi-option mover, adds the head's cheapest cost.
+positive weight on every multi-option mover, adds the head's cheapest cost;
+it does not read the weights, so all fixed-weight rules share one walk.
 
 Each source's draws are summed into one tally per rule: the per-agent
 liabilities (`liab`) and their squares (`sq`), the realized totals
@@ -33,13 +40,14 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graph import Dag, GraphValidationError, reachable_subgraph
+from .graph import Dag, GraphError, reachable_subgraph
 from .io import load_json
 from .rules import LocalRule, make_rule
+from .weights import WeightsError
 
 DENSITY_RANGE = (0.0, 150.0)
 DENSITY_BINS = 600
@@ -289,46 +297,64 @@ def _density(vals) -> np.ndarray:
     return np.bincount((v * 4).astype(np.int64).ravel(), minlength=DENSITY_BINS)
 
 
-def _prepare_engines(sub: Dag, specs: Sequence[str]) -> list[Optional[np.ndarray]]:
-    """Per rule, its float weights for the cheapest-path walk, or None for
-    the local rule's own-edge walk."""
-    engines = []
-    for spec in specs:
-        rule = make_rule(spec, sub)
-        if rule.weights is not None:
-            if not rule.weights.in_delta_star(sub):
-                raise SimError(
-                    f"rule {spec!r} gives some multi-option mover zero weight; "
-                    "its equilibrium path is not a greedy walk"
-                )
-            engines.append(np.array([float(x) for x in rule.weights.values]))
-        elif isinstance(rule, LocalRule):
-            engines.append(None)
-        else:
-            raise SimError(f"rule {spec!r} is not supported by the vectorized simulator")
-    return engines
+class SourcePlan(NamedTuple):
+    """One source's subgraph as its edges' (tails, heads), sorted, with the source at node
+    0; each node's index in the whole graph; and per rule spec its float weights for the
+    cheapest-path walk, or None for the local rule's."""
+
+    edges: np.ndarray
+    gmap: np.ndarray
+    engines: dict[str, Optional[np.ndarray]]
+
+
+def _engine(spec: str, sub: Dag) -> Optional[np.ndarray]:
+    rule = make_rule(spec, sub)
+    if isinstance(rule, LocalRule):
+        return None
+    if rule.weights is None:
+        raise SimError(f"rule {spec!r} is not supported by the vectorized simulator")
+    if not rule.weights.in_delta_star(sub):
+        raise SimError(
+            f"rule {spec!r} gives some multi-option mover zero weight; "
+            "its equilibrium path is not a greedy walk"
+        )
+    return np.array([float(x) for x in rule.weights.values])
+
+
+def plan_sources(hg: HourglassGraph, specs: Sequence[str]) -> list[SourcePlan]:
+    """One plan per source of `hg`, in source order; the first source that
+    cannot be simulated raises SimError naming it."""
+    graph = (hg.labels, hg.edge_labels())
+    index = {label: i for i, label in enumerate(hg.labels)}
+    plans = []
+    for src in hg.sources:
+        label = hg.labels[src]
+        try:
+            sub = reachable_subgraph(graph, label)
+            engines = {spec: _engine(spec, sub) for spec in specs}
+        except (GraphError, WeightsError) as exc:
+            raise SimError(f"cannot simulate from source {label!r}: {exc}") from None
+        edges = np.array(sub.edges, dtype=np.int64).T
+        plans.append(SourcePlan(edges, np.array([index[x] for x in sub.labels]), engines))
+    return plans
 
 
 def _simulate_source(args):
-    """Play every draw from one source: (summed efficient totals, a tally
-    per rule spec)."""
-    (labels, label_edges, src_label, specs, draws, low, high, seed_seq, n_global) = args
-    try:
-        sub = reachable_subgraph((list(labels), list(label_edges)), src_label)
-    except GraphValidationError as exc:
-        raise SimError(f"cannot simulate from source {src_label!r}: {exc}") from None
-    gmap = np.array([labels.index(lab) for lab in sub.labels])
-    engines = _prepare_engines(sub, specs)
-    # one column of U per edge; sorted edges list each node's heads in `succ` order
-    tails, heads = np.array(sub.edges, dtype=np.int64).T
-    succ_cols = [np.flatnonzero(tails == i) for i in range(sub.n)]
+    """Play every draw of one planned source: (summed efficient totals, a
+    tally per rule spec)."""
+    plan, n_global, draws, low, high, seed_seq = args
+    (tails, heads), gmap, engines = plan
+    n = len(gmap)
+    # one column of U per edge; sorted edges list each node's heads in index order
+    succ_cols = [np.flatnonzero(tails == i) for i in range(n)]
     succ_nodes = [heads[cols] for cols in succ_cols]
-    movers = [i for i in range(sub.n) if sub.succ[i]]
+    movers = [i for i in range(n) if succ_cols[i].size]
+    any_fixed = any(w is not None for w in engines.values())
 
     def walk(U, L=None):
         """Movers in topological order step their rows to the successor of least key (the
         loss in U, plus `L` at the head if given), smallest index first; yields (i, rows, keys)."""
-        at = np.full(len(U), sub.source)
+        at = np.zeros(len(U), dtype=np.int64)  # at the source
         for i in movers:
             rows = np.nonzero(at == i)[0]
             if rows.size:
@@ -343,23 +369,26 @@ def _simulate_source(args):
     tallies = {
         r: dict(liab=np.zeros(n_global), sq=np.zeros(n_global), real=0.0, len=0,
                 hist=np.zeros(DENSITY_BINS, dtype=np.int64), zeros=0)
-        for r in specs
+        for r in engines
     }
     rng = np.random.default_rng(seed_seq)
     for done in range(0, draws, _CHUNK):
         ch = min(_CHUNK, draws - done)
-        U = rng.uniform(low, high, size=(ch, len(sub.edges)))
-        L = np.zeros((ch, sub.n))
+        U = rng.uniform(low, high, size=(ch, tails.size))
+        L = np.zeros((ch, n))
         for i in reversed(movers):
             L[:, i] = (U[:, succ_cols[i]] + L[:, succ_nodes[i]]).min(axis=1)
-        teff = L[:, sub.source]
+        teff = L[:, 0]
         sum_t = float(teff.sum())
         eff += sum_t
+        # every fixed-weight rule, with positive weight on each multi-option
+        # mover, realizes this one cheapest walk, whatever its weights
+        steps = sum(rows.size for _, rows, _ in walk(U, L)) if any_fixed else 0
 
-        for spec, weights in zip(specs, engines):
+        for spec, weights in engines.items():
             t = tallies[spec]
             if weights is not None:
-                t["len"] += sum(rows.size for _, rows, _ in walk(U, L))
+                t["len"] += steps
                 t["real"] += sum_t
                 np.add.at(t["liab"], gmap, weights * sum_t)
                 np.add.at(t["sq"], gmap, (weights * weights) * float((teff * teff).sum()))
@@ -394,15 +423,11 @@ def run_simulation(
     if workers < 1:
         raise SimError(f"workers must be at least 1, got {workers}")
     hg = graph if graph is not None else generate_hourglass(config.graph)
-    sources = hg.sources
     specs = tuple(config.rules)
-    seed_children = np.random.SeedSequence(config.seed).spawn(len(sources))
-    label_edges = tuple(hg.edge_labels())
-    jobs = [
-        (hg.labels, label_edges, hg.labels[src], specs, config.draws,
-         config.loss_low, config.loss_high, seed_children[k], hg.n)
-        for k, src in enumerate(sources)
-    ]
+    plans = plan_sources(hg, specs)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(plans))
+    jobs = [(plan, hg.n, config.draws, config.loss_low, config.loss_high, seed)
+            for plan, seed in zip(plans, seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_simulate_source, jobs))
@@ -416,7 +441,7 @@ def run_simulation(
             for key, value in t.items():
                 tallies[r][key] += value
 
-    total_draws = config.draws * len(sources)
+    total_draws = config.draws * len(plans)
     mean_liab = {r: t["liab"] / total_draws for r, t in tallies.items()}
     mean_sq = {r: t["sq"] / total_draws for r, t in tallies.items()}
     mean_real = {r: t["real"] / total_draws for r, t in tallies.items()}

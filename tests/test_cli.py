@@ -517,23 +517,61 @@ class TestParserLimits:
         assert err.startswith(f"error: {bad}: invalid JSON") and err.count("\n") == 1
 
 
-class TestShapeErrors:
-    """Graph files and simulate configs that parse as JSON but have the wrong
-    shape fail with exit 2 and one `error:` line."""
+# s-a-t, and the same graph with one field replaced or dropped
+GOOD = {"nodes": ["s", "a", "t"], "edges": [{"from": "s", "to": "a"}, {"from": "a", "to": "t"}]}
+# a graph file of each wrong shape, and what its error names
+GRAPH_SHAPES = {
+    "edges-not-list": ({**GOOD, "edges": 5}, "'edges' must be a list"),
+    "from-not-string": ({**GOOD, "edges": [{"from": "s", "to": "a"}, {"from": ["s"], "to": "a"}]},
+                        "edge #1 'from' and 'to' must be string labels"),
+    "not-object": (["s", "a", "t"], "must be an object with 'nodes' and 'edges'"),
+    "no-nodes": ({"edges": GOOD["edges"]}, "must be an object with 'nodes' and 'edges'"),
+    "no-edges": ({"nodes": GOOD["nodes"]}, "must be an object with 'nodes' and 'edges'"),
+    "nodes-not-list": ({**GOOD, "nodes": "sat"}, "'nodes' must be a list of string labels"),
+    "node-not-string": ({**GOOD, "nodes": ["s", 1, "t"]}, "'nodes' must be a list of string"),
+    "edge-not-object": ({**GOOD, "edges": [["s", "a"]]}, "edge #0 must be an object"),
+    "edge-without-to": ({**GOOD, "edges": [{"from": "s"}]}, "edge #0 must be an object"),
+    "loss-negative": ({**GOOD, "edges": [{"from": "s", "to": "a", "loss": -1}]},
+                      "edge #0 loss must be a non-negative number"),
+    "loss-bool": ({**GOOD, "edges": [{"from": "s", "to": "a", "loss": True}]},
+                  "edge #0 loss must be a non-negative number"),
+    "source-not-string": ({**GOOD, "source": 0}, "'source' must be a string label"),
+}
+# a losses file for fork.json of each wrong shape
+LOSSES_SHAPES = {
+    "not-object": ([1, 2], "losses file must be an object"),
+    "key-without-arrow": ({"s-i": 1}, "bad edge key 's-i'"),
+    "value-not-number": ({"s->i": "1"}, "loss for 's->i' must be a non-negative number"),
+    "non-edge": ({"i->j": 1}, "losses file names a non-edge 'i->j'"),
+}
+# a weights file for chain_bypass_3.json of each wrong shape
+WEIGHTS_SHAPES = {
+    "not-object": ([0.5, 0.5], "weights file must be an object"),
+    "weight-not-number": ({"s": "1"}, "weight for 's' must be a number"),
+}
+SHAPE_CASES = [
+    pytest.param((command, "{file}"), data, message, id=f"{name}-{command}")
+    for name, (data, message) in GRAPH_SHAPES.items()
+    for command in ("paths", "validate")
+] + [
+    pytest.param(("efficient", FORK, "--losses", "{file}"), data, message, id=f"losses-{name}")
+    for name, (data, message) in LOSSES_SHAPES.items()
+] + [
+    pytest.param(("spe", CHAIN3, "--rule", "fixed:file={file}"), data, message,
+                 id=f"weights-{name}")
+    for name, (data, message) in WEIGHTS_SHAPES.items()
+]
 
-    @pytest.mark.parametrize("command", ["validate", "paths"])
-    @pytest.mark.parametrize(
-        "edges, message",
-        [
-            (5, "'edges' must be a list"),
-            ([{"from": "s", "to": "a"}, {"from": ["s"], "to": "a"}], "edge #1"),
-        ],
-        ids=["edges-not-list", "from-not-string"],
-    )
-    def test_graph_file(self, capsys, tmp_path, command, edges, message):
-        graph = tmp_path / "graph.json"
-        graph.write_text(json.dumps({"nodes": ["s", "a", "t"], "edges": edges}))
-        code, data, err = run(capsys, command, str(graph))
+
+class TestShapeErrors:
+    """Graph, losses and weights files and simulate configs that parse as
+    JSON but have the wrong shape fail with exit 2 and one `error:` line."""
+
+    @pytest.mark.parametrize("argv, content, message", SHAPE_CASES)
+    def test_graph_file(self, capsys, tmp_path, argv, content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, data, err = run(capsys, *(a.format(file=path) for a in argv))
         assert code == 2
         assert data is None
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -564,6 +602,30 @@ class TestShapeErrors:
         assert data is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # fits n0_0's subgraph but names n0_0, which n0_1 does not reach
+            ({"n0_0": 0.5, "n1_0": 0.5}, "source 'n0_1': unknown node label: 'n0_0'"),
+            ({"n0_0": 0.5, "n1_0": 0.25}, "source 'n0_0': weights must sum to 1 (got 0.75)"),
+        ],
+        ids=["outside-a-subgraph", "sum-off"],
+    )
+    def test_simulate_weights_file_names_the_source(self, capsys, tmp_path, weights, message):
+        # n0_0 and n0_1 both feed n1_0, which feeds n2_0 and n2_1
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps(weights))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "layers": [2, 1, 2], "p_next": 1.0, "p_skip": 0.0, "draws": 5,
+            "rules": [f"fixed:file={weights_file}", "local"],
+        }))
+        code, data, err = run(capsys, "simulate", str(config))
+        assert code == 2
+        assert data is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot simulate from {message}" in err
 
 
 GUARD_ARGV = {

@@ -81,6 +81,27 @@ class TestValidate:
         rep = validate(["s", "i", "t"], [("s", "i"), ("s", "i"), ("i", "t")])
         assert not rep.valid
 
+    @pytest.mark.parametrize(
+        "nodes, edges, source, check, detail",
+        [
+            (["s", "a", "a", "t"], [("s", "a"), ("a", "t")], None, "labels",
+             "duplicate node labels: ['a']"),
+            (["s", "a", "t"], [("s", "a"), ("a", "x")], None, "labels",
+             "edge ('a', 'x') references an unknown node"),
+            (["s", "a", "t"], [("s", "a"), ("a", "a"), ("a", "t")], None, "labels",
+             "self-loop at 'a'"),
+            (["s", "a", "t"], [("s", "a"), ("s", "a"), ("a", "t")], None, "labels",
+             "duplicate edge ('s', 'a')"),
+            (["s", "a", "t"], [("s", "a"), ("a", "t")], "x", "unique_source",
+             "declared source 'x' unknown"),
+        ],
+        ids=["duplicate-label", "unknown-node", "self-loop", "duplicate-edge", "unknown-source"],
+    )
+    def test_failure_details(self, nodes, edges, source, check, detail):
+        rep = validate(nodes, edges, source=source)
+        assert not rep.valid
+        assert [c.detail for c in rep.failures() if c.name == check] == [detail]
+
     def test_build_raises_with_details(self):
         with pytest.raises(GraphValidationError, match="cycle"):
             build_dag(["s", "i", "t"], [("s", "i"), ("i", "s"), ("i", "t")])

@@ -23,6 +23,7 @@ from liabnet.sim import (
     _weighted_gini,
     generate_hourglass,
     gini,
+    plan_sources,
     run_simulation,
 )
 
@@ -259,14 +260,11 @@ class TestEngineAgainstSolver:
 
     def test_single_draw_matches_spe(self):
         hg = generate_hourglass(SMALL)
-        labels, label_edges = hg.labels, tuple(hg.edge_labels())
-        for k, src in enumerate(hg.sources[:3]):
+        plans = plan_sources(hg, ("fixed:wstar", "local"))
+        for k, plan in enumerate(plans[:3]):
             seed_seq = np.random.SeedSequence(99).spawn(len(hg.sources))[k]
-            eff_sum, out = _simulate_source(
-                (labels, label_edges, labels[src], ("fixed:wstar", "local"),
-                 1, 0.0, 100.0, seed_seq, hg.n)
-            )
-            sub = reachable_subgraph((list(labels), list(label_edges)), labels[src])
+            eff_sum, out = _simulate_source((plan, hg.n, 1, 0.0, 100.0, seed_seq))
+            sub = reachable_subgraph((hg.labels, hg.edge_labels()), hg.labels[hg.sources[k]])
             losses = self.rebuild_losses(sub, seed_seq, 0.0, 100.0)
             caps = continuation_costs(sub, losses)
             assert eff_sum == pytest.approx(caps[sub.source], abs=1e-9)
@@ -282,28 +280,22 @@ class TestEngineAgainstSolver:
 
     def test_fixed_liabilities_scale_with_weights(self):
         hg = generate_hourglass(SMALL)
-        labels, label_edges = hg.labels, tuple(hg.edge_labels())
-        src = hg.sources[0]
+        plan = plan_sources(hg, ("fixed:wstar",))[0]
         seed_seq = np.random.SeedSequence(5).spawn(1)[0]
-        _, out = _simulate_source(
-            (labels, label_edges, labels[src], ("fixed:wstar",), 1, 0.0, 100.0, seed_seq, hg.n)
-        )
-        sub = reachable_subgraph((list(labels), list(label_edges)), labels[src])
+        _, out = _simulate_source((plan, hg.n, 1, 0.0, 100.0, seed_seq))
+        sub = reachable_subgraph((list(hg.labels), hg.edge_labels()), hg.labels[hg.sources[0]])
         rule = make_rule("fixed:wstar", sub)
         total = out["fixed:wstar"]["real"]
         for i, lab in enumerate(sub.labels):
-            g = labels.index(lab)
+            g = hg.labels.index(lab)
             want = float(rule.weights.values[i]) * total
             assert out["fixed:wstar"]["liab"][g] == pytest.approx(want, abs=1e-9)
 
 
-def source_tallies(hg, src, specs, draws, low, high):
-    """`_simulate_source`'s tallies for `draws` draws from node `src`."""
-    seed_seq = np.random.SeedSequence(3)
-    return _simulate_source(
-        (hg.labels, tuple(hg.edge_labels()), hg.labels[src], specs, draws, low, high,
-         seed_seq, hg.n)
-    )[1]
+def source_tallies(hg, k, specs, draws, low, high):
+    """`_simulate_source`'s tallies for `draws` draws from the `k`-th source."""
+    plan = plan_sources(hg, specs)[k]
+    return _simulate_source((plan, hg.n, draws, low, high, np.random.SeedSequence(3)))[1]
 
 
 class TestGreedyWalk:
@@ -315,8 +307,8 @@ class TestGreedyWalk:
     )
     def test_ties_go_to_the_smallest_successor(self, spec, loss):
         hg = generate_hourglass(spec)
-        for src in hg.sources[:6]:
-            out = source_tallies(hg, src, ("fixed:wstar", "local"), 3, loss, loss)
+        for k, src in enumerate(hg.sources[:6]):
+            out = source_tallies(hg, k, ("fixed:wstar", "local"), 3, loss, loss)
             sub = reachable_subgraph((list(hg.labels), hg.edge_labels()), hg.labels[src])
             first = efficient_paths(sub, dict.fromkeys(sub.edges, loss)).paths[0]
             assert out["fixed:wstar"]["len"] == 3 * (len(first) - 1)
@@ -415,6 +407,28 @@ class TestRunSimulation:
         stats = run_simulation(small_config(draws=2), workers=workers)
         assert pools == [started]
         assert stats.total_draws == 2 * 4
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # n0_0 and n0_1 reach 3 nodes or more; n0_2 has one edge, to the last layer
+            ({"layers": [3, 3], "draws": 2_000_000, "seed": 4}, "from source 'n0_2': min_size"),
+            ({"layers": [4, 3, 3], "p_next": 0.7, "p_skip": 0.2, "draws": 1, "rules": ["phi2"],
+              "seed": 7}, "'phi2' is not supported"),
+        ],
+        ids=["source-reaches-two-nodes", "unsupported-rule"],
+    )
+    def test_refused_before_any_draw(self, monkeypatch, config, message):
+        calls = []
+
+        def counted(job):
+            calls.append(job)
+            return _simulate_source(job)
+
+        monkeypatch.setattr(liabnet.sim, "_simulate_source", counted)
+        with pytest.raises(SimError, match=message):
+            run_simulation(SimConfig.from_dict(config))
+        assert calls == []
 
     def test_source_reaching_two_nodes_is_named(self):
         config = SimConfig(graph=LayeredGraphSpec(sizes=(3, 3)), draws=5)

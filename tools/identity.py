@@ -61,7 +61,8 @@ hashing.
 
 also compares every command's hash with the committed baseline, a saved
 run of this script, then names each command whose hash changed, is new or
-is gone, and exits 1 if there is any. Regenerate the baseline with
+is gone, and exits 1 if there is any; `tests/test_identity.py` makes the
+same comparison in the test suite. Regenerate the baseline with
 `python tools/identity.py > tools/identity.sha256` when a change to the
 output is intended.
 """
@@ -345,6 +346,23 @@ def compare(baseline: dict[str, str], hashes: list[tuple[str, str]]) -> int:
     return 1 if report else 0
 
 
+def hash_commands():
+    """Run every command; yield (hash, label) for each, in order."""
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        for label, argv, post in commands(tmp):
+            code, out, err = run(argv, tmp_dir)
+            if post is not None and code == 0:
+                out = post(out)
+            yield digest(str(code), out, err), label
+        for k, (label, argv) in enumerate(simulate_commands(tmp)):
+            sim_dir = tmp / f"simulate-{k}"
+            code, out, err = run([*argv, "--out", str(sim_dir)], tmp_dir)
+            artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
+            parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
+            yield digest(*parts), f"{label} ({len(artifacts)} artifacts)"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, default=None,
@@ -352,21 +370,9 @@ def main() -> int:
     args = parser.parse_args()
     baseline = read_baseline(args.baseline) if args.baseline else None
     hashes = []
-    with tempfile.TemporaryDirectory() as tmp_dir:
-        tmp = Path(tmp_dir)
-        for label, argv, post in commands(tmp):
-            code, out, err = run(argv, tmp_dir)
-            if post is not None and code == 0:
-                out = post(out)
-            hashes.append((digest(str(code), out, err), label))
-            print(*hashes[-1], sep="  ", flush=True)
-        for label, argv in simulate_commands(tmp):
-            sim_dir = tmp / f"simulate-{len(hashes)}"
-            code, out, err = run([*argv, "--out", str(sim_dir)], tmp_dir)
-            artifacts = [(p.name, p.read_bytes()) for p in sorted(sim_dir.iterdir())]
-            parts = [str(code), out, err] + [x for pair in artifacts for x in pair]
-            hashes.append((digest(*parts), f"{label} ({len(artifacts)} artifacts)"))
-            print(*hashes[-1], sep="  ", flush=True)
+    for pair in hash_commands():
+        hashes.append(pair)
+        print(*pair, sep="  ", flush=True)
     print(digest(*(h for h, _ in hashes)), f"all {len(hashes)} commands", sep="  ")
     return 0 if baseline is None else compare(baseline, hashes)
 
