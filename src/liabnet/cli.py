@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from typing import Optional, Sequence
@@ -255,7 +256,10 @@ def _cmd_simulate(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every `main` call, which
+    only reads it."""
     parser = argparse.ArgumentParser(
         prog="liabnet",
         description=(

@@ -186,9 +186,13 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimConfig":
         """Config from a parsed JSON object; absent fields take defaults,
-        and a field of the wrong type raises SimError."""
+        and an unknown field or one of the wrong type raises SimError."""
         if not isinstance(data, Mapping):
             raise SimError("simulation config must be a JSON object")
+        known = ("layers", "p_next", "p_skip", "draws", "loss_low", "loss_high", "rules", "seed")
+        unknown = [key for key in data if key not in known]
+        if unknown:
+            raise SimError(f"unknown config field {unknown[0]!r} (known: {', '.join(known)})")
 
         def get(key, default, ok, what):
             if key not in data:

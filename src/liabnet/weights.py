@@ -52,9 +52,6 @@ class WeightVector:
     nums: tuple[int, ...] | None = field(default=None, compare=False)
     den: int = field(default=1, compare=False)
 
-    def __getitem__(self, i: int) -> Num:
-        return self.values[i]
-
     def as_dict(self, dag: Dag) -> dict[str, float]:
         return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
 

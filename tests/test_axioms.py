@@ -17,8 +17,8 @@ from liabnet.axioms import (
 from liabnet.game import SpeSolution
 from liabnet.generators import random_simplex_weights
 from liabnet.graph import build_dag
-from liabnet.rules import fixed_rule, make_rule
-from liabnet.weights import WeightVector
+from liabnet.rules import FixedWeightRule, fixed_rule, make_rule
+from liabnet.weights import WeightVector, wstar_dp
 
 from conftest import ladder
 
@@ -116,6 +116,12 @@ class TestPairwiseCollusion:
         rep = check_axiom("PCP", spec, trials=150, seed=13)
         assert rep.passed, rep.counterexample
 
+    def test_float_losses_compare_within_the_tolerance(self, fork):
+        # float losses switch the pair comparisons to the 1e-9 tolerance
+        losses = dict(zip(fork.edges, (0.1, 0.2, 0.3, 0.1, 0.2, 0.3)))
+        rep = check_axiom("PCP", "fixed:wstar", dag=fork, losses=losses, trials=1)
+        assert rep.passed, rep.counterexample
+
     def test_checks_each_deviation_once_per_split(self, monkeypatch):
         # all 256 paths of the 8-stage all-ties ladder are equilibria with
         # one split, each deviating at 8 deciders: 2,048 deviations, but
@@ -172,6 +178,25 @@ class TestDownstreamMono:
         rep = check_property("DOWNSTREAM_MONO", spec, trials=10, seed=3)
         assert not rep.applicable
         assert not rep.passed
+
+    def test_decreasing_payment_gives_a_counterexample(self):
+        # positive weights, so the check applies, but each mover pays less
+        # the more the path loses, against the cost order
+        class Decreasing(FixedWeightRule):
+            def split(self, path, total):
+                return tuple(w * (100 - total) for w in self._shares)
+
+        rep = check_property(
+            "DOWNSTREAM_MONO", lambda dag, rng: Decreasing(dag, wstar_dp(dag), "decreasing"),
+            trials=50, seed=0,
+        )
+        assert rep.applicable and not rep.passed
+        cex = rep.counterexample
+        costs, pays = cex["continuation_costs"], cex["mover_liabilities"]
+        assert costs[0] != costs[1]
+        assert (costs[0] < costs[1]) == (pays[0] > pays[1])
+        assert cex["history"][-1] == cex["mover"]
+        assert len(cex["branches"]) == 2
 
     def test_fixed_graph_without_eligible_mover(self):
         dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
@@ -393,6 +418,15 @@ class TestValidation:
     def test_losses_require_graph(self):
         with pytest.raises(AxiomError):
             check_axiom("EI", "fixed:wstar", losses={(0, 1): 1}, trials=1)
+
+    def test_bound_rule_on_its_own_graph(self, fork):
+        rule = make_rule("fixed:wstar", fork)
+        rep = check_axiom("SI", rule, dag=fork, trials=3)
+        assert rep.passed and rep.rule == "fixed:wstar"
+
+    def test_uninterpretable_rule_rejected(self):
+        with pytest.raises(AxiomError, match="cannot interpret rule 3"):
+            check_axiom("EI", 3, trials=1)
 
     def test_bound_rule_on_foreign_graph_rejected(self, fork, diamond):
         rule = fixed_rule(

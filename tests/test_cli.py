@@ -10,7 +10,7 @@ import pytest
 
 import liabnet.graph
 import liabnet.rules
-from liabnet.cli import main
+from liabnet.cli import build_parser, main
 from liabnet.graph import efficient_paths
 from liabnet.io import load_graph_file, load_losses_file
 
@@ -192,6 +192,13 @@ class TestLiability:
             capsys, "liability", CHAIN3, "--rule", "nope", "--path", "s,t"
         )
         assert code == 2
+
+    def test_path_without_labels_exits_2(self, capsys):
+        code, data, err = run(
+            capsys, "liability", CHAIN3, "--rule", "local", "--path", " , "
+        )
+        assert (code, data) == (2, None)
+        assert err == "error: --path must list node labels separated by commas\n"
 
     @pytest.mark.parametrize(
         "path, names",
@@ -590,9 +597,14 @@ class TestShapeErrors:
              "too large"),
             # n0_0 has one edge, so it reaches only 2 nodes
             ({"layers": [3, 3], "draws": 5}, "cannot simulate from source 'n0_0'"),
+            ({"layers": [3, 3, 3], "draw": 10},
+             "unknown config field 'draw' (known: layers, p_next, p_skip, draws, loss_low, "
+             "loss_high, rules, seed)"),
+            ({"chunk": 0}, "unknown config field 'chunk'"),
         ],
         ids=["list", "draws-string", "layers-int", "rules-repeated", "loss-high-1e308",
-             "loss-high-1.7e308", "loss-low-1e308", "source-reaches-two-nodes"],
+             "loss-high-1.7e308", "loss-low-1e308", "source-reaches-two-nodes",
+             "unknown-field-draw", "unknown-field-chunk"],
     )
     def test_simulate_config(self, capsys, tmp_path, config, message):
         path = tmp_path / "config.json"
@@ -767,3 +779,46 @@ class TestParser:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("{\n")
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; no call sees another's
+    arguments, errors or help."""
+
+    EI = ("check", "--axiom", "EI", "--rule", "fixed:wstar", "--trials", "5", "--seed", "1")
+
+    def test_second_call_does_not_see_the_first_calls_flags(self, capsys):
+        assert run(capsys, *self.EI)[0] == 0
+        code, data, err = run(
+            capsys, "check", "--property", "PATH_INDEP", "--rule", "fixed:wstar",
+            "--trials", "5", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert data["id"] == "PATH_INDEP"
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys):
+        build_parser.cache_clear()
+        first = run(capsys, *self.EI)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--trials", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run(capsys, *self.EI) == first
+        assert first[0] == 0
+
+    def test_help_twice_is_identical(self, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--help"])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: liabnet check")
+
+    def test_parser_built_once(self, capsys):
+        build_parser.cache_clear()
+        main(["validate", FORK])
+        main(["paths", FORK])
+        assert build_parser.cache_info().misses == 1
+        assert build_parser.cache_info().hits == 1

@@ -442,6 +442,7 @@ class TestRobustEfficiency:
             dag, losses = sample_game(rng)
             res = check_robust_efficiency(dag, losses, make_rule(spec, dag))
             assert res.robust and res.witness is None
+            assert bool(res) is res.robust
 
     def test_punish_first_fails_off_path(self):
         dag = build_dag(
@@ -456,6 +457,8 @@ class TestRobustEfficiency:
         }
         res = check_robust_efficiency(dag, losses, make_rule("punish-first", dag))
         assert not res.robust
+        # the result reads as its verdict in a condition
+        assert bool(res) is res.robust
         assert res.witness["history"] == ["s", "a"]
         assert res.witness["chosen"] == "t3"
         assert res.witness["optimal"] == ["t2"]

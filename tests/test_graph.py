@@ -15,6 +15,7 @@ from liabnet.graph import (
     Path,
     PathCapExceeded,
     build_dag,
+    check_losses,
     count_paths,
     efficient_paths,
     enumerate_paths,
@@ -25,6 +26,7 @@ from liabnet.graph import (
 from liabnet.generators import (
     randbelow,
     random_dag,
+    random_dag_with_paths,
     random_losses,
     random_simplex_weights,
 )
@@ -173,6 +175,17 @@ class TestDagFromIndices:
         with pytest.raises(GraphValidationError, match="min_size"):
             random_dag(random.Random(0), 2, 2)
 
+    def test_path_bounds_no_draw_meets_raise(self):
+        # every DAG has a path, so none of the 1,000 draws has at most 0
+        with pytest.raises(RuntimeError, match="within bounds"):
+            random_dag_with_paths(random.Random(0), 2, 4, max_paths=0)
+
+    def test_all_zero_simplex_draw_puts_the_weight_on_the_source(self):
+        # seed 3082 draws 0 for all three nodes of the line
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
+        w = random_simplex_weights(random.Random(3082), dag, positive_deciders=False)
+        assert w == {0: 1, 1: 0, 2: 0}
+
 
 # made by `draw_stream_sha256()` on the generators that drew through
 # `randint`/`randrange`, before `randbelow`
@@ -274,6 +287,23 @@ class TestCount:
         for _ in range(60):
             dag = random_dag(rng, 4, 9, 0.4)
             assert count_paths(dag) == len(enumerate_paths(dag))
+
+
+class TestCheckLosses:
+    @pytest.mark.parametrize(
+        "loss, message",
+        [
+            (float("nan"), "is NaN"),
+            (-1, "must be finite and >= 0, got -1"),
+            (float("inf"), "must be finite and >= 0, got inf"),
+        ],
+        ids=["nan", "negative", "inf"],
+    )
+    def test_bad_loss_refused(self, fork, loss, message):
+        losses = {e: 1 for e in fork.edges}
+        losses[fork.edges[0]] = loss
+        with pytest.raises(GraphError, match=message):
+            check_losses(fork, losses)
 
 
 class TestEfficient:

@@ -309,6 +309,12 @@ class TestApplyRuleValidation:
         with pytest.raises(GraphError):
             apply_rule(make_rule("fixed:equal", fork), bad, losses)
 
+    def test_rejects_repeated_node(self, fork):
+        losses = {e: 1 for e in fork.edges}
+        bad = path_of(fork, "s", "j", "j", "t")
+        with pytest.raises(GraphError, match="path repeats a node"):
+            apply_rule(make_rule("fixed:equal", fork), bad, losses)
+
     def test_rejects_partial_losses(self, fork):
         losses = {e: 1 for e in fork.edges}
         losses.pop((fork.index("k"), fork.index("t")))

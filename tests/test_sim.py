@@ -49,6 +49,11 @@ class TestGini:
         vals = [3.0, 1.0, 4.0, 1.0, 5.0]
         assert gini(vals) == pytest.approx(gini([10 * v for v in vals]))
 
+    def test_weighted_all_zero(self):
+        # no positive weight, and positive weight on zero values only
+        assert _weighted_gini(np.array([1.0, 2.0]), np.array([0, 0])) == 0.0
+        assert _weighted_gini(np.array([0.0, 2.0]), np.array([3, 0])) == 0.0
+
     def test_weighted_matches_expanded(self):
         vals = np.array([0.0, 2.0, 5.0, 9.0])
         weights = np.array([3, 1, 4, 2])
@@ -194,6 +199,8 @@ class TestConfig:
             {"p_next": math.nan},
             {"rules": "local"},
             {"rules": ["local", 3]},
+            {"layers": [3, 3, 3], "draw": 10},
+            {"chunk": 0},
         ],
     )
     def test_shape_errors_raise(self, data):

@@ -352,6 +352,17 @@ class TestCoreCheck:
         subset = [[fork.index("s")], [fork.index("s"), fork.index("i")]]
         assert core_check(fork, w, coalitions=subset) == []
 
+    def test_explicit_coalition_violation(self, fork):
+        w = {fork.index("j"): F(1, 2), fork.index("k"): F(1, 2)}
+        s_i = (fork.index("s"), fork.index("i"))
+        value = path_counting_value(fork, s_i)
+        assert core_check(fork, w, coalitions=[[fork.index("j")], s_i]) == [{
+            "coalition": ("s", "i"),
+            "weight_sum": 0.0,
+            "value": float(value),
+            "deficit": float(value),
+        }]
+
 
 class TestWeightVector:
     def test_check_simplex(self):
