@@ -143,130 +143,94 @@ class Path:
 
 def _structural_checks(
     nodes: Sequence[str], edges: Sequence[LabelEdge], source: str | None
-) -> tuple[list[CheckResult], tuple[str, ...] | None, list[LabelEdge]]:
-    """Run hard validation checks on raw data.
+) -> tuple[list[CheckResult], Dag | None]:
+    """Run the hard validation checks on raw data and, if all pass, build
+    the Dag; (checks, dag), with dag None whenever any check failed.
 
-    Returns (checks, topo_order_labels or None, normalized_edges). The topo
-    order is None whenever any check failed.
+    Works on input positions: each label maps to its first position, each
+    accepted edge to a pair of positions, and Kahn's algorithm takes the
+    smallest ready position first.
     """
-    checks: list[CheckResult] = []
-    seen: set[str] = set()
-    dup = [x for x in nodes if x in seen or seen.add(x)]
-    edge_pairs: list[LabelEdge] = []
-    bad: list[str] = []
-    if dup:
-        bad.append(f"duplicate node labels: {sorted(set(dup))}")
-    known = set(nodes)
-    eseen: set[LabelEdge] = set()
-    for e in edges:
-        u, v = e
-        if u not in known or v not in known:
+    first: dict[str, int] = {}
+    dup = sorted({x for k, x in enumerate(nodes) if first.setdefault(x, k) != k})
+    bad = [f"duplicate node labels: {dup}"] if dup else []
+    succ: list[list[int]] = [[] for _ in nodes]
+    indeg = [0] * len(nodes)
+    seen: set[Edge] = set()
+    kept: list[Edge] = []
+    for u, v in edges:
+        if u not in first or v not in first:
             bad.append(f"edge ({u!r}, {v!r}) references an unknown node")
-            continue
-        if u == v:
+        elif u == v:
             bad.append(f"self-loop at {u!r}")
-            continue
-        if (u, v) in eseen:
+        elif (e := (first[u], first[v])) in seen:
             bad.append(f"duplicate edge ({u!r}, {v!r})")
-            continue
-        eseen.add((u, v))
-        edge_pairs.append((u, v))
-    checks.append(
-        CheckResult("labels", not bad, "; ".join(bad) if bad else "labels and edges well formed")
-    )
-    checks.append(
-        CheckResult(
-            "min_size",
-            len(nodes) >= 3,
-            f"{len(nodes)} nodes (need at least 3)",
-        )
-    )
+        else:
+            seen.add(e)
+            kept.append(e)
+            succ[e[0]].append(e[1])
+            indeg[e[1]] += 1
+    checks = [
+        CheckResult("labels", not bad, "; ".join(bad) if bad else "labels and edges well formed"),
+        CheckResult("min_size", len(nodes) >= 3, f"{len(nodes)} nodes (need at least 3)"),
+    ]
     if bad:
-        return checks, None, edge_pairs
+        return checks, None
 
-    pos = {x: k for k, x in enumerate(nodes)}
-    indeg = {x: 0 for x in nodes}
-    out: dict[str, list[str]] = {x: [] for x in nodes}
-    for u, v in edge_pairs:
-        indeg[v] += 1
-        out[u].append(v)
-
-    # Kahn's algorithm; ties broken by input position for reproducibility.
-    heap = [pos[x] for x in nodes if indeg[x] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    deg = dict(indeg)
+    roots = [k for k, d in enumerate(indeg) if not d]
+    heap = roots.copy()  # ascending, so already a heap
+    order: list[int] = []
     while heap:
-        x = nodes[heapq.heappop(heap)]
-        order.append(x)
-        for y in out[x]:
-            deg[y] -= 1
-            if deg[y] == 0:
-                heapq.heappush(heap, pos[y])
+        k = heapq.heappop(heap)
+        order.append(k)
+        for j in succ[k]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(heap, j)
     acyclic = len(order) == len(nodes)
     checks.append(
-        CheckResult(
-            "acyclic",
-            acyclic,
-            "topological order exists" if acyclic else "cycle detected",
-        )
+        CheckResult("acyclic", acyclic, "topological order exists" if acyclic else "cycle detected")
     )
 
-    roots = [x for x in nodes if indeg[x] == 0]
-    if source is not None and source not in known:
-        checks.append(CheckResult("unique_source", False, f"declared source {source!r} unknown"))
+    unique = False
+    if source is not None and source not in first:
+        detail = f"declared source {source!r} unknown"
     elif not roots:
-        checks.append(CheckResult("unique_source", False, "zero nodes with in-degree 0"))
+        detail = "zero nodes with in-degree 0"
     elif len(roots) > 1:
-        checks.append(
-            CheckResult("unique_source", False, f"multiple in-degree-0 nodes: {roots}")
-        )
-    elif source is not None and roots[0] != source:
-        checks.append(
-            CheckResult(
-                "unique_source",
-                False,
-                f"declared source {source!r} but in-degree-0 node is {roots[0]!r}",
-            )
-        )
+        detail = f"multiple in-degree-0 nodes: {[nodes[k] for k in roots]}"
+    elif source is not None and nodes[roots[0]] != source:
+        detail = f"declared source {source!r} but in-degree-0 node is {nodes[roots[0]]!r}"
     else:
-        checks.append(CheckResult("unique_source", True, f"source is {roots[0]!r}"))
+        unique, detail = True, f"source is {nodes[roots[0]]!r}"
+    checks.append(CheckResult("unique_source", unique, detail))
 
     if acyclic and len(roots) == 1:
-        reach = _reachable(out, roots[0])
-        unreachable = [x for x in nodes if x not in reach]
+        # Both always pass here. In an acyclic graph every node has an
+        # in-degree-0 ancestor, and there is only one, so it reaches every
+        # node; and the last node in topological order has no successor.
+        checks.append(CheckResult("connected", True, "every node reachable from the source"))
         checks.append(
-            CheckResult(
-                "connected",
-                not unreachable,
-                "every node reachable from the source"
-                if not unreachable
-                else f"unreachable nodes: {unreachable}",
-            )
+            CheckResult("sinks", True, f"sinks: {[x for x, s in zip(nodes, succ) if not s]}")
         )
-        sinks = [x for x in nodes if not out[x]]
-        checks.append(
-            CheckResult("sinks", bool(sinks), f"sinks: {sinks}" if sinks else "no sink node")
-        )
-    ok = all(c.passed for c in checks)
-    return checks, tuple(order) if ok else None, edge_pairs
-
-
-def _reachable(out: Mapping[str, Sequence[str]], root: str) -> set[str]:
-    """Labels reachable from `root` along the adjacency lists `out`."""
-    reach, stack = {root}, [root]
-    while stack:
-        for y in out[stack.pop()]:
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
-    return reach
+    if not all(c.passed for c in checks):
+        return checks, None
+    rank = [0] * len(nodes)
+    for r, k in enumerate(order):
+        rank[k] = r
+    labels = [nodes[k] for k in order]
+    index = {x: r for r, x in enumerate(labels)}
+    return checks, _index_dag(labels, index, sorted([(rank[u], rank[v]) for u, v in kept]))
 
 
 def build_dag(
     nodes: Sequence[str], edges: Sequence[LabelEdge], source: str | None = None
 ) -> Dag:
     """Construct a Dag from raw label data, raising on invalid input.
+
+    Node indices follow the least topological order by input position:
+    each next index goes to the earliest-listed node whose predecessors
+    all have indices already.
 
     Args:
         nodes: node labels (unique).
@@ -277,23 +241,17 @@ def build_dag(
     Raises:
         GraphValidationError: listing every failed structural check.
     """
-    checks, order, edge_pairs = _structural_checks(nodes, edges, source)
-    if order is None:
+    checks, dag = _structural_checks(nodes, edges, source)
+    if dag is None:
         msgs = "; ".join(f"{c.name}: {c.detail}" for c in checks if not c.passed)
         raise GraphValidationError(msgs)
-    return _assemble_dag(order, edge_pairs)
-
-
-def _assemble_dag(order: Sequence[str], edge_pairs: Sequence[LabelEdge]) -> Dag:
-    """Index the order and edge pairs of a passing `_structural_checks`."""
-    index = {x: k for k, x in enumerate(order)}
-    return _index_dag(order, index, sorted((index[u], index[v]) for u, v in edge_pairs))
+    return dag
 
 
 def _index_dag(
     labels: Sequence[str], index: dict[str, int], idx_edges: Sequence[Edge]
 ) -> Dag:
-    """The assembly step shared by `build_dag`, `validate` and
+    """The assembly step shared by `_structural_checks` and
     `generators.random_dag`, whose input is checked or valid by
     construction. `idx_edges` are sorted (u, v) pairs, u < v, into
     `labels`; `index` maps each label to its position."""
@@ -320,7 +278,8 @@ def validate(
     """Validate raw node/edge lists without raising.
 
     Hard checks: well-formed labels, at least 3 nodes, acyclicity, a unique
-    in-degree-0 source, reachability of every node, existence of a sink.
+    in-degree-0 source; reachability of every node and existence of a sink
+    follow from the last two and are reported with them.
     Soft check (warning only): a bottleneck, i.e. an interior node lying on
     every source-to-sink path. With fwd[i] source-to-i paths and bwd[i]
     i-to-sink paths, fwd[i] * bwd[i] paths pass through i, so i is a
@@ -328,10 +287,9 @@ def validate(
     Weights and equilibria stay computable with a bottleneck; only the
     characterization-style tests exclude it.
     """
-    checks, order, edge_pairs = _structural_checks(nodes, edges, source)
+    checks, dag = _structural_checks(nodes, edges, source)
     warnings: list[str] = []
-    if order is not None:
-        dag = _assemble_dag(order, edge_pairs)
+    if dag is not None:
         fwd, bwd = _forward_ways(dag), _backward_ways(dag)
         for i in range(dag.n):
             if i != dag.source and i not in dag.sinks and fwd[i] * bwd[i] == bwd[dag.source]:
@@ -423,16 +381,17 @@ def _paths_along(dag: Dag, keep: Callable[[int, int], bool] | None) -> list[Path
 def check_losses(dag: Dag, losses: Mapping[Edge, Num]) -> None:
     """Verify that `losses` is total, finite and non-negative on dag edges."""
     for e in dag.edges:
-        if e not in losses:
-            u, v = e
-            raise GraphError(
-                f"losses missing edge ({dag.labels[u]!r}, {dag.labels[v]!r})"
-            )
-        x = losses[e]
-        if isinstance(x, float) and x != x:
-            raise GraphError(f"loss on edge {e} is NaN")
-        if x < 0 or (isinstance(x, float) and x == float("inf")):
-            raise GraphError(f"loss on edge {e} must be finite and >= 0, got {x}")
+        x = losses.get(e)
+        if x is None:
+            fault = "losses missing edge {}"
+        elif isinstance(x, float) and x != x:
+            fault = "loss on edge {} is NaN"
+        elif x < 0 or (isinstance(x, float) and x == math.inf):
+            fault = f"loss on edge {{}} must be finite and >= 0, got {x}"
+        else:
+            continue
+        u, v = e
+        raise GraphError(fault.format(f"({dag.labels[u]!r}, {dag.labels[v]!r})"))
 
 
 def path_loss(losses: Mapping[Edge, Num], path: Path) -> Num:
@@ -553,19 +512,33 @@ def reachable_subgraph(
 
     Accepts either a built Dag or raw (labels, edge-label-pairs), so it also
     applies to multi-source graphs that cannot be built directly. Labels are
-    preserved; `root` becomes the unique source.
+    preserved; `root` becomes the unique source. An edge naming an unknown
+    node raises GraphValidationError; a duplicate label is kept, so that
+    `build_dag` refuses it.
     """
     if isinstance(graph, Dag):
         labels: Sequence[str] = graph.labels
         edges: Sequence[LabelEdge] = graph.edge_labels()
     else:
         labels, edges = graph
-    if root not in set(labels):
+    first: dict[str, int] = {}
+    for k, x in enumerate(labels):
+        first.setdefault(x, k)
+    if root not in first:
         raise GraphError(f"root {root!r} not present in graph")
-    out: dict[str, list[str]] = {x: [] for x in labels}
+    succ: list[list[int]] = [[] for _ in labels]
     for u, v in edges:
-        out[u].append(v)
-    reach = _reachable(out, root)
-    sub_nodes = [x for x in labels if x in reach]
-    sub_edges = [(u, v) for u, v in edges if u in reach]
+        if u not in first or v not in first:
+            raise GraphValidationError(f"edge ({u!r}, {v!r}) references an unknown node")
+        succ[first[u]].append(first[v])
+    reached = [False] * len(labels)
+    reached[first[root]] = True
+    stack = [first[root]]
+    while stack:
+        for j in succ[stack.pop()]:
+            if not reached[j]:
+                reached[j] = True
+                stack.append(j)
+    sub_nodes = [x for x in labels if reached[first[x]]]
+    sub_edges = [(u, v) for u, v in edges if reached[first[u]]]
     return build_dag(sub_nodes, sub_edges, source=root)

@@ -750,6 +750,33 @@ def test_cost_off_the_outcomes_too_large_for_float_exits_2(capsys, tmp_path, rul
     assert err == "error: int too large to convert to float\n"
 
 
+BAD_LOSS_ARGV = {
+    "efficient": ("efficient",),
+    "spe": ("spe", "--rule", "local"),
+    "liability": ("liability", "--rule", "fixed:wstar", "--path", "s,a,t"),
+    "check": ("check", "--axiom", "EI", "--rule", "local", "--trials", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_LOSS_ARGV.values(), ids=BAD_LOSS_ARGV.keys())
+@pytest.mark.parametrize(
+    "loss, message",
+    [("NaN", "is NaN"), ("Infinity", "must be finite and >= 0, got inf")],
+    ids=["nan", "inf"],
+)
+def test_bad_loss_names_edge_by_labels(capsys, tmp_path, argv, loss, message):
+    # the message names the file's labels, not the internal indices (0, 1)
+    graph = tmp_path / "bad_loss.json"
+    graph.write_text(
+        '{"nodes": ["s", "a", "t"], "edges": [{"from": "s", "to": "a", "loss": %s},'
+        ' {"from": "a", "to": "t", "loss": 1}, {"from": "s", "to": "t", "loss": 2}]}' % loss
+    )
+    code, data, err = run(capsys, argv[0], str(graph), *argv[1:])
+    assert code == 2
+    assert data is None
+    assert err == f"error: loss on edge ('s', 'a') {message}\n"
+
+
 class TestDeepChain:
     def test_paths_on_1500_node_chain(self, capsys, tmp_path):
         labels = ["s"] + [f"n{k}" for k in range(1, 1499)] + ["t"]

@@ -134,6 +134,70 @@ def listed_dags(draw):
     return draw(st.permutations(dag.labels)), draw(st.permutations(dag.edge_labels()))
 
 
+MUTATIONS = (
+    "duplicate label", "unknown endpoint", "self-loop", "repeated edge", "back edge",
+    "second root", "unknown source", "wrong source", "right source",
+)
+
+
+@st.composite
+def mutated_graphs(draw):
+    """(nodes, edges, source) from `listed_dags`, with up to three drawn
+    mutations, most of which break one structural check."""
+    nodes, edges = draw(listed_dags())
+    nodes, edges, source = list(nodes), list(edges), None
+    root = build_dag(nodes, edges).labels[0]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        at = draw(st.integers(0, len(nodes)))
+        x = draw(st.sampled_from(nodes))
+        if kind == "duplicate label":
+            nodes.insert(at, x)
+        elif kind == "unknown endpoint":
+            edges.insert(at, draw(st.sampled_from([(x, "zz"), ("zz", x)])))
+        elif kind == "self-loop":
+            edges.insert(at, (x, x))
+        elif kind == "repeated edge":
+            edges.append(draw(st.sampled_from(edges)))
+        elif kind == "back edge":
+            u, v = draw(st.sampled_from(edges))
+            edges.insert(at, (v, u))
+        elif kind == "second root":
+            nodes.insert(at, "r2")
+            edges.append(("r2", x))
+        else:
+            source = {"unknown source": "zz", "wrong source": x, "right source": root}[kind]
+    return nodes, edges, source
+
+
+def least_topological_labels(nodes, edges):
+    """The order that repeatedly places the smallest input position whose
+    predecessors are all placed."""
+    placed: list[str] = []
+    while len(placed) < len(nodes):
+        placed.append(next(
+            x for x in nodes
+            if x not in placed and all(u in placed for u, v in edges if v == x)
+        ))
+    return placed
+
+
+class TestBuildMatchesValidate:
+    @given(mutated_graphs())
+    def test_build_raises_iff_validate_fails(self, graph):
+        nodes, edges, source = graph
+        report = validate(nodes, edges, source)
+        try:
+            dag = build_dag(nodes, edges, source)
+        except GraphValidationError as exc:
+            assert not report.valid
+            assert str(exc) == "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+        else:
+            assert report.valid
+            assert list(dag.labels) == least_topological_labels(nodes, edges)
+            assert set(dag.edge_labels()) == set(edges)
+            assert len(dag.edges) == len(edges)
+
+
 class TestPathCountProperties:
     """Path counting checked against enumerate_paths as the oracle."""
 
@@ -409,6 +473,21 @@ class TestReachable:
         sub = reachable_subgraph((labels, edges), "b")
         assert set(sub.labels) == {"b", "m", "t"}
         assert ("a", "m") not in sub.edge_labels()
+
+    @pytest.mark.parametrize(
+        "bad", [("zz", "t"), ("b", "zz")], ids=["unknown-tail", "unknown-head"]
+    )
+    def test_unknown_endpoint_refused(self, bad):
+        # both used to leak a KeyError from the raw-input walk
+        edges = [("a", "b"), bad, ("b", "t")]
+        with pytest.raises(GraphValidationError) as exc:
+            reachable_subgraph((["a", "b", "t"], edges), "a")
+        assert str(exc.value) == f"edge {bad} references an unknown node"
+
+    def test_duplicate_label_still_refused(self):
+        labels = ["a", "b", "b", "t"]
+        with pytest.raises(GraphValidationError, match=r"duplicate node labels: \['b'\]"):
+            reachable_subgraph((labels, [("a", "b"), ("b", "t")]), "a")
 
     def test_every_subgraph_node_reachable(self):
         rng = random.Random(5)

@@ -12,6 +12,9 @@ byte-for-byte alike. The list:
 
 - `validate`, `paths`, `efficient` and `weights --method dp` (without
   its `runtime_ms`) on every fixture graph;
+- `validate` and `paths` on nine small invalid graphs, each failing one
+  structural check in its own way or several checks at once, so every
+  report and refusal message is pinned;
 - `weights --method enumerate` and `weights --method shapley` (without
   `runtime_ms`) on every fixture graph, the 8-stage all-ties ladder and
   the 18-node complete DAG, whose 65,536 paths each cover their own set
@@ -110,6 +113,20 @@ TIE_CONFIGS = {
                     "rules": TIE_RULES, "seed": 7},
 }
 
+# name -> (nodes, edges, declared source) of a graph that fails validation
+INVALID_GRAPHS = {
+    "duplicate label": (["s", "a", "a", "t"], [("s", "a"), ("a", "t")], None),
+    "bad edges": (["s", "a", "t"],
+                  [("s", "a"), ("a", "zz"), ("a", "a"), ("s", "a"), ("a", "t")], None),
+    "too small": (["s", "t"], [("s", "t")], None),
+    "cycle": (["s", "a", "b", "t"], [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t")], None),
+    "two roots": (["a", "b", "m", "t"], [("a", "m"), ("b", "m"), ("m", "t")], None),
+    "wrong source": (["s", "a", "t"], [("s", "a"), ("a", "t")], "a"),
+    "unknown source": (["s", "a", "t"], [("s", "a"), ("a", "t")], "x"),
+    "rootless pair": (["a", "b"], [("a", "b"), ("b", "a")], None),
+    "duplicate pair": (["s", "s"], [("s", "s")], None),
+}
+
 
 def run(argv: list[str], tmp: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -194,6 +211,14 @@ def commands(tmp: Path):
     fixtures = sorted(
         p for p in (ROOT / "fixtures").glob("*.json") if "nodes" in json.loads(p.read_text())
     )
+    for name, (nodes, edges, source) in INVALID_GRAPHS.items():
+        path = tmp / f"invalid_{name.replace(' ', '_')}.json"
+        data = {"nodes": nodes, "edges": [{"from": u, "to": v} for u, v in edges]}
+        if source is not None:
+            data["source"] = source
+        path.write_text(json.dumps(data))
+        yield f"validate invalid {name}", ["validate", str(path)], None
+        yield f"paths invalid {name}", ["paths", str(path)], None
     ladders = []
     for stages in LADDERS:
         path = tmp / f"ladder{stages}.json"
