@@ -23,22 +23,23 @@ Properties:
 
 All nine run on one driver, `_run_check`. A trial is called as
 `trial(rng, dag, losses, rule, paths)` on one drawn instance and returns
-None on a pass, a counterexample dict on a failure, or `_NO_PREMISE` when
-this draw cannot supply the trial's premise (say, no two efficient
-paths). The driver then redraws, up to `_DRAWS` times, and counts a trial
-that never finds its premise as a vacuous pass. A fixed graph with fixed
-losses gets one draw, unless the trial draws part of its premise itself.
-`rule` is a zero-argument callable that builds the rule for the drawn
-graph; a trial calls it at most once, where its RNG sequence needs the
-rule, so draws that lack the premise build none. The report names the
-first rule built. `paths(dag)` gives the graph's source-to-sink paths as
-a tuple; a fixed graph is enumerated once per check.
+only its finding: None on a pass, a counterexample dict on a failure
+(the driver adds the trial number and the failing draw as `graph`), or
+`_NO_PREMISE` when this draw cannot supply the trial's premise (say, no
+two efficient paths). The driver then redraws, up to `_DRAWS` times, and
+counts a trial that never finds its premise as a vacuous pass. A fixed
+graph with fixed losses gets one draw, unless the trial draws part of
+its premise itself. `rule` is a zero-argument callable that builds the
+rule for the drawn graph; a trial calls it at most once, where its RNG
+sequence needs it, so draws that lack the premise build none. The report
+names the first rule built. `paths(dag)` gives the source-to-sink paths
+as a tuple; a fixed graph is enumerated once per check.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -99,17 +100,7 @@ class CheckReport:
         return self.applicable and self.counterexample is None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "rule": self.rule,
-            "trials": self.trials,
-            "passes": self.passes,
-            "seed": self.seed,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,6 @@ def _trial_ei(rng, dag, losses, rule, paths):
     efficient = efficient_paths(dag, losses)
     eff = efficient.path_set()
     return {
-        "graph": _graph_dict(dag, losses),
         "spe": sorted(_path_labels(dag, p) for p in spe),
         "efficient": sorted(_path_labels(dag, p) for p in eff),
         "spe_totals": sorted(
@@ -219,7 +209,6 @@ def _trial_rld(rng, dag, losses, rule, paths):
     if _vec_close(base, other):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         "path": _path_labels(dag, path.nodes),
         "off_path_losses": _graph_dict(dag, second)["edges"],
         "liabilities": _vec_dict(dag, base),
@@ -238,7 +227,6 @@ def _trial_si(rng, dag, losses, rule, paths):
     if _vec_close(got, want):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         "path": _path_labels(dag, path.nodes),
         "alpha": _num_repr(alpha),
         "scaled_liabilities": _vec_dict(dag, got),
@@ -285,7 +273,6 @@ def _trial_pcp(rng, dag, losses, rule, paths):
                             continue
                         if _lt(moved[i] + moved[j], base[i] + base[j], tol):
                             return {
-                                "graph": _graph_dict(dag, losses),
                                 "equilibrium_path": _path_labels(dag, p_nodes),
                                 "deviator": dag.labels[i],
                                 "partner": dag.labels[j],
@@ -362,7 +349,6 @@ def _trial_downstream_mono(rng, dag, losses, rule, paths):
     if (cost[0] < cost[1]) == (pay[0] < pay[1]) and (cost[1] < cost[0]) == (pay[1] < pay[0]):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         "mover": dag.labels[i],
         "history": _path_labels(dag, history),
         "branches": [dag.labels[j], dag.labels[k]],
@@ -379,7 +365,6 @@ def _same_split(dag, losses, rule, p1: Path, p2: Path, key: str, **extra):
     if _vec_close(a, b):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         key: [_path_labels(dag, p1.nodes), _path_labels(dag, p2.nodes)],
         "liabilities": [_vec_dict(dag, a), _vec_dict(dag, b)],
         **extra,
@@ -412,7 +397,6 @@ def _trial_redistribution_inv(rng, dag, losses, rule, paths):
     if _vec_close(base, other):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         "path": _path_labels(dag, path.nodes),
         "losses_along_path": [_num_repr(v) for v in vals],
         "permuted": [_num_repr(v) for v in shuffled],
@@ -456,7 +440,6 @@ def _trial_total_loss_dep(rng, dag, losses, rule, paths):
     if _vec_close(base, other):
         return None
     return {
-        "graph": _graph_dict(dag, losses),
         "path": _path_labels(dag, p1.nodes),
         "second_losses": _graph_dict(dag, second)["edges"],
         "second_path": _path_labels(dag, p2.nodes),
@@ -554,7 +537,7 @@ def _run_check(
             vacuous += 1
             cex = None
         if cex is not None:
-            cex["trial"] = t
+            cex.update(trial=t, graph=_graph_dict(g, lo))
             counterexample = cex
             break
         passes += 1

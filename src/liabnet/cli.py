@@ -244,7 +244,7 @@ def _cmd_simulate(args) -> int:
             config = SimConfig()
         if args.seed is not None:
             graph = dataclasses.replace(config.graph, seed=args.seed)
-            config = dataclasses.replace(config, graph=graph, seed=args.seed)
+            config = dataclasses.replace(config, graph=graph)
         stats = run_simulation(config, workers=args.workers, out_dir=args.out)
     except SimError as exc:
         raise CliError(str(exc)) from None

@@ -9,12 +9,13 @@ Graph file format::
     }
 
 `loss` is optional per edge. A separate losses file is a flat mapping
-"from->to" -> number.
+"from->to" -> number. A loss in either file is finite and non-negative.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path as FsPath
 
 from .graph import Dag, Edge, GraphError, build_dag, validate
@@ -22,6 +23,12 @@ from .graph import Dag, Edge, GraphError, build_dag, validate
 
 class FormatError(GraphError):
     """Raised on malformed input files."""
+
+
+def finite_number(x) -> bool:
+    """An int or float, not a bool, strictly between -inf and inf. The
+    comparisons, unlike `math.isfinite`, take an int of any size."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
 
 
 def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict, str | None]:
@@ -44,7 +51,7 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
         edges.append((u, v))
         if "loss" in e:
             x = e["loss"]
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or x < 0:
+            if not (finite_number(x) and x >= 0):
                 raise FormatError(f"edge #{k} loss must be a non-negative number")
             label_losses[(u, v)] = x
     source = data.get("source")
@@ -102,7 +109,7 @@ def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
     losses: dict[Edge, float] = {}
     for key, x in data.items():
         u, v = parse_edge_key(key)
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or x < 0:
+        if not (finite_number(x) and x >= 0):
             raise FormatError(f"loss for {key!r} must be a non-negative number")
         e = (dag.index(u), dag.index(v))
         if not dag.has_edge(*e):

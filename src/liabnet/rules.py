@@ -98,22 +98,10 @@ class LiabilityVector:
         return sum(self.values)
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(_floats(self.values))
+        return tuple(map(float, self.values))
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
-        return dict(zip(dag.labels, _floats(self.values)))
-
-
-def _floats(values: Sequence[Num]):
-    """The values as floats, each the correctly rounded `float(x)`: by the
-    builtin `float`, or by `_to_float` when a value is a `Fraction`, which
-    CPython 3.11 converts through `numbers.Rational.__float__` with two
-    property reads and two int() calls more."""
-    return map(_to_float if Fraction in map(type, values) else float, values)
-
-
-def _to_float(x: Num) -> float:
-    return x.numerator / x.denominator if type(x) is Fraction else float(x)
+        return dict(zip(dag.labels, map(float, self.values)))
 
 
 class Rule:

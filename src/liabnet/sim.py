@@ -25,10 +25,10 @@ liabilities (`liab`) and their squares (`sq`), the realized totals
 (`real`) and path lengths (`len`), and the count of positive per-agent
 liabilities per density bin (`hist`) and of zero ones (`zeros`).
 
-Determinism: the master seed derives one independent substream per source
-via `numpy.random.SeedSequence.spawn`. The first source's tallies are the
-running sum, and every later source's are added to them key by key in
-source order, so outputs are byte-identical for any worker count.
+Determinism: one seed, `LayeredGraphSpec.seed`, draws the network and
+spawns one RNG substream per source (`SeedSequence.spawn`). The first
+source's tallies are the running sum, and every later source's are added
+in source order, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graph import Dag, GraphError, reachable_subgraph
-from .io import load_json
+from .io import finite_number, load_json
 from .rules import LocalRule, make_rule
 from .weights import WeightsError
 
@@ -74,6 +74,8 @@ class LayeredGraphSpec:
         for p in (self.p_next, self.p_skip):
             if not 0.0 <= p <= 1.0:
                 raise SimError("edge probabilities must lie in [0, 1]")
+        if self.seed < 0:
+            raise SimError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     graph: LayeredGraphSpec = LayeredGraphSpec()
@@ -156,7 +154,6 @@ class SimConfig:
     loss_low: float = 0.0
     loss_high: float = 100.0
     rules: tuple[str, ...] = ("fixed:wstar", "local")
-    seed: int = 0
 
     def __post_init__(self):
         if self.draws < 1:
@@ -168,8 +165,6 @@ class SimConfig:
             raise SimError("need at least one rule")
         if len(set(self.rules)) < len(self.rules):
             raise SimError("rules must be distinct")
-        if self.seed < 0:
-            raise SimError(f"seed must be non-negative, got {self.seed}")
         # every draw of every source adds a realized total of at most
         # (layers - 1) * loss_high, and its square, to the sums
         worst = (len(self.graph.sizes) - 1) * self.loss_high
@@ -202,13 +197,13 @@ class SimConfig:
             return data[key]
 
         def number(key, default):
-            return float(get(key, default, _is_number, "a finite number"))
+            return float(get(key, default, finite_number, "a finite number"))
 
         def list_of(ok):
             return lambda x: isinstance(x, list) and all(map(ok, x))
 
         base = cls()
-        seed = get("seed", base.seed, _is_int, "an integer")
+        seed = get("seed", base.graph.seed, _is_int, "an integer")
         spec = LayeredGraphSpec(
             sizes=tuple(get("layers", base.graph.sizes, list_of(_is_int),
                             "a list of integers")),
@@ -223,7 +218,6 @@ class SimConfig:
             loss_high=number("loss_high", base.loss_high),
             rules=tuple(get("rules", base.rules,
                             list_of(lambda r: isinstance(r, str)), "a list of rule specs")),
-            seed=seed,
         )
 
     @classmethod
@@ -394,8 +388,8 @@ def _simulate_source(args):
             if weights is not None:
                 t["len"] += steps
                 t["real"] += sum_t
-                np.add.at(t["liab"], gmap, weights * sum_t)
-                np.add.at(t["sq"], gmap, (weights * weights) * float((teff * teff).sum()))
+                t["liab"][gmap] += weights * sum_t
+                t["sq"][gmap] += (weights * weights) * float((teff * teff).sum())
                 positive = weights > 0
                 t["hist"] += _density(np.outer(teff, weights[positive]))
                 t["zeros"] += ch * (n_global - int(positive.sum()))
@@ -429,7 +423,7 @@ def run_simulation(
     hg = graph if graph is not None else generate_hourglass(config.graph)
     specs = tuple(config.rules)
     plans = plan_sources(hg, specs)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(plans))
+    seeds = np.random.SeedSequence(config.graph.seed).spawn(len(plans))
     jobs = [(plan, hg.n, config.draws, config.loss_low, config.loss_high, seed)
             for plan, seed in zip(plans, seeds)]
     if workers > 1:
@@ -557,7 +551,7 @@ def summary_dict(stats: SimStats, config: SimConfig) -> dict:
             "loss_low": config.loss_low,
             "loss_high": config.loss_high,
             "rules": list(config.rules),
-            "seed": config.seed,
+            "seed": config.graph.seed,
         },
         "sources": int(stats.sizes[0]),
         "total_draws": stats.total_draws,

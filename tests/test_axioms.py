@@ -16,7 +16,7 @@ from liabnet.axioms import (
 )
 from liabnet.game import SpeSolution
 from liabnet.generators import random_simplex_weights
-from liabnet.graph import build_dag
+from liabnet.graph import Path, build_dag, efficient_paths
 from liabnet.rules import FixedWeightRule, fixed_rule, make_rule
 from liabnet.weights import WeightVector, wstar_dp
 
@@ -384,6 +384,37 @@ class TestTrialDriver:
         check_axiom("RLD", "local", trials=30, seed=5)
         # RLD never lacks its premise: one graph drawn and enumerated per trial
         assert len(calls) == len(draws) == 30
+
+
+    def test_recorded_instance_is_the_failing_draw(self, monkeypatch):
+        drawn = []  # (rng, dag) per graph drawn
+        real = liabnet.axioms.random_dag
+
+        def recording(rng):
+            drawn.append((rng, real(rng)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(liabnet.axioms, "random_dag", recording)
+        rep = check_property("EFF_PATH_INV", "phi3", trials=100, seed=0)
+        cex = rep.counterexample
+        assert cex is not None
+        # the failing trial drew more than once; the last draw is the record
+        rng, last = drawn[-1]
+        assert sum(r is rng for r, _ in drawn) > 1
+        graph = cex["graph"]
+        dag = build_dag(graph["nodes"], [(e["from"], e["to"]) for e in graph["edges"]])
+        assert (dag.labels, dag.edges) == (last.labels, last.edges)
+        losses = {(dag.index(e["from"]), dag.index(e["to"])): e["loss"] for e in graph["edges"]}
+        efficient = efficient_paths(dag, losses).path_set()
+        bound = make_rule("phi3", dag).bind(losses)
+        splits = []
+        for labels, split in zip(cex["paths"], cex["liabilities"]):
+            nodes = tuple(map(dag.index, labels))
+            assert nodes in efficient
+            vec = bound.vector(Path(nodes))
+            assert {x: Fraction(v) for x, v in split.items()} == dict(zip(dag.labels, vec))
+            splits.append(tuple(vec))
+        assert len(splits) == 2 and splits[0] != splits[1]
 
 
 class TestScenario:

@@ -369,6 +369,24 @@ class TestCheckLosses:
         with pytest.raises(GraphError, match=message):
             check_losses(fork, losses)
 
+    @pytest.mark.parametrize(
+        "loss, fault",
+        [
+            (float("nan"), "is NaN"),
+            (-1, "must be finite and >= 0, got -1"),
+            (float("inf"), "must be finite and >= 0, got inf"),
+        ],
+        ids=["nan", "negative", "inf"],
+    )
+    def test_message_names_edge_by_labels(self, loss, fault):
+        # the message names the graph's labels, not the internal indices (0, 1)
+        dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t"), ("s", "t")])
+        losses = {e: 1 for e in dag.edges}
+        losses[(dag.index("s"), dag.index("a"))] = loss
+        with pytest.raises(GraphError) as exc:
+            check_losses(dag, losses)
+        assert str(exc.value) == f"loss on edge ('s', 'a') {fault}"
+
 
 class TestEfficient:
     def test_chain_bypass(self, chain3):

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from liabnet.generators import random_dag
 from liabnet.graph import validate
-from liabnet.io import dump_json, load_graph_file, load_raw_graph_file
+from liabnet.io import (
+    dump_json,
+    finite_number,
+    load_graph_file,
+    load_losses_file,
+    load_raw_graph_file,
+)
 
 from conftest import DAG_FIELDS
 
@@ -49,3 +58,23 @@ class TestGraphFileRoundTrip:
         assert validate(nodes, edges, source=source).to_dict() == validate(
             list(dag.labels), listed, source=dag.labels[dag.source]
         ).to_dict()
+
+
+class TestFiniteNumber:
+    @pytest.mark.parametrize("x", [0, 1.5, -2, 10**400, -(10**400), 1.7e308])
+    def test_accepts(self, x):
+        assert finite_number(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, True, False, "1", None])
+    def test_refuses(self, x):
+        assert not finite_number(x)
+
+    def test_400_digit_integer_loss_loads_exactly(self, tmp_path, fork):
+        big = 10**400 - 1
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": ["s", "a", "t"], "edges": [
+            {"from": "s", "to": "a", "loss": big}, {"from": "a", "to": "t"}]}))
+        assert load_graph_file(graph)[1] == {(0, 1): big}
+        losses = tmp_path / "losses.json"
+        losses.write_text(json.dumps({"s->i": big}))
+        assert load_losses_file(losses, fork) == {(fork.index("s"), fork.index("i")): big}

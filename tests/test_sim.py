@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -173,7 +174,6 @@ class TestConfig:
         assert cfg.loss_low == 0.0
         assert cfg.loss_high == 100.0
         assert cfg.rules == ("fixed:wstar", "local")
-        assert cfg.seed == 20240817
         assert cfg.graph.seed == 20240817
 
     def test_numbers_parse_to_floats(self):
@@ -206,6 +206,12 @@ class TestConfig:
     def test_shape_errors_raise(self, data):
         with pytest.raises(SimError):
             SimConfig.from_dict(data)
+
+    def test_one_seed_fixes_network_and_draws(self):
+        assert "seed" not in {f.name for f in dataclasses.fields(SimConfig)}
+        assert SimConfig.from_dict({"seed": 5}).graph.seed == 5
+        with pytest.raises(SimError, match=r"^seed must be non-negative, got -1$"):
+            LayeredGraphSpec(seed=-1)
 
     def test_defaults(self):
         cfg = SimConfig.from_dict({})
@@ -254,7 +260,7 @@ SMALL = LayeredGraphSpec(sizes=(4, 3, 3), p_next=0.7, p_skip=0.2, seed=7)
 
 
 def small_config(**kw):
-    base = dict(graph=SMALL, draws=40, rules=("fixed:wstar", "local"), seed=7)
+    base = dict(graph=SMALL, draws=40, rules=("fixed:wstar", "local"))
     base.update(kw)
     return SimConfig(**base)
 
@@ -372,7 +378,6 @@ class TestRunSimulation:
             loss_low=4.0,
             loss_high=4.0,
             rules=("fixed:wstar", "local"),
-            seed=3,
         )
         stats = run_simulation(cfg)
         assert stats.mean_realized["local"] == pytest.approx(stats.mean_efficient)

@@ -45,6 +45,10 @@ byte-for-byte alike. The list:
   refuses;
 - `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
   202408 at 300 trials;
+- `validate`, `paths`, `weights --method dp` and `efficient` on a graph
+  file with a NaN loss and on one with an Infinity loss, and `efficient`
+  on fork with an Infinity in its losses file: all refused where the file
+  is read;
 - `simulate` on a config with a field of the wrong type, and with
   `--workers 0`, both refused with exit 2;
 - the default `simulate` at `--workers 1` and at `--workers 2`, each with
@@ -77,6 +81,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -335,6 +340,22 @@ def commands(tmp: Path):
                          "--seed", str(seed)],
                         None,
                     )
+    # non-finite losses, which Python's JSON parser reads from NaN and Infinity
+    for loss in (math.nan, math.inf):
+        graph = tmp / f"loss_{loss}.json"
+        graph.write_text(json.dumps({"nodes": ["s", "a", "t"], "edges": [
+            {"from": "s", "to": "a", "loss": loss}, {"from": "a", "to": "t", "loss": 1},
+            {"from": "s", "to": "t", "loss": 2}]}))
+        yield f"validate loss {loss}", ["validate", str(graph)], None
+        yield f"paths loss {loss}", ["paths", str(graph)], None
+        yield f"weights loss {loss}", ["weights", str(graph), "--method", "dp"], no_runtime
+        yield f"efficient loss {loss}", ["efficient", str(graph)], None
+    inf_losses = tmp / "fork.inf.json"
+    inf_losses.write_text(json.dumps({
+        f"{e['from']}->{e['to']}": math.inf if e["to"] == "i" else 1
+        for e in json.loads(fork.read_text())["edges"]
+    }))
+    yield "efficient fork.json inf", ["efficient", str(fork), "--losses", str(inf_losses)], None
     bad_config = tmp / "bad_sim.json"
     bad_config.write_text(json.dumps({"draws": "many"}))
     yield "simulate bad config", ["simulate", str(bad_config)], None
