@@ -38,6 +38,7 @@ from .graph import (
 from .io import (
     FormatError,
     dump_json,
+    dump_liability_report,
     load_graph_file,
     load_losses_file,
     load_raw_graph_file,
@@ -59,7 +60,7 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _label_path(dag: Dag, path: Path) -> list[str]:
-    return list(path.labels(dag))
+    return list(map(dag.labels.__getitem__, path.nodes))
 
 
 def _full_losses(dag: Dag, embedded, losses_path: Optional[str]):
@@ -176,23 +177,26 @@ def _cmd_spe(args) -> int:
         eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
         efficient, min_cost = eff["paths"], eff["min_cost"]
     # consecutive outcomes often share one split tuple (all of them do
-    # under a fixed-weight rule on tied paths): label each run of it once
-    liab = {}
-    held = split = None
+    # under a fixed-weight rule on tied paths): convert each run of it once,
+    # in the order of the sorted labels, and render it once
+    order = sorted(range(dag.n), key=dag.labels.__getitem__)
+    splits, liab = [], {}
+    held = None
     for p, labels in zip(ordered, labelled):
         vec = apply_rule(rule, p, losses)
         if vec.values is not held:
-            held, split = vec.values, vec.as_dict(dag)
-        liab["->".join(labels)] = split
+            held = vec.values
+            splits.append([float(held[i]) for i in order])
+        liab["->".join(labels)] = len(splits) - 1
     out = {
         "rule": rule.spec_string,
         "outcomes": labelled,
         "efficient": efficient,
         "min_cost": min_cost,
         "coincide": coincide,
-        "liabilities": liab,
     }
-    _emit(out, args.pretty)
+    sorted_labels = [dag.labels[i] for i in order]
+    print(dump_liability_report(out, sorted_labels, splits, liab, args.pretty))
     return EXIT_OK
 
 

@@ -10,12 +10,15 @@ Graph file format::
 
 `loss` is optional per edge. A separate losses file is a flat mapping
 "from->to" -> number. A loss in either file is finite and non-negative.
+No label contains "->", which joins the labels of an edge key and of a
+path in reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from .graph import Dag, Edge, GraphError, build_dag, validate
@@ -38,6 +41,9 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
     nodes = data["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise FormatError("'nodes' must be a list of string labels")
+    for x in nodes:
+        if "->" in x:
+            raise FormatError(f"node label {x!r} contains '->', which joins labels in keys")
     if not isinstance(data["edges"], list):
         raise FormatError("'edges' must be a list of edge objects")
     edges: list[tuple[str, str]] = []
@@ -135,3 +141,52 @@ def dump_json(obj, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(obj, indent=2, sort_keys=True)
     return json.dumps(obj, sort_keys=True)
+
+
+def dump_liability_report(
+    report: dict, labels: list[str], splits: list[list[float]], liabilities: dict[str, int],
+    pretty: bool = False,
+) -> str:
+    """The text `dump_json` gives for `report` with one more member,
+    "liabilities", that maps each key k of `liabilities` to the object
+    dict(zip(labels, splits[liabilities[k]])).
+
+    `labels` are distinct, at least one, and sorted as `sort_keys` sorts
+    them; each of `splits` holds one float per label, in that order, and
+    `liabilities` has at least one key. A split that many keys share is
+    written once: every split is encoded in one call, its number tokens
+    fill one skeleton of the escaped labels, and the text is joined once
+    from parts that refer to that split text.
+    """
+    item_sep = "," if pretty else ", "
+
+    def newline(depth: int) -> str:
+        return "\n" + "  " * depth if pretty else ""
+
+    def obj(members, depth: int) -> list[str]:
+        # the parts of an object's text from (key, parts of its value) pairs
+        inner = newline(depth + 1)
+        sep = item_sep + inner
+        parts = []
+        for key, value in members:
+            parts += (sep, encode_basestring_ascii(key), ": ", *value)
+        parts[0] = "{" + inner
+        parts.append(newline(depth) + "}")
+        return parts
+
+    # each value once: a list that is two members (the outcomes and the
+    # efficient paths when they coincide) is one object; a nested text moves
+    # one level in, and a JSON string holds no raw newline
+    texts: dict[int, tuple[str]] = {}
+    members = {}
+    for key, value in report.items():
+        if id(value) not in texts:
+            texts[id(value)] = (dump_json(value, pretty).replace("\n", newline(1)),)
+        members[key] = texts[id(value)]
+    skeleton = "".join(obj([(x.replace("%", "%%"), ("%s",)) for x in labels], 2))
+    # a float's token holds no ',', '[' or ']'
+    split_texts = [
+        (skeleton % tuple(row.split(", ")),) for row in json.dumps(splits)[2:-2].split("], [")
+    ]
+    members["liabilities"] = obj([(k, split_texts[i]) for k, i in sorted(liabilities.items())], 1)
+    return "".join(obj(sorted(members.items()), 0))

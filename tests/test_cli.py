@@ -570,6 +570,33 @@ SHAPE_CASES = [
 ]
 
 
+class TestArrowInLabel:
+    """A node label that holds '->' is refused where the graph file is read.
+    Here `s->a->t` would key both paths of the `spe` report, and a losses
+    file key `s->a->t` would name the edge from s to `a->t`."""
+
+    GRAPH = {"nodes": ["s", "a", "t", "a->t"], "edges": [
+        {"from": "s", "to": "a", "loss": 1}, {"from": "a", "to": "t", "loss": 0},
+        {"from": "s", "to": "a->t", "loss": 1}]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("spe", "{graph}", "--rule", "local"),
+         ("efficient", "{graph}", "--losses", "{losses}"),
+         ("validate", "{graph}")],
+        ids=["spe", "efficient-losses", "validate"],
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(self.GRAPH))
+        losses = tmp_path / "losses.json"
+        losses.write_text(json.dumps({"s->a": 1, "s->a->t": 2}))
+        code, data, err = run(capsys, *(a.format(graph=graph, losses=losses) for a in argv))
+        assert code == 2
+        assert data is None
+        assert err == "error: node label 'a->t' contains '->', which joins labels in keys\n"
+
+
 class TestShapeErrors:
     """Graph, losses and weights files and simulate configs that parse as
     JSON but have the wrong shape fail with exit 2 and one `error:` line."""

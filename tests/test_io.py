@@ -12,6 +12,7 @@ from liabnet.generators import random_dag
 from liabnet.graph import validate
 from liabnet.io import (
     dump_json,
+    dump_liability_report,
     finite_number,
     load_graph_file,
     load_losses_file,
@@ -78,3 +79,54 @@ class TestFiniteNumber:
         losses = tmp_path / "losses.json"
         losses.write_text(json.dumps({"s->i": big}))
         assert load_losses_file(losses, fork) == {(fork.index("s"), fork.index("i")): big}
+
+
+# any text, with the characters that JSON escapes or %-formatting reads
+# drawn often, lone surrogates included
+report_text = st.text(
+    st.sampled_from('"\\%\x00\n\x7f\u00e9\u2028\ud800') | st.characters(exclude_categories=()),
+    max_size=4,
+)
+# a split value of each kind a rule returns, before the report's float()
+split_values = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(10**20, 10**300),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300]),
+)
+
+
+@st.composite
+def liability_reports(draw):
+    """(report, labels, splits, liabilities) as `dump_liability_report`
+    takes them, with splits that keys share and splits that no two share."""
+    labels = sorted(draw(st.lists(report_text, min_size=1, max_size=5, unique=True)))
+    row = st.lists(split_values, min_size=len(labels), max_size=len(labels))
+    splits = [[float(x) for x in values] for values in draw(st.lists(row, min_size=1, max_size=4))]
+    keys = draw(st.lists(report_text, min_size=1, max_size=8))
+    liabilities = {k: draw(st.integers(0, len(splits) - 1)) for k in keys}
+    outcomes = draw(st.lists(st.lists(report_text, max_size=3), max_size=3))
+    report = {
+        "rule": draw(report_text),
+        "outcomes": outcomes,
+        # the same object as the outcomes, as `spe` passes it when they
+        # coincide, or an equal or other list
+        "efficient": draw(st.sampled_from([outcomes, list(outcomes)]) | st.lists(
+            st.lists(report_text, max_size=3), max_size=3)),
+        "min_cost": draw(st.floats()),
+        "coincide": draw(st.booleans()),
+    }
+    return report, labels, splits, liabilities
+
+
+class TestDumpLiabilityReport:
+    @given(liability_reports())
+    def test_text_is_dump_json_of_the_full_report(self, drawn):
+        report, labels, splits, liabilities = drawn
+        full = {**report, "liabilities": {
+            k: dict(zip(labels, splits[i])) for k, i in liabilities.items()
+        }}
+        for pretty in (False, True):
+            text = dump_liability_report(report, labels, splits, liabilities, pretty)
+            assert text == json.dumps(full, sort_keys=True, indent=2 if pretty else None)

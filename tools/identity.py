@@ -30,6 +30,10 @@ byte-for-byte alike. The list:
 - `spe` for `fixed:wstar`, `local` and `punish-first` on the 12-stage
   all-ties ladder, whose 4,096 outcomes share one split under the first
   and the last;
+- `spe --pretty` for the same three rules on fork under the seeded
+  integer losses, on the 8-stage ladder and on a graph whose labels hold
+  a quote, a backslash, a percent sign and an accented letter, and plain
+  `spe` on that graph too;
 - `check --axiom PCP --trials 1` for all 8 rule specs on the 8-stage
   ladder, where all 256 paths are equilibria;
 - `spe --rule punish-first` and `check --axiom EI --rule punish-first` on
@@ -110,6 +114,10 @@ TOLS = ("0", "0.25")
 # `check` under these fixtures' seeded losses files
 TOTALS_PROPERTIES = ("PATH_INDEP", "TOTAL_LOSS_DEP")
 TOTALS_RULES = ("fixed:wstar", "phi3")
+# `spe --pretty`, and `spe` on labels that need escapes, for a rule whose
+# tied outcomes share one split, one whose splits all differ, and
+# punish-first
+PRETTY_RULES = ("fixed:wstar", "local", "punish-first")
 # `simulate` configs on which every step ties
 TIE_RULES = ["fixed:wstar", "fixed:equal", "local"]
 TIE_CONFIGS = {
@@ -190,6 +198,19 @@ def near_tie(magnitude: float = 1e8) -> dict:
         "nodes": ["r", "s", "a1", "b1", "a2", "b2", "a3", "b3", "t"],
         "edges": [{"from": u, "to": v, "loss": loss} for u, v, loss in edges],
         "source": "r",
+    }
+
+
+def escaped_labels() -> dict:
+    """Four tied paths through labels that JSON escapes (a quote, a
+    backslash, a non-ASCII letter) or that %-formatting reads (a percent
+    sign), listed in an order that is not their sorted order."""
+    s, a, b, c, d, t = "s", 'a"q', "b\\", "c%d", "é", "t"
+    edges = [(s, a), (s, b), (a, c), (a, d), (b, c), (b, d), (c, t), (d, t)]
+    return {
+        "nodes": [s, d, b, a, c, t],
+        "edges": [{"from": u, "to": v, "loss": 1} for u, v in edges],
+        "source": s,
     }
 
 
@@ -278,6 +299,17 @@ def commands(tmp: Path):
     ladder12.write_text(json.dumps(ladder(12)))
     for rule in ("fixed:wstar", "local", "punish-first"):
         yield f"spe {ladder12.name} {rule}", ["spe", str(ladder12), "--rule", rule], None
+    escaped = tmp / "escaped_labels.json"
+    escaped.write_text(json.dumps(escaped_labels()))
+    fork_int = dict(loss_files(ROOT / "fixtures" / "fork.json", tmp))["int"]
+    for rule in PRETTY_RULES:
+        for name, argv in (
+            ("fork.json int", [str(ROOT / "fixtures" / "fork.json"), *fork_int]),
+            (ladders[0].name, [str(ladders[0])]),
+            (escaped.name, [str(escaped)]),
+        ):
+            yield f"spe {name} {rule} --pretty", ["spe", *argv, "--rule", rule, "--pretty"], None
+        yield f"spe {escaped.name} {rule}", ["spe", str(escaped), "--rule", rule], None
     for rule in RULES:
         yield (
             f"check PCP {ladders[0].name} {rule}",
