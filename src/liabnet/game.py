@@ -11,9 +11,9 @@ some SPE realizes.
 an outcome surviving at a node must be no worse for the mover than the
 worst credible continuation of every alternative edge (the continuations
 of the alternative act as threats). The solver builds per-node outcome
-states instead of path lists, each keeping the (successor, child state)
-links that survive, and which state a history's subgame starts in depends
-on the rule's `mode`: one state per distinct suffix total for rules that
+states instead of path lists, each keeping the links to child states that
+survive, and which state a history's subgame starts in depends on the
+rule's `mode`: one state per distinct suffix total for rules that
 rank continuations by their total, one per node for own-edge rules, and
 for punish-first an on-track and an off-track state per node, told apart
 by whether the history took a foreclosing step. The outcome set is the
@@ -21,8 +21,9 @@ set of paths through those states, so its size, and how many of its
 paths are efficient, are backward counts over the table
 (`SpeSolution.efficiency_counts`); that decides whether the outcomes are
 exactly the efficient paths without listing either set. Outcome paths
-are enumerated only when asked for (`SpeSolution.continuations`,
-`outcomes`, `spe_outcomes`). `spe_bruteforce` is the definitional oracle:
+are listed only when asked for (`SpeSolution.continuations`, `outcomes`,
+`spe_outcomes`), by one stack walk over the links, and no suffix list is
+kept. `spe_bruteforce` is the definitional oracle:
 enumerate every pure strategy profile over all histories and keep the
 ones with no profitable one-shot deviation anywhere, on or off the
 realized path.
@@ -41,11 +42,12 @@ from .graph import (
     Edge,
     Num,
     Path,
-    _backward_ways,
     _forward_ways,
     continuation_costs,
     default_tolerance,
     exact_valued,
+    list_paths,
+    path_ways,
     resolve_tolerance,
     tight_step,
     widen,
@@ -83,29 +85,27 @@ def profile_count(dag: Dag) -> int:
 # set-valued backward induction
 
 
-@dataclass
-class _StateTable:
-    """Outcome states, numbered in the order they are built: backward by
-    node, so every state's children have smaller numbers than it."""
-
-    at_node: list[list[int]]  # per node: its states, in number order
-    node: list[int]  # per state: its node
-    kept: list[list[tuple[int, int]]]  # per state: (successor, child state) links
-
-
-def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
-    """Backward induction over per-node outcome states.
+def _node_states(dag: Dag, losses, bound: Rule, tol) -> tuple[list, list, list]:
+    """Backward induction over per-node outcome states: (at_node, node,
+    links), per node its states, first to last, and per state its node and
+    the child states it keeps, a link table for `graph.path_ways`.
 
     A state holds a set of suffixes from its node: a kept link to a child
     state at a successor j extends each of the child's suffixes by the
-    step to j; a sink's one state holds the sink alone.
+    step to j; a sink's one state holds the sink alone. States are built
+    children first, and the one built b-th is named ~b (that is, -1 - b):
+    once `node` and `links` are reversed, ~b indexes them from the end, so
+    every state's children come after it, as a node's successors do,
+    without a renumbering pass.
 
     In MODE_TOTALS a node has one state per distinct suffix total, summed
     from the sink back as `step + total`: the mover's payment is monotone
     in the final total and the prefix cost is a constant inside each
     subgame, so suffix totals rank continuations identically at every
     history, and a suffix survives iff its total is within `tol` of the
-    least worst case over the mover's actions.
+    least worst case over the mover's actions. A suffix's total and its
+    type are fixed by its edges, so it lies in one state at its node, and
+    the states at a node list no suffix twice.
 
     In MODE_OWN_EDGE the mover pays only for the edge they cancel, so a
     node has one state, which keeps its cheapest outgoing edges and
@@ -126,8 +126,8 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
     """
     at_node: list[list[int]] = [[] for _ in range(dag.n)]
     node: list[int] = []
-    kept: list = []
-    totals: list[Num] = []  # per state, read in MODE_TOTALS only
+    links: list[list[int]] = []
+    totals: list[Num] = []  # per state in build order (state c at ~c), MODE_TOTALS only
     mode = bound.mode
     for i in range(dag.n - 1, -1, -1):
         succ = dag.succ[i]
@@ -137,14 +137,14 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
         elif mode == MODE_OWN_EDGE:
             steps = [losses[(i, j)] for j in succ]
             cheapest = widen(min(steps), tol)
-            groups = [[(j, at_node[j][0]) for j, step in zip(succ, steps) if step <= cheapest]]
+            groups = [[at_node[j][0] for j, step in zip(succ, steps) if step <= cheapest]]
         elif mode == MODE_PUNISH_FIRST:
             foreclosing = bound.foreclosing
-            on = [(j, at_node[j][0]) for j in succ if (i, j) not in foreclosing]
-            off = [(j, at_node[j][-1]) for j in succ]
+            on = [at_node[j][0] for j in succ if (i, j) not in foreclosing]
+            off = [at_node[j][-1] for j in succ]
             groups = [off] if on == off else [on, off]
         else:
-            per_action = [[(losses[(i, j)] + totals[c], j, c) for c in at_node[j]] for j in succ]
+            per_action = [[(losses[(i, j)] + totals[~c], c) for c in at_node[j]] for j in succ]
             limit = None
             if bound.cares[i]:
                 limit = widen(min([max(opts)[0] for opts in per_action]), tol)
@@ -152,20 +152,18 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> _StateTable:
             # stay apart, as 1/3 + 1 and 1/3 + 1.0 differ
             by_total: dict = {}
             for opts in per_action:
-                for total, j, c in opts:
+                for total, c in opts:
                     if limit is None or total <= limit:
-                        key = (total, type(total))
-                        if key in by_total:
-                            by_total[key].append((j, c))
-                        else:
-                            by_total[key] = [(j, c)]
+                        by_total.setdefault((total, type(total)), []).append(c)
             groups = list(by_total.values())
             state_totals = [total for total, _ in by_total]
-        at_node[i] = list(range(len(kept), len(kept) + len(groups)))
+        at_node[i] = list(range(~len(links), ~len(links) - len(groups), -1))
         node.extend([i] * len(groups))
-        kept.extend(groups)
+        links.extend(groups)
         totals.extend(state_totals or [0] * len(groups))
-    return _StateTable(at_node, node, kept)
+    node.reverse()
+    links.reverse()
+    return at_node, node, links
 
 
 _MODES = (MODE_TOTALS, MODE_OWN_EDGE, MODE_PUNISH_FIRST)
@@ -174,16 +172,16 @@ _MODES = (MODE_TOTALS, MODE_OWN_EDGE, MODE_PUNISH_FIRST)
 class SpeSolution:
     """Solved game: SPE outcome sets for the whole game and every subgame.
 
-    The rule is solved into a table of per-node outcome states (see
-    `_node_states`): every state lists the (successor, child state) links
-    it keeps, so the suffixes a subgame holds are the paths through its
-    start states. `continuations` lists them from the table, building the
-    suffix list of each state it reaches once.
+    The rule is solved into a link table of per-node outcome states (see
+    `_node_states`): every state lists the child states it keeps, so the
+    suffixes a subgame holds are the paths through its start states.
+    `continuations` lists them with one stack walk over those links
+    (`graph.list_paths`); no suffix list is kept between queries.
 
     `efficiency_counts` and `coincides` compare the outcome set with the
-    efficient paths by counting: backward over the state table, and over
-    the tight edges for the efficient set. Only `continuations` and
-    `outcomes` list paths.
+    efficient paths by counting (`graph.path_ways`): over the state table,
+    and over the tight edges for the efficient set. Only `continuations`
+    and `outcomes` list paths.
     """
 
     def __init__(self, dag: Dag, losses: Mapping[Edge, Num], rule: Rule):
@@ -195,9 +193,7 @@ class SpeSolution:
                 f"no solver for mode {self.bound.mode!r} of rule {rule.spec_string}"
             )
         self.tol = default_tolerance(losses)
-        self._states = _node_states(dag, losses, self.bound, self.tol)
-        # per state: its suffixes, listed on demand
-        self._suffix_lists: dict[int, list[tuple[int, ...]]] = {}
+        self._at_node, self._node, self._links = _node_states(dag, losses, self.bound, self.tol)
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -209,35 +205,18 @@ class SpeSolution:
     def _start_states(self, history: tuple[int, ...]) -> list[int]:
         """The states whose suffixes are the subgame's SPE outcomes after
         `history`: every state at its node, or under punish-first the
-        on-track or the off-track one."""
-        states = self._states.at_node[history[-1]]
+        on-track or the off-track one. They hold no suffix twice."""
+        states = self._at_node[history[-1]]
         if self.bound.mode != MODE_PUNISH_FIRST:
             return states
         on_track = self.bound.foreclosing.isdisjoint(zip(history, history[1:]))
         return states[:1] if on_track else states[-1:]
 
-    def _suffixes(self, roots: list[int]) -> list[tuple[int, ...]]:
-        """Every suffix the states `roots` hold. The suffix list of each
-        state they reach is built once, children first, and kept for later
-        queries."""
-        table, lists = self._states, self._suffix_lists
-        todo: set[int] = set()
-        stack = [c for c in roots if c not in lists]
-        while stack:
-            c = stack.pop()
-            if c not in todo:
-                todo.add(c)
-                stack.extend(d for _, d in table.kept[c] if d not in lists)
-        for c in sorted(todo):
-            i = table.node[c]
-            lists[c] = [(i,) + s for _, d in table.kept[c] for s in lists[d]] or [(i,)]
-        return [s for c in roots for s in lists[c]]
-
     def continuations(self, history: tuple[int, ...]) -> set[Path]:
         """SPE outcomes of the subgame after `history`, as full paths."""
         self._check_history(history)
-        prefix = history[:-1]
-        return {Path(prefix + sfx) for sfx in self._suffixes(self._start_states(history))}
+        return set(list_paths(self._links, self._start_states(history),
+                              node=self._node, prefix=history[:-1]))
 
     def outcomes(self) -> set[Path]:
         return self.continuations((self.dag.source,))
@@ -258,25 +237,12 @@ class SpeSolution:
         dag, losses = self.dag, self.losses
         tol = resolve_tolerance(losses, tie_tolerance)
         tight = tight_step(losses, continuation_costs(dag, losses), tol)
-        eff = _backward_ways(dag, tight)[dag.source]
-        # per state: the suffixes it holds, and those using only tight edges
-        table = self._states
-        every: list[int] = []
-        on_tight: list[int] = []
-        for i, links in zip(table.node, table.kept):
-            n_all = n_tight = 0 if links else 1  # a sink ends one suffix
-            for j, c in links:
-                n_all += every[c]
-                if tight(i, j):
-                    n_tight += on_tight[c]
-            every.append(n_all)
-            on_tight.append(n_tight)
-        at_source = self._start_states((dag.source,))
-        return (
-            sum(every[c] for c in at_source),
-            eff,
-            sum(on_tight[c] for c in at_source),
-        )
+        node, links = self._node, self._links
+        every = path_ways(links)
+        on_tight = path_ways(links, lambda e, c: tight(node[e], node[c]))
+        roots = self._start_states((dag.source,))
+        return (sum([every[c] for c in roots]), path_ways(dag.succ, tight)[dag.source],
+                sum([on_tight[c] for c in roots]))
 
     def coincides(self, tie_tolerance: Optional[float] = None) -> bool:
         """Whether the SPE outcomes are exactly the efficient paths under

@@ -290,7 +290,7 @@ def validate(
     checks, dag = _structural_checks(nodes, edges, source)
     warnings: list[str] = []
     if dag is not None:
-        fwd, bwd = _forward_ways(dag), _backward_ways(dag)
+        fwd, bwd = _forward_ways(dag), path_ways(dag.succ)
         for i in range(dag.n):
             if i != dag.source and i not in dag.sinks and fwd[i] * bwd[i] == bwd[dag.source]:
                 warnings.append(
@@ -303,10 +303,73 @@ def validate(
 # paths
 
 
+def path_ways(links: Sequence[Sequence[int]], keep: Callable | None = None) -> list[int]:
+    """ways[e] = number of paths from entry e of a link table, by one
+    backward pass.
+
+    A link table is a path set: entry e links to the entries `links[e]`,
+    each after e, and a path runs along links to an entry without any. For
+    the whole graph entry i is node i and `links` is `dag.succ` itself;
+    `SpeSolution` builds one of outcome states. Only links e -> c with
+    keep(e, c) are followed, all when keep is None, so an entry whose links
+    all fail it ends no path.
+    """
+    ways = [1] * len(links)  # an entry without links ends one path
+    for e in range(len(links) - 1, -1, -1):
+        kids = links[e]
+        if kids:
+            w = 0
+            for c in kids:
+                if keep is None or keep(e, c):
+                    w += ways[c]
+            ways[e] = w
+    return ways
+
+
+def list_paths(links: Sequence[Sequence[int]], roots: Sequence[int], keep: Callable | None = None,
+               node: Sequence[int] | None = None, prefix: tuple[int, ...] = ()) -> list[Path]:
+    """The paths `path_ways` counts from each entry of `roots` in turn, in
+    lexicographic order of entries. Each is a Path of its entries when
+    `node` is None, as for the whole graph, else of `prefix` and its
+    entries' nodes, `node[e]`.
+
+    Depth-first with an explicit stack, so path length is not bounded by
+    the interpreter's recursion limit, and nothing is kept between paths
+    but the entries of the current one and their nodes. An entry without
+    links ends its path where it is reached and is never stacked.
+    """
+    out: list[Path] = []
+    for root in roots:
+        stack = [root]
+        # the stacked entries' nodes after `prefix`; the stack itself when
+        # entries are nodes
+        nodes = stack if node is None else [*prefix, node[root]]
+        if not links[root]:
+            out.append(Path(tuple(nodes)))
+            continue
+        pending = [iter(links[root])]  # untried links per stacked entry
+        while pending:
+            for c in pending[-1]:
+                if keep is None or keep(stack[-1], c):
+                    if not links[c]:
+                        out.append(Path((*nodes, c if node is None else node[c])))
+                        continue
+                    stack.append(c)
+                    if node is not None:
+                        nodes.append(node[c])
+                    pending.append(iter(links[c]))
+                    break
+            else:
+                stack.pop()
+                if node is not None:
+                    nodes.pop()
+                pending.pop()
+    return out
+
+
 def count_paths(dag: Dag) -> int:
     """Exact number of source-to-sink paths (arbitrary precision)."""
-    ways = _forward_ways(dag)
-    return sum(ways[t] for t in dag.sinks)
+    return path_ways(dag.succ)[dag.source]
 
 
 def _forward_ways(dag: Dag, start: int | None = None) -> list[int]:
@@ -319,21 +382,6 @@ def _forward_ways(dag: Dag, start: int | None = None) -> list[int]:
         if w:
             for j in dag.succ[i]:
                 ways[j] += w
-    return ways
-
-
-def _backward_ways(dag: Dag, keep: Callable[[int, int], bool] | None = None) -> list[int]:
-    """ways[i] = number of i-to-sink paths, using only edges (i, j) with
-    keep(i, j), or every edge when keep is None."""
-    ways = [0] * dag.n
-    for i in range(dag.n - 1, -1, -1):
-        succ = dag.succ[i]
-        if not succ:
-            ways[i] = 1  # a sink ends one path
-        elif keep is None:
-            ways[i] = sum(ways[j] for j in succ)
-        else:
-            ways[i] = sum(ways[j] for j in succ if keep(i, j))
     return ways
 
 
@@ -350,32 +398,7 @@ def enumerate_paths(dag: Dag, cap: int | None = None) -> list[Path]:
             raise GraphError(f"path cap must be non-negative, got {cap}")
         if count_paths(dag) > cap:
             raise PathCapExceeded(f"more than {cap} paths")
-    return _paths_along(dag, None)
-
-
-def _paths_along(dag: Dag, keep: Callable[[int, int], bool] | None) -> list[Path]:
-    """Source-to-sink paths using only edges (i, j) with keep(i, j), or
-    every edge when keep is None, in lexicographic order of node indices.
-
-    Depth-first with an explicit stack, so path length is not bounded by
-    the interpreter's recursion limit.
-    """
-    out: list[Path] = []
-    nodes = [dag.source]
-    pending = [iter(dag.succ[dag.source])]  # untried successors per level
-    while pending:
-        i = nodes[-1]
-        for j in pending[-1]:
-            if keep is None or keep(i, j):
-                nodes.append(j)
-                pending.append(iter(dag.succ[j]))
-                break
-        else:
-            if not dag.succ[i]:
-                out.append(Path(tuple(nodes)))
-            nodes.pop()
-            pending.pop()
-    return out
+    return list_paths(dag.succ, (dag.source,))
 
 
 def check_losses(dag: Dag, losses: Mapping[Edge, Num]) -> None:
@@ -497,7 +520,7 @@ def efficient_paths(
     check_losses(dag, losses)
     tol = resolve_tolerance(losses, tie_tolerance)
     L = continuation_costs(dag, losses)
-    out = _paths_along(dag, tight_step(losses, L, tol))
+    out = list_paths(dag.succ, (dag.source,), tight_step(losses, L, tol))
     return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
 
 

@@ -321,7 +321,13 @@ def _engine(spec: str, sub: Dag) -> Optional[np.ndarray]:
 
 def plan_sources(hg: HourglassGraph, specs: Sequence[str]) -> list[SourcePlan]:
     """One plan per source of `hg`, in source order; the first source that
-    cannot be simulated raises SimError naming it."""
+    cannot be simulated raises SimError naming it. A `fixed:file=` rule is
+    refused first when there are two or more sources: no source's subgraph
+    holds another source, so no one weights file can fit them all."""
+    files = [spec for spec in specs if spec.strip().startswith("fixed:file=")]
+    if files and len(hg.sources) > 1:
+        raise SimError(f"rule {files[0]!r} needs a single source (layers starting with 1), "
+                       f"not {len(hg.sources)}: one weights file cannot fit every source's subgraph")
     graph = (hg.labels, hg.edge_labels())
     index = {label: i for i, label in enumerate(hg.labels)}
     plans = []

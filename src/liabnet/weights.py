@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .graph import Dag, Num, _backward_ways, count_paths, enumerate_paths
+from .graph import Dag, Num, count_paths, enumerate_paths, path_ways
 
 
 class WeightsError(Exception):
@@ -216,7 +216,7 @@ def path_counting_value(dag: Dag, coalition: Iterable[int]) -> Fraction:
         raise WeightsError(
             f"coalition contains sink(s): {sorted(dag.labels[i] for i in bad)}"
         )
-    covered = _backward_ways(dag, lambda i, j: i in members)[dag.source]
+    covered = path_ways(dag.succ, lambda i, j: i in members)[dag.source]
     return Fraction(covered, count_paths(dag))
 
 

@@ -122,7 +122,7 @@ def test_over_cap_refused_before_listing(capsys, monkeypatch, argv, cap):
     def listing(*args):
         raise AssertionError("paths listed")
 
-    monkeypatch.setattr(liabnet.graph, "_paths_along", listing)
+    monkeypatch.setattr(liabnet.graph, "list_paths", listing)
     code, data, err = run(capsys, argv[0], str(FIXTURES / "grid20.json"), *argv[1:])
     assert code == 2
     assert data is None
@@ -642,29 +642,55 @@ class TestShapeErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @staticmethod
+    def weights_config(tmp_path, layers, weights):
+        """A `simulate` config on full layers of `layers` nodes with a
+        `fixed:file=` rule on `weights` and `local`; (path, rule spec)."""
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps(weights))
+        rule = f"fixed:file={weights_file}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "layers": layers, "p_next": 1.0, "p_skip": 0.0, "draws": 5, "rules": [rule, "local"],
+        }))
+        return str(config), rule
+
     @pytest.mark.parametrize(
         "weights, message",
         [
-            # fits n0_0's subgraph but names n0_0, which n0_1 does not reach
-            ({"n0_0": 0.5, "n1_0": 0.5}, "source 'n0_1': unknown node label: 'n0_0'"),
+            ({"n0_0": 0.5, "zz": 0.5}, "source 'n0_0': unknown node label: 'zz'"),
             ({"n0_0": 0.5, "n1_0": 0.25}, "source 'n0_0': weights must sum to 1 (got 0.75)"),
         ],
-        ids=["outside-a-subgraph", "sum-off"],
+        ids=["unknown-label", "sum-off"],
     )
     def test_simulate_weights_file_names_the_source(self, capsys, tmp_path, weights, message):
-        # n0_0 and n0_1 both feed n1_0, which feeds n2_0 and n2_1
-        weights_file = tmp_path / "weights.json"
-        weights_file.write_text(json.dumps(weights))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "layers": [2, 1, 2], "p_next": 1.0, "p_skip": 0.0, "draws": 5,
-            "rules": [f"fixed:file={weights_file}", "local"],
-        }))
-        code, data, err = run(capsys, "simulate", str(config))
+        # the one source n0_0 feeds n1_0 and n1_1, which feed n2_0 and n2_1
+        config, _ = self.weights_config(tmp_path, [1, 2, 2], weights)
+        code, data, err = run(capsys, "simulate", config)
         assert code == 2
         assert data is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cannot simulate from {message}" in err
+
+    def test_simulate_weights_file_needs_one_source(self, capsys, tmp_path):
+        # n0_0 and n0_1 both feed n1_0: the file fits n0_0's subgraph but
+        # names n0_0, which n0_1 does not reach
+        config, rule = self.weights_config(tmp_path, [2, 1, 2], {"n0_0": 0.5, "n1_0": 0.5})
+        code, data, err = run(capsys, "simulate", config)
+        assert code == 2
+        assert data is None
+        assert err == (
+            f"error: rule {rule!r} needs a single source (layers starting with 1), "
+            "not 2: one weights file cannot fit every source's subgraph\n"
+        )
+
+    def test_simulate_weights_file_with_one_source_runs(self, capsys, tmp_path):
+        weights = {"n0_0": 0.5, "n1_0": 0.25, "n1_1": 0.25}
+        config, rule = self.weights_config(tmp_path, [1, 2, 2], weights)
+        code, data, _ = run(capsys, "simulate", config)
+        assert code == 0
+        assert data["total_draws"] == 5
+        assert set(data["per_rule"]) == {rule, "local"}
 
 
 GUARD_ARGV = {

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import liabnet.game
+import liabnet.graph
 from liabnet.game import (
     GameError,
     ProfileCapExceeded,
@@ -20,7 +23,15 @@ from liabnet.game import (
     spe_solve,
 )
 from liabnet.generators import random_dag, random_losses, random_simplex_weights
-from liabnet.graph import GraphError, Path, build_dag, efficient_paths, enumerate_paths
+from liabnet.graph import (
+    GraphError,
+    Path,
+    build_dag,
+    efficient_paths,
+    enumerate_paths,
+    list_paths,
+    path_ways,
+)
 from liabnet.rules import (
     PunishFirstRule,
     apply_rule,
@@ -368,12 +379,12 @@ class TestSubgameKeys:
         dag, losses = ladder(16)
         sol = spe_solve(dag, losses, make_rule("punish-first", dag))
         assert len(sol.outcomes()) == 2**16
-        assert [len(s) for s in sol._states.at_node] == [1] * dag.n
+        assert [len(s) for s in sol._at_node] == [1] * dag.n
         # the near-tie game's cross edges a1-b2 and b1-a2 foreclose: r, s,
         # a1 and b1 keep two states, the nodes past the cross edges one
         dag, losses = near_tie_game(random.Random(3), 1e8)
         sol = spe_solve(dag, losses, make_rule("punish-first", dag))
-        assert [len(s) for s in sol._states.at_node] == [2, 2, 2, 2, 1, 1, 1, 1, 1]
+        assert [len(s) for s in sol._at_node] == [2, 2, 2, 2, 1, 1, 1, 1, 1]
 
     def test_punish_first_prices_without_vector(self, monkeypatch):
         # `vector` splits through `split`, so this spy sees either call
@@ -517,13 +528,16 @@ class TestEfficiencyCounts:
             with pytest.raises(GraphError, match=f"finite non-negative number, got {tol}"):
                 call(tol)
 
-    def test_ladder_counts_without_listing(self):
+    def test_ladder_counts_without_listing(self, monkeypatch):
+        listed = []
+        for module in (liabnet.game, liabnet.graph):
+            monkeypatch.setattr(module, "list_paths", lambda *args, **kw: listed.append(args))
         dag, losses = ladder(40)
         for spec in ("fixed:wstar", "local"):
             sol = spe_solve(dag, losses, make_rule(spec, dag))
             assert sol.efficiency_counts() == (2**40, 2**40, 2**40)
             assert sol.coincides()
-            assert not sol._suffix_lists
+            assert not listed
 
     def test_equal_totals_of_different_types_stay_apart(self):
         # at n1 the suffixes via n3 (total 0.0) and via n4 (total 0) tie;
@@ -547,7 +561,42 @@ class TestEfficiencyCounts:
         # every ladder suffix from a node has the same total: one state each
         dag, losses = ladder(16)
         sol = spe_solve(dag, losses, make_rule("fixed:wstar", dag))
-        assert [len(s) for s in sol._states.at_node] == [1] * dag.n
+        assert [len(s) for s in sol._at_node] == [1] * dag.n
+
+
+class TestPathSet:
+    """`graph.path_ways` counts what `graph.list_paths` lists, over the
+    whole graph and over the solver's table of outcome states."""
+
+    @given(counted_games(), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.8, 1.0]))
+    def test_whole_graph_count_matches_listing(self, game, seed, share):
+        dag, _, _ = game
+        rng = random.Random(seed)
+        kept = {e for e in dag.edges if rng.random() < share}
+        for keep in (None, lambda i, j: (i, j) in kept):
+            ways = path_ways(dag.succ, keep)
+            for i in range(dag.n):
+                assert ways[i] == len(list_paths(dag.succ, (i,), keep))
+            # from the source: the enumerated paths on kept edges, in order
+            assert list_paths(dag.succ, (dag.source,), keep) == [
+                p for p in enumerate_paths(dag) if keep is None or kept.issuperset(p.edges)
+            ]
+
+    @given(counted_games())
+    def test_start_states_list_no_suffix_twice(self, game):
+        # under totals mode a suffix's (total, type) is fixed by its own
+        # edges, so it lies in one state at its node (see `_node_states`)
+        dag, losses, _ = game
+        histories = all_histories(dag)
+        for spec in ALL_RULE_SPECS:
+            sol = spe_solve(dag, losses, make_rule(spec, dag))
+            ways = path_ways(sol._links)
+            for history in histories:
+                roots = sol._start_states(history)
+                listed = list_paths(sol._links, roots, node=sol._node, prefix=history[:-1])
+                assert len(set(listed)) == len(listed), (spec, history)
+                assert all(p.nodes[:len(history)] == history for p in listed)
+                assert sum(ways[c] for c in roots) == len(listed), (spec, history)
 
 
 class TestContinuations:
@@ -605,6 +654,22 @@ class TestDeepChain:
         res = efficient_paths(dag, losses)
         assert res.min_cost == 1499
         assert [p.nodes for p in res.paths] == [long_path]
+
+    def test_outcomes_in_linear_memory(self):
+        # the walk holds one path's entries at a time; a suffix list kept
+        # per state took 9.8 MB here, quadratic in the chain's length
+        dag, bypass, long_path = self.chain()
+        losses = {e: 1 for e in dag.edges}
+        losses[bypass] = 2000
+        rule = make_rule("local", dag)
+        tracemalloc.start()
+        try:
+            outcomes = spe_solve(dag, losses, rule).outcomes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodeset(outcomes) == {long_path}
+        assert peak < 1_000_000
 
     def test_punish_first_spe(self):
         dag, bypass, _ = self.chain()

@@ -55,6 +55,11 @@ byte-for-byte alike. The list:
   is read;
 - `simulate` on a config with a field of the wrong type, and with
   `--workers 0`, both refused with exit 2;
+- `spe --rule local` and `spe --rule punish-first` on a 1,500-node chain
+  whose s -> t bypass costs more than the chain, deeper than the
+  interpreter's recursion limit;
+- `simulate` with a `fixed:file=` rule on a config with two sources,
+  refused with exit 2;
 - the default `simulate` at `--workers 1` and at `--workers 2`, each with
   its 4 artifacts; the second merges per-source results made in other
   processes;
@@ -211,6 +216,18 @@ def escaped_labels() -> dict:
         "nodes": [s, d, b, a, c, t],
         "edges": [{"from": u, "to": v, "loss": 1} for u, v in edges],
         "source": s,
+    }
+
+
+def deep_chain(n: int) -> dict:
+    """s, n1, ..., t in a chain of n nodes with unit losses, and an s -> t
+    bypass of loss 2000."""
+    nodes = ["s"] + [f"n{k}" for k in range(1, n - 1)] + ["t"]
+    edges = [(u, v, 1) for u, v in zip(nodes, nodes[1:])] + [("s", "t", 2000)]
+    return {
+        "nodes": nodes,
+        "edges": [{"from": u, "to": v, "loss": loss} for u, v, loss in edges],
+        "source": "s",
     }
 
 
@@ -392,6 +409,19 @@ def commands(tmp: Path):
     bad_config.write_text(json.dumps({"draws": "many"}))
     yield "simulate bad config", ["simulate", str(bad_config)], None
     yield "simulate --workers 0", ["simulate", "--workers", "0"], None
+    chain = tmp / "chain1500.json"
+    chain.write_text(json.dumps(deep_chain(1500)))
+    for rule in ("local", "punish-first"):
+        yield f"spe {chain.name} {rule}", ["spe", str(chain), "--rule", rule], None
+    # n0_0 and n0_1 both feed n1_0; the file fits n0_0's subgraph only
+    two_weights = tmp / "two_sources.weights.json"
+    two_weights.write_text(json.dumps({"n0_0": 0.5, "n1_0": 0.5}))
+    two_sources = tmp / "sim_two_sources.json"
+    two_sources.write_text(json.dumps({
+        "layers": [2, 1, 2], "p_next": 1.0, "p_skip": 0.0, "draws": 5,
+        "rules": [f"fixed:file={two_weights}", "local"],
+    }))
+    yield "simulate two sources fixed:file", ["simulate", str(two_sources)], None
 
 
 def simulate_commands(tmp: Path):
