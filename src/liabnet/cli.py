@@ -33,6 +33,7 @@ from .graph import (
     count_paths,
     efficient_paths,
     enumerate_paths,
+    path_loss,
     validate,
 )
 from .io import (
@@ -164,7 +165,7 @@ def _cmd_spe(args) -> int:
     losses = _full_losses(dag, embedded, args.losses)
     rule = make_rule(args.rule, dag).bind(losses)
     sol = spe_solve(dag, losses, rule)
-    ordered = sorted(sol.outcomes(), key=lambda p: p.nodes)
+    ordered = sol.sorted_outcomes()
     coincide = sol.coincides(args.tol)
     labelled = [_label_path(dag, p) for p in ordered]
     if coincide:
@@ -183,9 +184,9 @@ def _cmd_spe(args) -> int:
     splits, liab = [], {}
     held = None
     for p, labels in zip(ordered, labelled):
-        vec = apply_rule(rule, p, losses)
-        if vec.values is not held:
-            held = vec.values
+        values = rule.checked_split(p, path_loss(losses, p))
+        if values is not held:
+            held = values
             splits.append([float(held[i]) for i in order])
         liab["->".join(labels)] = len(splits) - 1
     out = {

@@ -22,8 +22,9 @@ paths are efficient, are backward counts over the table
 (`SpeSolution.efficiency_counts`); that decides whether the outcomes are
 exactly the efficient paths without listing either set. Outcome paths
 are listed only when asked for (`SpeSolution.continuations`, `outcomes`,
-`spe_outcomes`), by one stack walk over the links, and no suffix list is
-kept. `spe_bruteforce` is the definitional oracle:
+`sorted_outcomes`, `spe_outcomes`), by one stack walk over the links, and
+no suffix list is kept; `sorted_outcomes` checks each link it can follow
+once, not each path. `spe_bruteforce` is the definitional oracle:
 enumerate every pure strategy profile over all histories and keep the
 ones with no profitable one-shot deviation anywhere, on or off the
 realized path.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -180,8 +182,8 @@ class SpeSolution:
 
     `efficiency_counts` and `coincides` compare the outcome set with the
     efficient paths by counting (`graph.path_ways`): over the state table,
-    and over the tight edges for the efficient set. Only `continuations`
-    and `outcomes` list paths.
+    and over the tight edges for the efficient set. Only `continuations`,
+    `outcomes` and `sorted_outcomes` list paths.
     """
 
     def __init__(self, dag: Dag, losses: Mapping[Edge, Num], rule: Rule):
@@ -220,6 +222,41 @@ class SpeSolution:
 
     def outcomes(self) -> set[Path]:
         return self.continuations((self.dag.source,))
+
+    def sorted_outcomes(self) -> list[Path]:
+        """The paths of `outcomes` in a list sorted by nodes, checked as
+        source-to-sink paths of the graph by one pass over the states the
+        roots reach: the roots sit at the source, every kept link follows
+        an edge, and every state without links sits at a sink (a path along
+        a DAG's edges repeats no node); any other table raises GameError.
+
+        The walk's order is not always the order by nodes: with float
+        losses `step + total` can round two child states' totals at one
+        node to one parent total (a step of 1e16 onto 0.0 and 1.0), and
+        that parent state links both. So the list is sorted, in place.
+        """
+        dag, node, links = self.dag, self._node, self._links
+        labels = dag.labels
+        roots = self._start_states((dag.source,))
+        for r in roots:
+            if node[r] != dag.source:
+                raise GameError(f"an outcome state at {labels[node[r]]!r} is a root")
+        seen, stack = set(roots), list(roots)
+        while stack:
+            e = stack.pop()
+            u = node[e]
+            if not links[e] and u not in dag.sinks:
+                raise GameError(f"an outcome state at non-sink {labels[u]!r} keeps no link")
+            for c in links[e]:
+                if not dag.has_edge(u, node[c]):
+                    raise GameError(f"an outcome state links {labels[u]!r} to "
+                                    f"{labels[node[c]]!r}, which is not an edge")
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        paths = list_paths(links, roots, node=node)
+        paths.sort(key=operator.attrgetter("nodes"))
+        return paths
 
     def efficiency_counts(
         self, tie_tolerance: Optional[float] = None

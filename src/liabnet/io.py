@@ -125,14 +125,16 @@ def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
 
 
 def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
-    """Load a label -> weight mapping; missing labels default to 0."""
+    """Load a label -> weight mapping; missing labels default to 0. A
+    weight is a finite number; its sign and the sum are checked where the
+    weight vector is built."""
     data = load_json(path)
     if not isinstance(data, dict):
         raise FormatError("weights file must be an object mapping labels to numbers")
     weights = {i: 0.0 for i in range(dag.n)}
     for label, x in data.items():
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise FormatError(f"weight for {label!r} must be a number")
+        if not finite_number(x):
+            raise FormatError(f"weight for {label!r} must be a finite number")
         weights[dag.index(label)] = float(x)
     return weights
 

@@ -19,21 +19,23 @@ checks the loss function once and computes what depends on it (phi2's
 weights, punish-first's foreclosing steps). Each rule kind implements
 one method, `split(path, total)`, given the path's `path_loss` total,
 which a split that does not read it (`local`) ignores: `vector` sums the
-path's losses once, and `apply_rule`, which sums them for its balance
-test anyway, passes its sum on.
-`apply_rule(rule, path, losses)` is the checked single-path call: it also
-rejects a path that is not source-to-sink and a split that is negative or
-unbalanced. It tests an int or `Fraction` split first in integers, over
-one common denominator, and any other split within float tolerances.
+path's losses once.
+`check_path` rejects a path that is not source-to-sink; a bound rule's
+`checked_split(path, total)` is `split` plus the split test, which
+rejects a negative or unbalanced split, in integers over one common
+denominator for an int or `Fraction` split and within float tolerances
+for any other. `apply_rule(rule, path, losses)`, the checked single-path
+call, is `check_path`, `bind` and `checked_split` of the path's
+`path_loss`; the `spe` report, whose outcomes are checked per link
+(`game.SpeSolution.sorted_outcomes`), calls `checked_split` alone.
 A fixed-weight split depends on the realized total alone, so a bound
 fixed-weight rule splits each distinct total once, and punish-first's
 equal split does too, both through the bound rule's one memo,
-`_by_total`. `apply_rule` checks the path on every call but tests a
-split once per total: the bound rule keeps the last split tuple that
-passed for each total, and the sign and balance tests read only the
-split's values and the total, so that same tuple would pass again. Each
-class declares its solver `mode` and `cares` (see `Rule`); neither
-depends on the losses.
+`_by_total`. `checked_split` tests a split once per total: the bound
+rule keeps the last split tuple that passed for each total, and the sign
+and balance tests read only the split's values and the total, so that
+same tuple would pass again. Each class declares its solver `mode` and
+`cares` (see `Rule`); neither depends on the losses.
 
 Rule-spec string grammar, surrounding whitespace ignored::
 
@@ -57,7 +59,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import pairwise
+from typing import Callable, Mapping
 
 from .graph import (
     Dag,
@@ -143,11 +146,11 @@ class Rule:
         The mapping is held, not copied, so it must not change while bound.
         Binding to the mapping the rule already holds returns the rule
         itself, so a bound rule can be passed on to `spe_solve` and
-        `apply_rule` without checking the losses again, and `apply_rule`
-        keeps what it has checked on the bound copy: per `(type(total),
-        total)`, the last split tuple that passed, one entry per distinct
-        total. Every `bind` to another mapping starts it, and the memo of
-        `_by_total`, empty.
+        `apply_rule` without checking the losses again, and
+        `checked_split` keeps what it has tested on the bound copy: per
+        `(type(total), total)`, the last split tuple that passed, one entry
+        per distinct total. Every `bind` to another mapping starts it, and
+        the memo of `_by_total`, empty.
         """
         if losses is self.losses:
             return self
@@ -155,7 +158,7 @@ class Rule:
         bound = object.__new__(type(self))
         bound.__dict__.update(self.__dict__)
         bound.losses = losses
-        bound._passed = {}  # (type(total), total) -> split, read by apply_rule
+        bound._passed = {}  # (type(total), total) -> split, read by checked_split
         bound._splits = {}  # (type(total), total) -> split, read by _by_total
         bound._derive()
         return bound
@@ -169,6 +172,53 @@ class Rule:
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         """The unchecked split of `path`, whose `path_loss` is `total`."""
         raise NotImplementedError(f"{type(self).__name__} defines no split")
+
+    def checked_split(self, path: Path, total: Num) -> tuple[Num, ...]:
+        """`split(path, total)` of a bound rule, tested for sign and balance.
+
+        The split is tested once per distinct split: the bound rule keeps,
+        per `(type(total), total)`, the last split tuple that passed, and a
+        split that is that same tuple returns at once. That is not a weaker
+        check, because the tests below read only the split's values and
+        the total, and a tuple of numbers cannot change; a split that fails
+        is not kept, so it raises on every call, and a fresh tuple of equal
+        total is tested in full. Rules that return one tuple per total (the
+        fixed-weight rules, punish-first on efficient paths) are thus
+        tested once per total, however many paths share it.
+
+        A split of ints and `Fraction`s, with an int or `Fraction` total, is
+        tested in integers first: over the common denominator of the values
+        and the total, it passes when no numerator is negative and the
+        numerators sum to the total's exactly. Every other split (a float, a
+        NaN, a tiny negative `Fraction`, an imbalance inside the slack) goes
+        to the float test, which admits values down to -1e-12 and an
+        imbalance of up to 1e-9 * max(1, |total|). A split the integer test
+        passes passes the float test too, so the two accept what the float
+        test alone accepts; the one exception is a total beyond the float
+        range, on which the float test raises OverflowError.
+
+        The path is not checked; raises RuleSpecError when the split is
+        negative or unbalanced.
+        """
+        values = self.split(path, total)
+        key = (type(total), total)
+        if self._passed.get(key) is values:
+            return values
+        if type(total) is float or not _exactly_balanced(values, total):
+            slack = 1e-9 * max(1.0, abs(float(total)))
+            # `x >= 0` is exact and cheap for int and Fraction values; only a
+            # negative value (or NaN) pays for the float comparison, whose
+            # threshold alone decides the outcome
+            if not all(x >= 0 or x >= -1e-12 for x in values):
+                raise RuleSpecError(f"negative liability from {self.spec_string}")
+            if not abs(float(sum(values) - total)) <= slack:
+                raise RuleSpecError(
+                    f"unbalanced liabilities from {self.spec_string}: "
+                    f"{float(sum(values))} vs {float(total)}"
+                )
+        if type(values) is tuple:
+            self._passed[key] = values
+        return values
 
     def _by_total(
         self, total: Num, make: Callable[[Num], tuple[Num, ...]]
@@ -309,8 +359,9 @@ class LocalRule(Rule):
 
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:
         values = [0] * self.dag.n
-        for (i, j) in path.edges:
-            values[i] = self.losses[(i, j)]
+        losses = self.losses
+        for e in pairwise(path.nodes):
+            values[e[0]] = losses[e]
         return tuple(values)
 
 
@@ -335,15 +386,16 @@ class PunishFirstRule(Rule):
         self.foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
 
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:
-        edges = path.edges
+        nodes = path.nodes
         foreclosing = self.foreclosing
-        if foreclosing.isdisjoint(edges):
+        if foreclosing.isdisjoint(pairwise(nodes)):
             back = 0
-            for e in reversed(edges):
-                back = self.losses[e] + back
+            losses = self.losses
+            for j, i in pairwise(reversed(nodes)):
+                back = losses[(i, j)] + back
             return self._by_total(back, self._equal_split)
         values = [0] * self.dag.n
-        values[next(i for i, j in edges if (i, j) in foreclosing)] = total
+        values[next(e[0] for e in pairwise(nodes) if e in foreclosing)] = total
         return tuple(values)
 
     def _equal_split(self, total: Num) -> tuple[Num, ...]:
@@ -425,65 +477,19 @@ def apply_rule(
 ) -> LiabilityVector:
     """Evaluate a rule on one path and enforce balance and non-negativity.
 
-    This is the checked single-path call. A rule already bound to `losses`
-    is not bound again, so a caller evaluating many paths under one loss
-    function binds once and passes the bound rule. The path's `path_loss`
-    is summed once, for the rule's `split` and for the balance test.
-
-    The path is checked on every call. The split is tested once per
-    distinct split: the bound rule keeps, per `(type(total), total)`, the
-    last split tuple that passed, and a split that is that same tuple
-    returns at once. That is not a weaker check, because the tests below
-    read only the split's values and the total, and a tuple of numbers
-    cannot change; a split that fails is not kept, so it raises on every
-    call, and a fresh tuple of equal total is tested in full. Rules that
-    return one tuple per total (the fixed-weight rules, punish-first on
-    efficient paths) are thus tested once per total, however many paths
-    share it.
-
-    A split of ints and `Fraction`s, with an int or `Fraction` total, is
-    tested in integers first: over the common denominator of the values
-    and the total, it passes when no numerator is negative and the
-    numerators sum to the total's exactly. Every other split (a float, a
-    NaN, a tiny negative `Fraction`, an imbalance inside the slack) goes to
-    the float test, which admits values down to -1e-12 and an imbalance of
-    up to 1e-9 * max(1, |total|). A split the integer test passes passes
-    the float test too, so the two accept what the float test alone
-    accepts; the one exception is a total beyond the float range, on which
-    the float test raises OverflowError.
+    This is the checked single-path call: `check_path`, then the rule
+    bound to `losses` and its `checked_split` of the path's `path_loss`.
+    A rule already bound to `losses` is not bound again, so a caller
+    evaluating many paths under one loss function binds once and passes
+    the bound rule, and the bound rule's memo tests each distinct split
+    once (see `Rule.checked_split`).
 
     Raises GraphError when the path is not a source-to-sink path of the
     rule's graph or losses are not total, and RuleSpecError when the rule
     yields a negative or unbalanced split.
     """
     check_path(rule.dag, path)
-    bound = rule.bind(losses)
-    total = path_loss(losses, path)
-    values = bound.split(path, total)
-    key = (type(total), total)
-    if bound._passed.get(key) is not values:
-        _check_split(rule.spec_string, values, total)
-        if type(values) is tuple:
-            bound._passed[key] = values
-    return LiabilityVector(values)
-
-
-def _check_split(spec_string: str, values: Sequence[Num], total: Num) -> None:
-    """Raise RuleSpecError unless `values` is a non-negative split of
-    `total`: in integers when it can be, else within float tolerances."""
-    if type(total) is not float and _exactly_balanced(values, total):
-        return
-    slack = 1e-9 * max(1.0, abs(float(total)))
-    # `x >= 0` is exact and cheap for int and Fraction values; only a
-    # negative value (or NaN) pays for the float comparison, whose
-    # threshold alone decides the outcome
-    if not all(x >= 0 or x >= -1e-12 for x in values):
-        raise RuleSpecError(f"negative liability from {spec_string}")
-    if not abs(float(sum(values) - total)) <= slack:
-        raise RuleSpecError(
-            f"unbalanced liabilities from {spec_string}: "
-            f"{float(sum(values))} vs {float(total)}"
-        )
+    return LiabilityVector(rule.bind(losses).checked_split(path, path_loss(losses, path)))
 
 
 # the value types `_exactly_balanced` tests in integers

@@ -114,6 +114,27 @@ def fixture_json(name: str) -> dict:
         return json.load(fh)
 
 
+def game_of(labels, loss):
+    """A graph on `labels` and its losses, from a (from, to) -> loss map."""
+    dag = build_dag(labels, list(loss))
+    return dag, {(dag.index(u), dag.index(v)): x for (u, v), x in loss.items()}
+
+
+# phi1 puts every weight on s: b keeps both its totals, 0.0 and 1.0, and a
+# keeps two states, of totals 0.0 (via b and c) and 1.0 (via b); s's step of
+# 1e16 rounds both to 1e16, so s's one state links both of a's, and the
+# walk lists s-a-b-t1, s-a-c-t1, s-a-b-t2
+ROUNDED_MERGE = game_of(["s", "a", "b", "c", "t1", "t2"], {
+    ("s", "a"): 1e16, ("a", "b"): 0.0, ("a", "c"): 0.0,
+    ("b", "t1"): 0.0, ("b", "t2"): 1.0, ("c", "t1"): 0.0,
+})
+# with every weight on b, s and a care for no total and keep one state per
+# distinct total: a's of 4 and 0, and three at s, the roots, of 5, 1 and 4
+SPLIT_ROOTS = game_of(["s", "a", "b", "t"], {
+    ("s", "a"): 1, ("s", "b"): 2, ("a", "b"): 2, ("a", "t"): 0, ("b", "t"): 2,
+})
+
+
 def near_tie_game(rng: random.Random, magnitude: float):
     """From r, one edge to s, then two 4-edge paths s-a1-a2-a3-t and
     s-b1-b2-b3-t whose 3-decimal float losses are the same four in reverse

@@ -11,10 +11,12 @@ import pytest
 import liabnet.graph
 import liabnet.rules
 from liabnet.cli import build_parser, main
+from liabnet.game import spe_solve
 from liabnet.graph import efficient_paths
 from liabnet.io import load_graph_file, load_losses_file
+from liabnet.rules import make_rule
 
-from conftest import ALL_RULE_SPECS, ladder, near_tie_game
+from conftest import ALL_RULE_SPECS, ROUNDED_MERGE, SPLIT_ROOTS, ladder, near_tie_game
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK = str(FIXTURES / "fork.json")
@@ -264,6 +266,45 @@ class TestSpe:
         assert len(data["liabilities"]) == 256
         assert len(calls) == 1
 
+    def test_outcomes_checked_per_link_not_per_path(self, capsys, tmp_path, monkeypatch):
+        # `spe` checks its outcomes once per link of the solver's table;
+        # `liability`'s one path goes through `check_path`
+        calls = []
+        check = liabnet.rules.check_path
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(liabnet.rules, "check_path", counting)
+        for rule in ("fixed:wstar", "local", "punish-first"):
+            code, data, _ = run(capsys, "spe", ladder_file(tmp_path, 8), "--rule", rule)
+            assert code == 0
+            assert len(data["liabilities"]) == 256
+        assert calls == []
+        code, _, _ = run(capsys, "liability", CHAIN3, "--rule", "local", "--path", "s,t")
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("game, weights", [(ROUNDED_MERGE, {"s": 1}), (SPLIT_ROOTS, {"b": 1})],
+                             ids=["rounded-merge", "split-roots"])
+    def test_outcomes_sorted_by_nodes(self, capsys, tmp_path, game, weights):
+        # the solver's walk lists the first graph's outcomes out of order;
+        # the second has three roots
+        dag, losses = game
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": list(dag.labels), "edges": [
+            {"from": dag.labels[u], "to": dag.labels[v], "loss": x} for (u, v), x in losses.items()]}))
+        file = tmp_path / "weights.json"
+        file.write_text(json.dumps(weights))
+        rule = f"fixed:file={file}"
+        code, data, _ = run(capsys, "spe", str(graph), "--rule", rule)
+        assert code == 0
+        sol = spe_solve(dag, losses, make_rule(rule, dag))
+        want = [list(p.labels(dag)) for p in sorted(sol.outcomes(), key=lambda p: p.nodes)]
+        assert data["outcomes"] == want
+        assert list(data["liabilities"]) == sorted("->".join(p) for p in want)
+
     def test_efficient_paths_as_efficient_reports_them(self, capsys, tmp_path):
         # whether or not the outcomes coincide with the efficient paths,
         # the report lists the paths and cost that `efficient` does
@@ -462,21 +503,22 @@ class TestMalformedJson:
         assert bad in err
 
 
-class TestNanWeights:
-    """A weights file with a NaN weight is refused before any rule runs."""
+WEIGHTS_ARGV = [
+    ("liability", FORK, "--rule", "{rule}", "--path", "s,i,t", "--losses", "{losses}"),
+    ("spe", FORK, "--rule", "{rule}", "--losses", "{losses}"),
+    ("check", FORK, "--axiom", "EI", "--rule", "{rule}", "--trials", "3"),
+]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("liability", FORK, "--rule", "{rule}", "--path", "s,i,t", "--losses", "{losses}"),
-            ("spe", FORK, "--rule", "{rule}", "--losses", "{losses}"),
-            ("check", FORK, "--axiom", "EI", "--rule", "{rule}", "--trials", "3"),
-        ],
-        ids=["liability", "spe", "check-EI"],
-    )
-    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+
+class TestNanWeights:
+    """A weights file with a NaN or infinite weight is refused where it is
+    read, naming the label, before any rule runs. It used to pass the file
+    and fail the simplex check for the wrong reason: a NaN as negative, an
+    Infinity as a sum of inf."""
+
+    def run_weights(self, capsys, tmp_path, argv, text):
         weights = tmp_path / "weights.json"
-        weights.write_text('{"s": 0.5, "j": 0.5, "i": NaN}')
+        weights.write_text(text)
         losses = tmp_path / "losses.json"
         losses.write_text(json.dumps(
             {"s->i": 1, "s->j": 2, "j->k": 1, "i->t": 3, "j->t": 1, "k->t": 1}
@@ -485,8 +527,18 @@ class TestNanWeights:
         code, data, err = run(capsys, *(a.format(rule=rule, losses=losses) for a in argv))
         assert code == 2
         assert data is None
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "weights must be non-negative" in err
+        return err
+
+    @pytest.mark.parametrize("argv", WEIGHTS_ARGV, ids=["liability", "spe", "check-EI"])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        err = self.run_weights(capsys, tmp_path, argv, '{"s": 0.5, "j": 0.5, "i": NaN}')
+        assert err == "error: weight for 'i' must be a finite number\n"
+
+    @pytest.mark.parametrize("weight", ["Infinity", "-Infinity"])
+    @pytest.mark.parametrize("argv", WEIGHTS_ARGV[:2], ids=["liability", "spe"])
+    def test_infinite_weight_exits_2(self, capsys, tmp_path, argv, weight):
+        err = self.run_weights(capsys, tmp_path, argv, '{"s": %s}' % weight)
+        assert err == "error: weight for 's' must be a finite number\n"
 
 
 # every command that reads a file, with that file as its one input
@@ -554,7 +606,7 @@ LOSSES_SHAPES = {
 # a weights file for chain_bypass_3.json of each wrong shape
 WEIGHTS_SHAPES = {
     "not-object": ([0.5, 0.5], "weights file must be an object"),
-    "weight-not-number": ({"s": "1"}, "weight for 's' must be a number"),
+    "weight-not-number": ({"s": "1"}, "weight for 's' must be a finite number"),
 }
 SHAPE_CASES = [
     pytest.param((command, "{file}"), data, message, id=f"{name}-{command}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -30,18 +31,22 @@ from liabnet.graph import (
     efficient_paths,
     enumerate_paths,
     list_paths,
+    path_loss,
     path_ways,
 )
 from liabnet.rules import (
     PunishFirstRule,
     apply_rule,
+    check_path,
     fixed_rule,
     irreducible_extension,
     make_rule,
 )
 from liabnet.weights import WeightVector
 
-from conftest import ALL_RULE_SPECS, ladder, near_tie_game, small_games
+from conftest import (
+    ALL_RULE_SPECS, ROUNDED_MERGE, SPLIT_ROOTS, game_of, ladder, near_tie_game, small_games,
+)
 
 ORACLE_RULES = ["fixed:equal", "fixed:wstar", "local", "punish-first"]
 
@@ -289,16 +294,11 @@ def assert_every_history_matches_oracle(dag, losses, rule):
     return sol
 
 
-def _game(labels, loss):
-    dag = build_dag(labels, list(loss))
-    return dag, {(dag.index(u), dag.index(v)): x for (u, v), x in loss.items()}
-
-
 # s-a-b-t at 0.1 per edge; the sinks x, y and z each sit 0.9e-9 below the
 # cheapest cost via the path, so every step of s-a-b-t is tight within the
 # tolerance while its total lies 2.7e-9 above the cheapest cost: an equal
 # split of the cheapest cost would not balance on it
-SLACK_PATH = _game(["s", "a", "b", "t", "x", "y", "z"], {
+SLACK_PATH = game_of(["s", "a", "b", "t", "x", "y", "z"], {
     ("s", "a"): 0.1, ("a", "b"): 0.1, ("b", "t"): 0.1,
     ("s", "x"): 0.3 - 2.7e-9, ("a", "y"): 0.2 - 1.8e-9, ("b", "z"): 0.1 - 0.9e-9,
 })
@@ -306,7 +306,7 @@ SLACK_PATH = _game(["s", "a", "b", "t", "x", "y", "z"], {
 # cheapest cost 0 via s-a-t, with a-b and b-c tight within the tolerance;
 # s-d forecloses, yet its total 1.1e-9 is within 1e-9 of s's worst case via
 # a, s-a-b-c-t's equal share 3e-10
-NEAR_ZERO = _game(["s", "a", "b", "c", "d", "t"], {
+NEAR_ZERO = game_of(["s", "a", "b", "c", "d", "t"], {
     ("s", "a"): 0.0, ("s", "d"): 1.1e-9, ("a", "t"): 0.0, ("a", "b"): 0.9e-9,
     ("b", "t"): 0.0, ("b", "c"): 0.9e-9, ("c", "t"): 0.0, ("d", "t"): 0.0,
 })
@@ -677,3 +677,87 @@ class TestDeepChain:
         losses[bypass] = Fraction(3, 2)
         outcomes = spe_outcomes(dag, losses, make_rule("punish-first", dag))
         assert nodeset(outcomes) == {bypass}
+
+
+@st.composite
+def priced_games(draw):
+    """A `random_dag` of 3-8 nodes with int or float losses, to price
+    under every built-in rule spec; the third item, None here, is the
+    label -> weight mapping of a `fixed:file=` rule to price under
+    instead."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 8, draw(st.sampled_from([0.2, 0.4, 0.6])))
+    kind = draw(st.sampled_from(["int", "float"]))
+    return dag, {e: draw(LOSS_KINDS[kind]) for e in dag.edges}, None
+
+
+class TestSortedOutcomes:
+    """`sorted_outcomes` lists the outcomes sorted, each a source-to-sink
+    path checked once per link, and the `spe` report prices them with
+    `checked_split` alone."""
+
+    @given(priced_games())
+    @example((*ROUNDED_MERGE, None))
+    @example((*SPLIT_ROOTS, {"b": 1}))
+    def test_priced_as_apply_rule_prices(self, tmp_path_factory, game):
+        dag, losses, weights = game
+        specs = ALL_RULE_SPECS
+        if weights is not None:
+            file = tmp_path_factory.mktemp("weights") / "w.json"
+            file.write_text(json.dumps(weights))
+            specs = [f"fixed:file={file}"]
+        for spec in specs:
+            rule = make_rule(spec, dag).bind(losses)
+            sol = spe_solve(dag, losses, rule)
+            ordered = sol.sorted_outcomes()
+            assert ordered == sorted(sol.outcomes(), key=lambda p: p.nodes), spec
+            for path in ordered:
+                check_path(dag, path)
+                got = rule.checked_split(path, path_loss(losses, path))
+                assert got == apply_rule(rule, path, losses).values, (spec, path)
+
+    def test_walk_out_of_order_is_sorted(self):
+        dag, losses = ROUNDED_MERGE
+        sol = spe_solve(dag, losses, make_rule("phi1", dag))
+        roots = sol._start_states((dag.source,))
+        walk = [p.labels(dag) for p in list_paths(sol._links, roots, node=sol._node)]
+        assert walk == [("s", "a", "b", "t1"), ("s", "a", "c", "t1"), ("s", "a", "b", "t2")]
+        assert [p.labels(dag) for p in sol.sorted_outcomes()] == sorted(walk)
+
+    def test_source_weight_zero_gives_one_root_per_total(self):
+        dag, losses = SPLIT_ROOTS
+        rule = fixed_rule(dag, WeightVector.from_mapping(dag, {dag.index("b"): 1}))
+        sol = spe_solve(dag, losses, rule)
+        assert len(sol._start_states((dag.source,))) == 3
+        assert [p.labels(dag) for p in sol.sorted_outcomes()] == [
+            ("s", "a", "b", "t"), ("s", "a", "t"), ("s", "b", "t")]
+        assert sol.bound.checked_split(sol.sorted_outcomes()[0], 5) == (0, 0, 5, 0)
+
+
+class TestLinkCheck:
+    """A state table that does not hold source-to-sink paths of the graph
+    is refused with one GameError line; the solver builds none, so these
+    tables are tampered with."""
+
+    @staticmethod
+    def solved():
+        # local keeps one state per node, numbered as the nodes s, a1, b1,
+        # a2, b2, t
+        dag, losses = ladder(2)
+        sol = spe_solve(dag, losses, make_rule("local", dag))
+        assert sol._node == list(range(dag.n))
+        return sol
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda sol: sol._node.__setitem__(0, 1), "an outcome state at 'a1' is a root"),
+        (lambda sol: sol._links.__setitem__(0, [1, 4]),
+         "an outcome state links 's' to 'b2', which is not an edge"),
+        (lambda sol: sol._links.__setitem__(3, []),
+         "an outcome state at non-sink 'a2' keeps no link"),
+    ], ids=["root-off-source", "link-off-edge", "linkless-non-sink"])
+    def test_refused(self, tamper, message):
+        sol = self.solved()
+        tamper(sol)
+        with pytest.raises(GameError) as info:
+            sol.sorted_outcomes()
+        assert str(info.value) == message
