@@ -295,8 +295,8 @@ def _mono_eligible(rule: Rule) -> Optional[list[int]]:
     total and strictly increase in it qualify; for the fixed family that
     means nodes with positive weight."""
     dag = rule.dag
-    if rule.weights is not None:
-        return [i for i in dag.deciders() if rule.weights.values[i] > 0]
+    if rule.weights is not None:  # a fixed-weight rule cares where its weight is positive
+        return [i for i in dag.deciders() if rule.cares[i]]
     if isinstance(rule, (OnPathAlphaRule, SqrtSourceRule)):
         return list(dag.deciders())
     return None

@@ -3,7 +3,7 @@
 All generators take a `random.Random` so callers control determinism; the
 axiom checkers derive one per trial from a master seed. Random graphs are
 drawn in topological index order, valid by construction, and assembled
-from their index edges (`graph._index_dag`) without the label-based
+from their successor lists (`graph._index_dag`) without the label-based
 checks of `build_dag`.
 
 Integer draws here and in the RLD audit go through `randbelow`, which
@@ -74,12 +74,12 @@ def random_dag(
     if n < 3:
         raise GraphValidationError(f"min_size: {n} nodes (need at least 3)")
     random_ = rng.random
-    edges: list[Edge] = []
+    succ: list[list[int]] = [[] for _ in range(n)]
     for j in range(1, n):
-        preds = [(i, j) for i in range(j) if random_() < density]
-        edges += preds or [(randbelow(rng, j)[0], j)]
-    edges.sort()
-    return _index_dag(*_labels(n), edges)
+        # each list gets its heads in ascending order, as _index_dag needs
+        for i in [i for i in range(j) if random_() < density] or randbelow(rng, j):
+            succ[i].append(j)
+    return _index_dag(*_labels(n), succ)
 
 
 def random_losses(rng: random.Random, dag: Dag) -> dict[Edge, int]:

@@ -10,6 +10,7 @@ there is an edge i -> j.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,7 +77,8 @@ class Dag:
     Fields:
         labels: node labels; position in the tuple is the node index.
         edges: sorted (u, v) index pairs, u < v.
-        succ / pred: per-node sorted neighbor indices.
+        succ / pred: per-node sorted neighbor indices; `has_edge` bisects
+            `succ`, so it costs the log of its first node's out-degree.
         source: index of the unique in-degree-0 node (always 0).
         sinks: indices of out-degree-0 nodes.
     """
@@ -88,7 +90,6 @@ class Dag:
     source: int
     sinks: frozenset[int]
     _index: dict = field(repr=False)
-    _edge_set: frozenset = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -101,7 +102,11 @@ class Dag:
             raise GraphError(f"unknown node label: {label!r}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
+        if not 0 <= u < len(self.succ):  # a negative u would read from the end
+            return False
+        vs = self.succ[u]
+        k = bisect_left(vs, v)
+        return k < len(vs) and vs[k] == v
 
     def deciders(self) -> tuple[int, ...]:
         """Nodes with two or more outgoing edges (real choices to make)."""
@@ -148,31 +153,33 @@ def _structural_checks(
     the Dag; (checks, dag), with dag None whenever any check failed.
 
     Works on input positions: each label maps to its first position, each
-    accepted edge to a pair of positions, and Kahn's algorithm takes the
-    smallest ready position first.
+    accepted edge to a pair of positions, deduplicated on the int key
+    `a * n + b`, and Kahn's algorithm takes the smallest ready position
+    first. The Dag gets each node's successors renumbered by rank and
+    sorted, node by node in rank order, with no global sort of the edges.
     """
+    n = len(nodes)
     first: dict[str, int] = {}
     dup = sorted({x for k, x in enumerate(nodes) if first.setdefault(x, k) != k})
     bad = [f"duplicate node labels: {dup}"] if dup else []
     succ: list[list[int]] = [[] for _ in nodes]
-    indeg = [0] * len(nodes)
-    seen: set[Edge] = set()
-    kept: list[Edge] = []
+    indeg = [0] * n
+    seen: set[int] = set()
     for u, v in edges:
-        if u not in first or v not in first:
+        a, b = first.get(u), first.get(v)
+        if a is None or b is None:
             bad.append(f"edge ({u!r}, {v!r}) references an unknown node")
-        elif u == v:
+        elif a == b:
             bad.append(f"self-loop at {u!r}")
-        elif (e := (first[u], first[v])) in seen:
+        elif (key := a * n + b) in seen:
             bad.append(f"duplicate edge ({u!r}, {v!r})")
         else:
-            seen.add(e)
-            kept.append(e)
-            succ[e[0]].append(e[1])
-            indeg[e[1]] += 1
+            seen.add(key)
+            succ[a].append(b)
+            indeg[b] += 1
     checks = [
         CheckResult("labels", not bad, "; ".join(bad) if bad else "labels and edges well formed"),
-        CheckResult("min_size", len(nodes) >= 3, f"{len(nodes)} nodes (need at least 3)"),
+        CheckResult("min_size", n >= 3, f"{n} nodes (need at least 3)"),
     ]
     if bad:
         return checks, None
@@ -187,7 +194,7 @@ def _structural_checks(
             indeg[j] -= 1
             if not indeg[j]:
                 heapq.heappush(heap, j)
-    acyclic = len(order) == len(nodes)
+    acyclic = len(order) == n
     checks.append(
         CheckResult("acyclic", acyclic, "topological order exists" if acyclic else "cycle detected")
     )
@@ -215,12 +222,12 @@ def _structural_checks(
         )
     if not all(c.passed for c in checks):
         return checks, None
-    rank = [0] * len(nodes)
+    rank = [0] * n
     for r, k in enumerate(order):
         rank[k] = r
     labels = [nodes[k] for k in order]
-    index = {x: r for r, x in enumerate(labels)}
-    return checks, _index_dag(labels, index, sorted([(rank[u], rank[v]) for u, v in kept]))
+    ranked = [sorted(map(rank.__getitem__, succ[k])) for k in order]
+    return checks, _index_dag(labels, dict(zip(labels, range(n))), ranked)
 
 
 def build_dag(
@@ -249,26 +256,25 @@ def build_dag(
 
 
 def _index_dag(
-    labels: Sequence[str], index: dict[str, int], idx_edges: Sequence[Edge]
+    labels: Sequence[str], index: dict[str, int], succ: Sequence[list[int]]
 ) -> Dag:
     """The assembly step shared by `_structural_checks` and
     `generators.random_dag`, whose input is checked or valid by
-    construction. `idx_edges` are sorted (u, v) pairs, u < v, into
-    `labels`; `index` maps each label to its position."""
-    succ: list[list[int]] = [[] for _ in labels]
+    construction. `succ[u]` lists u's successors in `labels`, ascending
+    and each after u; `index` maps each label to its position. The edges
+    come out sorted, and one pass over them fills `pred`, sorted too."""
+    edges = [(u, v) for u, vs in enumerate(succ) for v in vs]
     pred: list[list[int]] = [[] for _ in labels]
-    for u, v in idx_edges:
-        succ[u].append(v)
+    for u, v in edges:
         pred[v].append(u)
     return Dag(
         labels=tuple(labels),
-        edges=tuple(idx_edges),
+        edges=tuple(edges),
         succ=tuple(map(tuple, succ)),
         pred=tuple(map(tuple, pred)),
         source=0,
-        sinks=frozenset([i for i, s in enumerate(succ) if not s]),
+        sinks=frozenset([u for u, vs in enumerate(succ) if not vs]),
         _index=index,
-        _edge_set=frozenset(idx_edges),
     )
 
 

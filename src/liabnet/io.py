@@ -126,8 +126,8 @@ def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
 
 def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
     """Load a label -> weight mapping; missing labels default to 0. A
-    weight is a finite number; its sign and the sum are checked where the
-    weight vector is built."""
+    weight is a finite number within the float range; its sign and the sum
+    are checked where the weight vector is built."""
     data = load_json(path)
     if not isinstance(data, dict):
         raise FormatError("weights file must be an object mapping labels to numbers")
@@ -135,7 +135,11 @@ def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
     for label, x in data.items():
         if not finite_number(x):
             raise FormatError(f"weight for {label!r} must be a finite number")
-        weights[dag.index(label)] = float(x)
+        try:
+            w = float(x)
+        except OverflowError:  # an int literal of more than about 308 digits
+            raise FormatError(f"weight for {label!r} is beyond the float range") from None
+        weights[dag.index(label)] = w
     return weights
 
 

@@ -255,12 +255,15 @@ class FixedWeightRule(Rule):
     def __init__(self, dag: Dag, weights: WeightVector, spec_string: str):
         super().__init__(dag, spec_string)
         weights.check_simplex()
-        if len(weights.values) != dag.n:
+        nums, den = weights.nums, weights.den
+        exact = weights.values if nums is None else nums
+        if len(exact) != dag.n:
             raise RuleSpecError("weight vector length does not match graph")
         self.weights = weights
-        self._shares = weights.values
-        self._nums, self._den = weights.nums, weights.den
-        exact = weights.values if weights.nums is None else weights.nums
+        # a Fraction times a float is float(Fraction) times it, and a / den
+        # is float(Fraction(a, den)): so no Fraction is made for the shares
+        self._shares = exact if nums is None else tuple([a / den for a in nums])
+        self._nums, self._den = nums, den
         self.cares = tuple([w > 0 for w in exact])
 
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:
@@ -459,17 +462,22 @@ def fixed_rule(dag: Dag, weights: WeightVector) -> FixedWeightRule:
     return FixedWeightRule(dag, weights, "fixed:custom")
 
 
+def _node_name(dag: Dag, i: int) -> str | int:
+    """The label of node i, or i itself when it is out of range."""
+    return dag.labels[i] if 0 <= i < dag.n else i
+
+
 def check_path(dag: Dag, path: Path) -> None:
     nodes = path.nodes
     if len(nodes) < 2 or nodes[0] != dag.source or nodes[-1] not in dag.sinks:
-        names = tuple(dag.labels[i] if 0 <= i < dag.n else i for i in nodes)
+        names = tuple([_node_name(dag, i) for i in nodes])
         raise GraphError(f"not a source-to-sink path: {names}")
     if len(set(nodes)) != len(nodes):
         raise GraphError("path repeats a node")
-    if dag._edge_set.issuperset(zip(nodes, nodes[1:])):
-        return
-    u, v = next(e for e in path.edges if not dag.has_edge(*e))
-    raise GraphError(f"path uses missing edge ({dag.labels[u]!r}, {dag.labels[v]!r})")
+    for u, v in zip(nodes, nodes[1:]):
+        if not dag.has_edge(u, v):
+            u, v = _node_name(dag, u), _node_name(dag, v)
+            raise GraphError(f"path uses missing edge ({u!r}, {v!r})")
 
 
 def apply_rule(

@@ -10,20 +10,21 @@ provided so they can cross-check each other:
 - `shapley_bruteforce`: exact Shapley value over all coalitions, read
   from one table of covered paths per coalition (`_coverage_counts`),
   which `core_check` reads too.
-- `wstar_dp`: one forward and one backward pass that give every node a run
-  of subpath counts by length, then a per-node convolution of the two runs
-  in integers, which scales to graphs far beyond enumeration (thousands of
-  nodes, 1e17 paths).
+- `wstar_dp`: one forward and one backward pass that give every node its
+  subpath counts by length, packed into one integer (`_packed_counts`),
+  then a per-node product of the two integers, which counts the paths
+  through the node by length, weighted in integers; it scales to graphs
+  far beyond enumeration (thousands of nodes, 1e17 paths).
 
-All three return exact rationals; `wstar_dp` also returns them as integer
-numerators over one common denominator, which `check_simplex` and the
-fixed-weight rule read.
+All three give exact rationals; `wstar_dp` gives them as integer
+numerators over one common denominator, which `check_simplex`, `as_dict`
+and the fixed-weight rule read, and builds the `Fraction`s only when
+`values` is read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -39,21 +40,43 @@ class WeightsError(Exception):
 _PLAYER_CAP = 20
 
 
+class _Rationals:
+    """The `values` field of a WeightVector: kept as given, or, when given
+    None, made from `nums` over `den` on its first read."""
+
+    def __get__(self, wv, owner=None):
+        if wv is None:
+            raise AttributeError("values")  # so the field has no default
+        values = wv.__dict__["_values"]
+        if values is None:
+            den = wv.den
+            values = wv.__dict__["_values"] = tuple([Fraction(a, den) for a in wv.nums])
+        return values
+
+    def __set__(self, wv, values):
+        wv.__dict__["_values"] = values
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Point of the simplex over all nodes, aligned with dag indices.
 
     `nums` and `den`, when set, are the same weights as integer numerators
-    over one common denominator: Fraction(nums[i], den) == values[i].
-    Equality compares `values` only.
+    over one common denominator: Fraction(nums[i], den) == values[i]. With
+    `nums` set, `values` may be given as None; it is then made on its first
+    read. Equality compares `values` only.
     """
 
-    values: tuple[Num, ...]
+    values: tuple[Num, ...] = _Rationals()
     nums: tuple[int, ...] | None = field(default=None, compare=False)
     den: int = field(default=1, compare=False)
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
-        return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
+        if self.nums is None:
+            return {dag.labels[i]: float(x) for i, x in enumerate(self.values)}
+        # int true division is correctly rounded, as float(Fraction) is
+        den = self.den
+        return {x: a / den for x, a in zip(dag.labels, self.nums)}
 
     def check_simplex(self) -> None:
         """Raise unless the weights are non-negative and sum to 1: exactly
@@ -96,99 +119,108 @@ class PathCountTables:
     total_paths: int
 
 
-def _length_counts(dag: Dag, forward: bool) -> tuple[list[int], list[list[int]]]:
-    """Subpath counts by length, as one run per node.
+def _packed_counts(dag: Dag) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
+    """Subpath counts by length, as one integer per node.
 
-    Returns (lo, counts): counts[i][k] subpaths with lo[i] + k edges run
-    from the source to i (forward) or from i to any sink (backward). One
-    pass in topological order (reverse order for backward); each edge
-    shifts its tail's run by one and adds it in, so a node all of whose
-    subpaths have one length costs one add per edge. A node with one
-    neighbour gets that neighbour's run itself, one edge longer (lo + 1):
-    runs are shared between nodes, so no reader may mutate one.
+    Returns (total, W, flo, fwd, blo, bwd), total being the path count.
+    Bits [W*k, W*(k+1)) of fwd[i], its slot k, count the subpaths with
+    flo[i] + k edges from the source to i; bwd[i] and blo[i] count those
+    from i to any sink. flo[i] and blo[i] are the shortest such lengths,
+    so a node whose subpaths all have one length has one slot. One pass in
+    topological order (reverse order for backward): a node whose
+    neighbours share one shortest length sums their integers; otherwise
+    each is shifted up one slot per edge it is longer than the shortest.
+    W is one bit more than the total needs, and no count, nor any slot of
+    fwd[i] * bwd[i] (paths through i by length), exceeds the total, so no
+    slot carries into the next.
     """
     n = dag.n
-    order, links = (range(n), dag.pred) if forward else (range(n - 1, -1, -1), dag.succ)
-    lo = [0] * n
-    counts: list[list[int]] = [[1]] * n  # the source (forward), the sinks (backward)
-    for i in order:
-        nbrs = links[i]
-        if not nbrs:
-            continue
-        if len(nbrs) == 1:  # the neighbour's run, shared, one edge longer
-            j = nbrs[0]
-            lo[i], counts[i] = lo[j] + 1, counts[j]
-            continue
-        first = min([lo[j] for j in nbrs])
-        run = [0] * (max([lo[j] + len(counts[j]) for j in nbrs]) - first)
-        for j in nbrs:
-            k = lo[j] - first
-            for c in counts[j]:
-                run[k] += c
-                k += 1
-        lo[i] = first + 1
-        counts[i] = run
-    return lo, counts
+    total = count_paths(dag)
+    width = total.bit_length() + 1
+    out: list = [total, width]
+    for order, links in ((range(n), dag.pred), (range(n - 1, -1, -1), dag.succ)):
+        lo = [0] * n
+        packed = [1] * n  # the source (forward), the sinks (backward)
+        for i in order:
+            nbrs = links[i]
+            if not nbrs:
+                continue
+            lens = [lo[j] for j in nbrs]
+            first = min(lens)
+            if lens.count(first) == len(lens):
+                packed[i] = sum(map(packed.__getitem__, nbrs))
+            else:
+                packed[i] = sum([packed[j] << width * (x - first) for j, x in zip(nbrs, lens)])
+            lo[i] = first + 1
+        out += (lo, packed)
+    return tuple(out)
+
+
+def _slots(x: int, width: int) -> list[int]:
+    """The `width`-bit slots of x, lowest first, up to its highest nonzero one."""
+    mask = (1 << width) - 1
+    return [x >> k & mask for k in range(0, x.bit_length(), width)]
 
 
 def path_count_tables(dag: Dag) -> PathCountTables:
-    """The dense tables, laid out from the `_length_counts` runs."""
+    """The dense tables, laid out from the slots of `_packed_counts`."""
     n = dag.n
-    flo, fwd = _length_counts(dag, True)
-    blo, bwd = _length_counts(dag, False)
+    total, width, flo, fwd, blo, bwd = _packed_counts(dag)
 
-    def dense(lo: list[int], runs: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    def dense(lo: list[int], packed: list[int]) -> tuple[tuple[int, ...], ...]:
+        runs = [_slots(x, width) for x in packed]
         rows = [[0] * n for _ in range(max(l + len(r) for l, r in zip(lo, runs)))]
         for i in range(n):
             for k, c in enumerate(runs[i], lo[i]):
                 rows[k][i] = c
-        return tuple(tuple(r) for r in rows)
+        return tuple(map(tuple, rows))
 
     forward, backward = dense(flo, fwd), dense(blo, bwd)
     max_len = len(forward) + len(backward) - 2
     through: list[tuple[int, ...]] = []
     for i in range(n):
         conv = [0] * (max_len + 1)
-        for x, f in enumerate(fwd[i], flo[i]):
-            for y, b in enumerate(bwd[i], x + blo[i]):
-                conv[y] += f * b
+        for y, c in enumerate(_slots(fwd[i] * bwd[i], width), flo[i] + blo[i]):
+            conv[y] = c
         through.append(tuple(conv))
     return PathCountTables(
         forward=forward,
         backward=backward,
         through=tuple(through),
-        total_paths=sum(bwd[dag.source]),
+        total_paths=total,
     )
 
 
 def wstar_dp(dag: Dag) -> WeightVector:
-    """Canonical weights from per-node path-length runs; scales to large graphs.
+    """Canonical weights from per-node packed length counts; scales to large
+    graphs.
 
     For every non-sink i the weight is (1/|paths|) * sum_y through_i(y) / y,
     where through_i(y) counts the paths through i with y edges (= y non-sink
-    nodes): the product of i's forward and backward runs (`_length_counts`).
-    With D = lcm(1..longest path), every weight is an integer numerator over
-    the one denominator D * |paths|; the result carries both (`nums`, `den`)
-    next to the exact rationals.
+    nodes): slot y - flo[i] - blo[i] of fwd[i] * bwd[i] (`_packed_counts`),
+    read off one slot at a time. With D = lcm(1..longest path), every
+    weight is an integer numerator over the one denominator D * |paths|;
+    the result carries both (`nums`, `den`), and its exact rationals are
+    made from them only when read.
     """
-    flo, fwd = _length_counts(dag, True)
-    blo, bwd = _length_counts(dag, False)
+    total, width, flo, fwd, blo, bwd = _packed_counts(dag)
     src = dag.source
-    longest = blo[src] + len(bwd[src]) - 1
+    longest = blo[src] + (bwd[src].bit_length() - 1) // width
     denom = math.lcm(*range(1, longest + 1))
     per_len = [0] + [denom // y for y in range(1, longest + 1)]
-    nums: list[int] = []
-    for i in range(dag.n):
-        acc = 0
-        if i not in dag.sinks:
-            # f subpaths of x edges reach i; bwd[i][k] go on with blo[i] + k
-            # more, and a path of y edges adds D // y = per_len[y]
-            for x, f in enumerate(fwd[i], flo[i]):
-                if f:
-                    acc += f * sum(map(operator.mul, bwd[i], per_len[x + blo[i]:]))
-        nums.append(acc)
-    den = denom * sum(bwd[src])
-    return WeightVector(tuple([Fraction(a, den) for a in nums]), tuple(nums), den)
+    mask = (1 << width) - 1
+    nums = [0] * dag.n
+    for i, vs in enumerate(dag.succ):
+        if vs:
+            # slot k counts the paths through i with y = flo + blo + k edges
+            through, y, acc = fwd[i] * bwd[i], flo[i] + blo[i], 0
+            while through:
+                acc += (through & mask) * per_len[y]
+                through >>= width
+                y += 1
+            nums[i] = acc
+    den = denom * total
+    return WeightVector(None, tuple(nums), den)
 
 
 def wstar_enumerate(dag: Dag, cap: int | None = None) -> WeightVector:

@@ -30,7 +30,7 @@ ALL_RULE_SPECS = [
 ]
 
 # every field of a Dag, for field-by-field comparisons
-DAG_FIELDS = ("labels", "edges", "succ", "pred", "source", "sinks", "_index", "_edge_set")
+DAG_FIELDS = ("labels", "edges", "succ", "pred", "source", "sinks", "_index")
 
 # exact losses: ints and small-denominator fractions, few distinct values so
 # ties and indifferences are common

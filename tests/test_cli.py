@@ -607,6 +607,8 @@ LOSSES_SHAPES = {
 WEIGHTS_SHAPES = {
     "not-object": ([0.5, 0.5], "weights file must be an object"),
     "weight-not-number": ({"s": "1"}, "weight for 's' must be a finite number"),
+    # finite, but `float` of it raises OverflowError
+    "weight-beyond-float": ({"s": 10**400 - 1}, "weight for 's' is beyond the float range"),
 }
 SHAPE_CASES = [
     pytest.param((command, "{file}"), data, message, id=f"{name}-{command}")

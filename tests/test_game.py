@@ -614,6 +614,15 @@ class TestContinuations:
         with pytest.raises(GameError):
             sol.continuations((s, k))
 
+    @pytest.mark.parametrize("history", [(0, 5), (0, -1), (0, 2, 99), (0, 2, -1)])
+    def test_out_of_range_history_raises_game_error(self, fork, history):
+        # `has_edge` reads `succ`, guarded: no IndexError, no wrap to the end
+        from liabnet.game import GameError, spe_solve
+
+        sol = spe_solve(fork, {e: 1 for e in fork.edges}, make_rule("local", fork))
+        with pytest.raises(GameError, match="missing edge"):
+            sol.continuations(history)
+
     def test_general_mode_subgames_match_fresh_solve(self, fork):
         from liabnet.game import spe_solve
         from liabnet.graph import reachable_subgraph

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from liabnet.generators import (
     random_simplex_weights,
 )
 
-from conftest import DAG_FIELDS
+from conftest import DAG_FIELDS, FIXTURES, load_fixture
 
 
 def names(dag, path):
@@ -219,7 +220,7 @@ class TestPathCountProperties:
 
 
 class TestDagFromIndices:
-    """`random_dag` assembles its Dags from index edges, without the
+    """`random_dag` assembles its Dags from successor lists, without the
     label checks of `build_dag`."""
 
     @given(
@@ -249,6 +250,44 @@ class TestDagFromIndices:
         dag = build_dag(["s", "a", "t"], [("s", "a"), ("a", "t")])
         w = random_simplex_weights(random.Random(3082), dag, positive_deciders=False)
         assert w == {0: 1, 1: 0, 2: 0}
+
+
+# every fixture that is a graph file
+GRAPH_FIXTURES = sorted(
+    p.name for p in FIXTURES.glob("*.json") if "nodes" in json.loads(p.read_text())
+)
+
+
+class TestHasEdge:
+    """`has_edge` bisects `succ`: on every pair of indices from -n to n it
+    answers as membership in `edges` does. Without its range guard, a
+    negative u would ask about a node counted from the end and u = n would
+    raise IndexError."""
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    def test_every_pair_matches_edges(self, name):
+        dag = load_fixture(name)[0]
+        edges = set(dag.edges)
+        span = range(-dag.n, dag.n + 1)
+        assert [dag.has_edge(u, v) for u in span for v in span] == [
+            (u, v) in edges for u in span for v in span
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_input_matches_ranked_input(self, seed):
+        # a shuffled listing renumbers each node's successors by rank; the
+        # same graph listed in its rank order gives an equal Dag
+        dag = load_fixture("tiers_1_3_2_3.json")[0]
+        rng = random.Random(seed)
+        nodes, edges = list(dag.labels), list(dag.edge_labels())
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        shuffled = build_dag(nodes, edges)
+        assert list(shuffled.labels) != nodes
+        ranked = build_dag(list(shuffled.labels), edges)
+        for name in DAG_FIELDS:
+            assert getattr(shuffled, name) == getattr(ranked, name), name
+        assert set(shuffled.edge_labels()) == set(edges)
 
 
 # made by `draw_stream_sha256()` on the generators that drew through

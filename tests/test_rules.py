@@ -300,7 +300,15 @@ class TestApplyRuleValidation:
     def test_rejects_missing_edge(self, fork):
         losses = {e: 1 for e in fork.edges}
         bad = Path((fork.index("s"), fork.index("k"), fork.index("t")))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^path uses missing edge \('s', 'k'\)$"):
+            apply_rule(make_rule("fixed:equal", fork), bad, losses)
+
+    @pytest.mark.parametrize("inner", [-1, 5, 99])
+    def test_out_of_range_inner_node_named_as_index(self, fork, inner):
+        # -1 must not read as the last node, t, nor 99 raise IndexError
+        losses = {e: 1 for e in fork.edges}
+        bad = Path((fork.index("s"), inner, fork.index("t")))
+        with pytest.raises(GraphError, match=rf"^path uses missing edge \('s', {inner}\)$"):
             apply_rule(make_rule("fixed:equal", fork), bad, losses)
 
     def test_rejects_non_sink_end(self, fork):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from liabnet.weights import (
     wstar_enumerate,
 )
 
-from conftest import load_fixture
+from conftest import ladder, load_fixture
 
 F = Fraction
 
@@ -251,9 +252,62 @@ def chain_with_bypass(n: int):
     return build_dag(labels, [*zip(labels, labels[1:]), ("s", "t")])
 
 
+def enumerated_nums(dag):
+    """(nums, den) of the canonical weights summed over enumerated paths:
+    den = lcm(1..longest path) * |paths|, and each path of y edges adds
+    lcm // y to each of its movers' numerators."""
+    paths = enumerate_paths(dag)
+    lcm = math.lcm(*range(1, max(len(p.movers) for p in paths) + 1))
+    nums = [0] * dag.n
+    for p in paths:
+        for i in p.movers:
+            nums[i] += lcm // len(p.movers)
+    return nums, lcm * len(paths)
+
+
+# s -> a -> x and s -> b -> c -> d -> x: x's predecessors a and d sit at
+# lengths 1 and 3, so the forward pass shifts a's count two slots up
+UNEVEN_PREDS = build_dag(
+    ["s", "a", "b", "c", "d", "x", "t"],
+    [("s", "a"), ("a", "x"), ("s", "b"), ("b", "c"), ("c", "d"), ("d", "x"), ("x", "t"),
+     ("b", "t")],
+)
+
+
+class TestPackedCounts:
+    """The packed length counts of `wstar_dp` against enumeration, and the
+    size of what they keep per node."""
+
+    @given(st.builds(
+        random_dag,
+        st.integers(0, 2**32 - 1).map(random.Random),
+        st.just(3),
+        st.just(10),
+        st.floats(0.2, 0.8),
+    ))
+    @example(UNEVEN_PREDS)
+    def test_dp_equals_enumeration(self, dag):
+        wv = wstar_dp(dag)
+        assert wv == wstar_enumerate(dag)
+        assert (list(wv.nums), wv.den) == enumerated_nums(dag)
+
+    def test_long_ladder_memory(self):
+        # every node of a 1,000-stage all-ties ladder has one slot of about
+        # 1,000 bits; counts packed from length 0 would hold up to 1,000
+        # slots each, about 250 MB in all
+        dag, _ = ladder(1000)
+        tracemalloc.start()
+        try:
+            wstar_dp(dag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
 class TestSharedRuns:
-    """`_length_counts` gives a node with one neighbour that neighbour's
-    run; the tables and weights read the shared runs and change none."""
+    """Chains of nodes with one neighbour each: the tables and weights
+    agree with the layer sweep and with closed forms."""
 
     @pytest.fixture(scope="class")
     def long_chain(self):

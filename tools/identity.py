@@ -49,6 +49,11 @@ byte-for-byte alike. The list:
   refuses;
 - `check` for the 9 axiom and property ids x 8 rule specs x seeds 7 and
   202408 at 300 trials;
+- `validate` and `weights --method dp` (without `runtime_ms`) on the
+  1,001-node layered graph of acceptance criterion 2, whose weights have
+  numerators of about 200 bits: listed as generated, and with its nodes
+  and edges in a seeded shuffled order, so that the Dag's indices are
+  ranks and not input positions;
 - `validate`, `paths`, `weights --method dp` and `efficient` on a graph
   file with a NaN loss and on one with an Infinity loss, and `efficient`
   on fork with an Infinity in its losses file: all refused where the file
@@ -103,6 +108,7 @@ from liabnet.axioms import AXIOMS, PROPERTIES  # noqa: E402
 from liabnet.cli import main as liabnet_main  # noqa: E402
 from liabnet.graph import enumerate_paths  # noqa: E402
 from liabnet.io import load_graph_file  # noqa: E402
+from liabnet.sim import LayeredGraphSpec, generate_hourglass  # noqa: E402
 
 RULES = (
     "fixed:wstar", "fixed:equal", "local", "phi1", "phi2", "phi3", "phi5",
@@ -229,6 +235,20 @@ def deep_chain(n: int) -> dict:
         "edges": [{"from": u, "to": v, "loss": loss} for u, v, loss in edges],
         "source": "s",
     }
+
+
+def layered_1001(shuffle_seed: int | None) -> dict:
+    """Acceptance criterion 2's layered graph, 1 + 50 layers of 20 nodes,
+    with its nodes and edges shuffled by `shuffle_seed` unless None."""
+    hg = generate_hourglass(
+        LayeredGraphSpec(sizes=(1,) + (20,) * 50, p_next=0.4, p_skip=0.0, seed=20240403)
+    )
+    nodes, edges = list(hg.labels), list(hg.edge_labels())
+    if shuffle_seed is not None:
+        rng = random.Random(shuffle_seed)
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+    return {"nodes": nodes, "edges": [{"from": u, "to": v} for u, v in edges]}
 
 
 def loss_files(graph: Path, tmp: Path) -> list[tuple[str, list[str]]]:
@@ -389,6 +409,11 @@ def commands(tmp: Path):
                          "--seed", str(seed)],
                         None,
                     )
+    for name, shuffle_seed in (("layered1001", None), ("layered1001_shuffled", 11)):
+        graph = tmp / f"{name}.json"
+        graph.write_text(json.dumps(layered_1001(shuffle_seed)))
+        yield f"validate {graph.name}", ["validate", str(graph)], None
+        yield f"weights {graph.name}", ["weights", str(graph), "--method", "dp"], no_runtime
     # non-finite losses, which Python's JSON parser reads from NaN and Infinity
     for loss in (math.nan, math.inf):
         graph = tmp / f"loss_{loss}.json"
