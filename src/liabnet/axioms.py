@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
+from . import AXIOMS, PROPERTIES, LiabnetError
 from .game import spe_outcomes, spe_solve
 from .generators import randbelow, random_dag, random_losses
 from .graph import (
@@ -68,19 +69,10 @@ from .rules import (
     make_rule,
 )
 
-AXIOMS = ("EI", "RLD", "PCP", "SI")
-PROPERTIES = (
-    "DOWNSTREAM_MONO",
-    "EFF_PATH_INV",
-    "REDISTRIBUTION_INV",
-    "PATH_INDEP",
-    "TOTAL_LOSS_DEP",
-)
-
 RuleLike = Union[str, Rule, Callable[[Dag, random.Random], Rule]]
 
 
-class AxiomError(Exception):
+class AxiomError(LiabnetError):
     pass
 
 

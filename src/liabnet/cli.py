@@ -5,6 +5,12 @@ simulate. All output is JSON on stdout (sorted keys; `--pretty` for
 indentation). Exit codes: 0 success, 1 a check failed or a counterexample
 was found, 2 usage errors, malformed inputs, cap exceedances, or a check
 that does not apply to the given rule.
+
+Importing this module loads `graph` and `io`, which every graph command
+runs. Each handler imports the other modules it runs, so that a process
+compiles and loads only what its command needs: `validate`, `paths` and
+`efficient` nothing more, `weights` the `weights` module, and `simulate`
+alone numpy and the process pool.
 """
 
 from __future__ import annotations
@@ -16,18 +22,9 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .axioms import (
-    AXIOMS,
-    PROPERTIES,
-    AxiomError,
-    check_axiom,
-    check_property,
-    impossibility_scenario,
-)
-from .game import GameError, spe_solve
+from . import AXIOMS, PROPERTIES, LiabnetError
 from .graph import (
     Dag,
-    GraphError,
     Path,
     continuation_costs,
     count_paths,
@@ -37,22 +34,19 @@ from .graph import (
     validate,
 )
 from .io import (
-    FormatError,
     dump_json,
     dump_liability_report,
     load_graph_file,
     load_losses_file,
     load_raw_graph_file,
 )
-from .rules import RuleSpecError, apply_rule, make_rule
-from .weights import WeightsError, shapley_bruteforce, wstar_dp, wstar_enumerate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
+class CliError(LiabnetError):
     """Usage-level failure; message goes to stderr, exit code 2."""
 
 
@@ -115,6 +109,8 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from .weights import shapley_bruteforce, wstar_dp, wstar_enumerate
+
     dag, _ = load_graph_file(args.graph)
     t0 = time.perf_counter()
     if args.method == "dp":
@@ -145,6 +141,8 @@ def _cmd_efficient(args) -> int:
 
 
 def _cmd_liability(args) -> int:
+    from .rules import apply_rule, make_rule
+
     dag, embedded = load_graph_file(args.graph)
     losses = _full_losses(dag, embedded, args.losses)
     rule = make_rule(args.rule, dag)
@@ -161,6 +159,9 @@ def _cmd_liability(args) -> int:
 
 
 def _cmd_spe(args) -> int:
+    from .game import spe_solve
+    from .rules import make_rule
+
     dag, embedded = load_graph_file(args.graph)
     losses = _full_losses(dag, embedded, args.losses)
     rule = make_rule(args.rule, dag).bind(losses)
@@ -202,6 +203,8 @@ def _cmd_spe(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .axioms import check_axiom, check_property, impossibility_scenario
+
     chosen = [x for x in (args.axiom, args.property, args.scenario) if x]
     if len(chosen) != 1:
         raise CliError("pick exactly one of --axiom, --property, --scenario")
@@ -238,21 +241,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # imported here so that numpy and the process pool load for this
-    # command only
-    from .sim import SimConfig, SimError, run_simulation, summary_dict
+    from .sim import SimConfig, run_simulation, summary_dict
 
-    try:
-        if args.config:
-            config = SimConfig.from_file(args.config)
-        else:
-            config = SimConfig()
-        if args.seed is not None:
-            graph = dataclasses.replace(config.graph, seed=args.seed)
-            config = dataclasses.replace(config, graph=graph)
-        stats = run_simulation(config, workers=args.workers, out_dir=args.out)
-    except SimError as exc:
-        raise CliError(str(exc)) from None
+    if args.config:
+        config = SimConfig.from_file(args.config)
+    else:
+        config = SimConfig()
+    if args.seed is not None:
+        graph = dataclasses.replace(config.graph, seed=args.seed)
+        config = dataclasses.replace(config, graph=graph)
+    stats = run_simulation(config, workers=args.workers, out_dir=args.out)
     _emit(summary_dict(stats, config), args.pretty)
     return EXIT_OK
 
@@ -346,17 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (
-        CliError,
-        FormatError,
-        GraphError,
-        RuleSpecError,
-        WeightsError,
-        GameError,
-        AxiomError,
-        OSError,
-        OverflowError,
-    ) as exc:
+    except (LiabnetError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

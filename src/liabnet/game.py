@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from . import LiabnetError
 from .graph import (
     Dag,
     Edge,
@@ -57,7 +58,7 @@ from .graph import (
 from .rules import MODE_OWN_EDGE, MODE_PUNISH_FIRST, MODE_TOTALS, Rule
 
 
-class GameError(Exception):
+class GameError(LiabnetError):
     """Raised when a game computation exceeds its stated caps, or has no
     solver for the rule's mode."""
 

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
+from . import LiabnetError
+
 Num = Union[int, float, Fraction]
 Edge = tuple[int, int]
 LabelEdge = tuple[str, str]
 
 
-class GraphError(Exception):
+class GraphError(LiabnetError):
     """Base error for graph construction and queries."""
 
 

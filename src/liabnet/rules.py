@@ -62,6 +62,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Callable, Mapping
 
+from . import LiabnetError
 from .graph import (
     Dag,
     Edge,
@@ -82,7 +83,7 @@ MODE_OWN_EDGE = "own_edge"
 MODE_PUNISH_FIRST = "punish_first"
 
 
-class RuleSpecError(Exception):
+class RuleSpecError(LiabnetError):
     """Raised on malformed rule-spec strings or parameters, and on a rule
     whose split of a path is negative or unbalanced."""
 

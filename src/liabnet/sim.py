@@ -44,6 +44,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import LiabnetError
 from .graph import Dag, GraphError, reachable_subgraph
 from .io import finite_number, load_json
 from .rules import LocalRule, make_rule
@@ -55,7 +56,7 @@ _EDGES = np.linspace(*DENSITY_RANGE, DENSITY_BINS + 1)
 _CHUNK = 2500
 
 
-class SimError(Exception):
+class SimError(LiabnetError):
     pass
 
 

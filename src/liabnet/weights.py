@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from . import LiabnetError
 from .graph import Dag, Num, count_paths, enumerate_paths, path_ways
 
 
-class WeightsError(Exception):
+class WeightsError(LiabnetError):
     """Raised on coalition or size-cap violations."""
 
 
