@@ -54,12 +54,12 @@ from .graph import (
     Path,
     build_dag,
     continuation_costs,
-    default_tolerance,
     efficient_paths,
     enumerate_paths,
     exact_valued,
     path_loss,
     validate,
+    widen,
 )
 from .rules import (
     OnPathAlphaRule,
@@ -155,13 +155,6 @@ def _vec_close(a, b) -> bool:
     return inexact and all(abs(float(x) - float(y)) <= 1e-9 for x, y in zip(a, b))
 
 
-def _lt(a: Num, b: Num, tol: float) -> bool:
-    """Strictly-less with tolerance; exact when tol is 0."""
-    if tol == 0:
-        return a < b
-    return float(a) < float(b) - tol
-
-
 # a trial's return when this draw cannot supply its premise
 _NO_PREMISE = object()
 _DRAWS = 60  # draws per trial before it counts as vacuous
@@ -232,7 +225,7 @@ def _trial_pcp(rng, dag, losses, rule, paths):
     spe = sol.outcomes()
     eff = efficient_paths(dag, losses).path_set()
     pay = cache(lambda nodes: tuple(rule.vector(Path(nodes))))
-    tol = default_tolerance(losses)
+    tol = sol.tol
     equilibria = sorted((p.nodes for p in spe if p.nodes in eff))
     # A deviation's verdict depends only on its history and the split it
     # deviates from, so equilibria sharing a prefix and a split check each
@@ -257,13 +250,14 @@ def _trial_pcp(rng, dag, losses, rule, paths):
                 for dev in sorted(c.nodes for c in sol.continuations(hist)):
                     moved = pay(dev)
                     # only continuations the mover tolerates can arise in
-                    # an equilibrium that actually realizes p
-                    if _lt(moved[i], base[i], tol):
+                    # an equilibrium that actually realizes p; a pay is
+                    # below another when it is by more than the tolerance
+                    if widen(moved[i], tol) < base[i]:
                         continue
                     for j in range(dag.n):
                         if j == i:
                             continue
-                        if _lt(moved[i] + moved[j], base[i] + base[j], tol):
+                        if widen(moved[i] + moved[j], tol) < base[i] + base[j]:
                             return {
                                 "equilibrium_path": _path_labels(dag, p_nodes),
                                 "deviator": dag.labels[i],
@@ -609,10 +603,7 @@ def impossibility_scenario() -> CheckReport:
     prime = dict(base)
     prime[(i, t)] = 0
 
-    report = validate(
-        list(dag.labels),
-        [(dag.labels[a], dag.labels[b]) for a, b in dag.edges],
-    )
+    report = validate(dag.labels, dag.edge_labels())
     local = make_rule("local", dag)
     wstar = make_rule("fixed:wstar", dag)
 

@@ -54,10 +54,6 @@ def _emit(obj, pretty: bool) -> None:
     print(dump_json(obj, pretty=pretty))
 
 
-def _label_path(dag: Dag, path: Path) -> list[str]:
-    return list(map(dag.labels.__getitem__, path.nodes))
-
-
 def _full_losses(dag: Dag, embedded, losses_path: Optional[str]):
     losses = dict(embedded)
     if losses_path:
@@ -102,7 +98,7 @@ def _cmd_paths(args) -> int:
     total = count_paths(dag)
     paths = enumerate_paths(dag, cap=args.cap_paths)
     _emit(
-        {"count": str(total), "paths": [_label_path(dag, p) for p in paths]},
+        {"count": str(total), "paths": [p.labels(dag) for p in paths]},
         args.pretty,
     )
     return EXIT_OK
@@ -150,7 +146,7 @@ def _cmd_liability(args) -> int:
     vec = apply_rule(rule, path, losses)
     out = {
         "rule": rule.spec_string,
-        "path": _label_path(dag, path),
+        "path": path.labels(dag),
         "total": float(vec.total),
         "liabilities": vec.as_dict(dag),
     }
@@ -168,7 +164,7 @@ def _cmd_spe(args) -> int:
     sol = spe_solve(dag, losses, rule)
     ordered = sol.sorted_outcomes()
     coincide = sol.coincides(args.tol)
-    labelled = [_label_path(dag, p) for p in ordered]
+    labelled = [p.labels(dag) for p in ordered]
     if coincide:
         # the efficient paths are the outcomes, listed in the same order;
         # every cost is converted, as `EfficiencyResult.to_dict` converts
@@ -224,16 +220,11 @@ def _cmd_check(args) -> int:
     else:
         if not args.rule:
             raise CliError("--rule is required for axiom and property checks")
-        if args.axiom:
-            report = check_axiom(
-                args.axiom, args.rule, dag=dag, trials=args.trials,
-                seed=args.seed, losses=losses,
-            )
-        else:
-            report = check_property(
-                args.property, args.rule, dag=dag, trials=args.trials,
-                seed=args.seed, losses=losses,
-            )
+        audit = check_axiom if args.axiom else check_property
+        report = audit(
+            args.axiom or args.property, args.rule, dag=dag, trials=args.trials,
+            seed=args.seed, losses=losses,
+        )
     _emit(report.to_dict(), args.pretty)
     if not report.applicable:
         return EXIT_USAGE

@@ -381,7 +381,8 @@ def _spe_profiles(dag: Dag, losses, rule: Rule, profile_cap: int):
         for k, d in enumerate(decisions):
             mover = movers[k]
             current = pay[play[d]][mover]
-            floor = current if tol == 0 else current - tol
+            # an int pay beyond 2**53 minus a float can round up
+            floor = current if tol == 0 else min(current, current - tol)
             kids = children[d]
             chosen = choices[k]
             for alt in range(len(kids)):

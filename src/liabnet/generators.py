@@ -1,10 +1,10 @@
-"""Seeded random instance generators shared by the checkers and the tests.
-
-All generators take a `random.Random` so callers control determinism; the
-axiom checkers derive one per trial from a master seed. Random graphs are
-drawn in topological index order, valid by construction, and assembled
-from their successor lists (`graph._index_dag`) without the label-based
-checks of `build_dag`.
+"""Seeded random instance generators: `randbelow`, `random_dag` and
+`random_losses` draw the axiom checkers' trials; only the tests call
+`random_dag_with_paths` and `random_simplex_weights`. All take a
+`random.Random` so callers control determinism; the axiom checkers derive
+one per trial from a master seed. Random graphs are drawn in topological
+index order, valid by construction, and assembled from their successor lists
+(`graph._index_dag`) without the label-based checks of `build_dag`.
 
 Integer draws here and in the RLD audit go through `randbelow`, which
 calls `rng.getrandbits` directly, skipping the argument handling of

@@ -138,7 +138,7 @@ class Path:
         return self.nodes[-1]
 
     def labels(self, dag: Dag) -> tuple[str, ...]:
-        return tuple(dag.labels[i] for i in self.nodes)
+        return tuple(map(dag.labels.__getitem__, self.nodes))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -464,9 +464,10 @@ def resolve_tolerance(losses: Mapping[Edge, Num], tol: float | None) -> int | fl
 
 
 def widen(bound: Num, tol: float) -> Num:
-    """`bound` plus the tie tolerance `tol`; a zero `tol` leaves it exact,
-    where adding 0.0 would turn an int or `Fraction` into a float."""
-    return bound if tol == 0 else bound + tol
+    """`bound` plus the tie tolerance `tol`, never below `bound`, as an int
+    or `Fraction` plus a float can round (2**53 + 1 + 1e-9 gives 2**53); a
+    zero `tol` leaves it exact, where adding 0.0 would make it a float."""
+    return bound if tol == 0 else max(bound, bound + tol)
 
 
 @dataclass(frozen=True)

@@ -296,17 +296,10 @@ class MaxOutWeightsRule(FixedWeightRule):
     def _derive(self) -> None:
         dag, losses = self.dag, self.losses
         scale = max(losses[e] for e in dag.edges)
-        if scale == 0:
-            # degenerate: all totals are 0, every split is balanced
-            nonsinks = [i for i in range(dag.n) if i not in dag.sinks]
-            self._shares = tuple(
-                Fraction(1, len(nonsinks)) if i not in dag.sinks else Fraction(0)
-                for i in range(dag.n)
-            )
-            return
+        # with every loss 0 each non-sink gets the mark 1: equal shares
         marks = [
             0 if i in dag.sinks
-            else scale + max(losses[(i, j)] for j in dag.succ[i])
+            else scale + max(losses[(i, j)] for j in dag.succ[i]) if scale else 1
             for i in range(dag.n)
         ]
         denom = sum(marks)

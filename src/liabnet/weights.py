@@ -199,16 +199,16 @@ def wstar_dp(dag: Dag) -> WeightVector:
     For every non-sink i the weight is (1/|paths|) * sum_y through_i(y) / y,
     where through_i(y) counts the paths through i with y edges (= y non-sink
     nodes): slot y - flo[i] - blo[i] of fwd[i] * bwd[i] (`_packed_counts`),
-    read off one slot at a time. With D = lcm(1..longest path), every
-    weight is an integer numerator over the one denominator D * |paths|;
+    read off one slot at a time. With D the lcm of the path lengths that
+    occur (the nonzero slots of bwd[source]), every weight is an integer
+    numerator over the one denominator D * |paths|;
     the result carries both (`nums`, `den`), and its exact rationals are
     made from them only when read.
     """
     total, width, flo, fwd, blo, bwd = _packed_counts(dag)
-    src = dag.source
-    longest = blo[src] + (bwd[src].bit_length() - 1) // width
-    denom = math.lcm(*range(1, longest + 1))
-    per_len = [0] + [denom // y for y in range(1, longest + 1)]
+    lo, counts = blo[dag.source], _slots(bwd[dag.source], width)  # paths by length
+    denom = math.lcm(*[y for y, c in enumerate(counts, lo) if c])
+    per_len = [0] * lo + [denom // y if c else 0 for y, c in enumerate(counts, lo)]
     mask = (1 << width) - 1
     nums = [0] * dag.n
     for i, vs in enumerate(dag.succ):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,11 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liabnet.graph
 import liabnet.rules
 from liabnet.cli import build_parser, main
 from liabnet.game import spe_solve
+from liabnet.generators import random_dag
 from liabnet.graph import efficient_paths
 from liabnet.io import load_graph_file, load_losses_file
 from liabnet.rules import make_rule
@@ -933,6 +938,92 @@ class TestDeepChain:
         assert code == 0
         assert data["count"] == "2"
         assert data["paths"] == [labels, ["s", "t"]]
+
+
+# an int loss beyond 2**53 next to a float loss: the cheapest cost plus the
+# 1e-9 tolerance rounded below that cost, so its own step failed the tie
+BIG_INT_GRAPHS = {
+    "int-bypass": ([("s", "t", 2**53 + 1), ("s", "a", 1.152921504606847e18), ("a", "t", 1)],
+                   ["s", "t"]),
+    "float-then-int": ([("s", "n1", 2e-9), ("n1", "n2", 2**60 + 3)], ["s", "n1", "n2"]),
+}
+
+
+def _loss_graph(path, edges) -> str:
+    """A graph file of (from, to, loss) triples, nodes in first-seen order."""
+    nodes = list(dict.fromkeys(x for u, v, _ in edges for x in (u, v)))
+    path.write_text(json.dumps({
+        "nodes": nodes,
+        "edges": [{"from": u, "to": v, "loss": x} for u, v, x in edges],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", BIG_INT_GRAPHS)
+class TestIntLossBeyondFloatPrecision:
+    def graph(self, tmp_path, name):
+        edges, cheapest = BIG_INT_GRAPHS[name]
+        return _loss_graph(tmp_path / "graph.json", edges), cheapest
+
+    def test_efficient(self, capsys, tmp_path, name):
+        graph, cheapest = self.graph(tmp_path, name)
+        code, data, err = run(capsys, "efficient", graph)
+        assert (code, err) == (0, "")
+        assert data["paths"] == [cheapest]
+
+    @pytest.mark.parametrize("rule", ALL_RULE_SPECS)
+    def test_spe(self, capsys, tmp_path, name, rule):
+        graph, cheapest = self.graph(tmp_path, name)
+        code, data, err = run(capsys, "spe", graph, "--rule", rule)
+        assert (code, err) == (0, "")
+        assert data["outcomes"] == data["efficient"] == [cheapest]
+        assert data["coincide"] is True
+
+    @pytest.mark.parametrize("axiom", ["EI", "PCP"])
+    def test_check(self, capsys, tmp_path, name, axiom):
+        graph, _ = self.graph(tmp_path, name)
+        code, data, err = run(capsys, "check", graph, "--axiom", axiom,
+                              "--rule", "fixed:wstar", "--trials", "1")
+        assert (code, err) == (0, "")
+        assert data["passed"] is True
+
+
+# losses at the tie rule's extremes: small ints and decimal floats, ints
+# beyond 2**53, the float range's ends, and the default tolerance itself
+EXTREME_LOSSES = [0, 1, 2, 3, 0.1, 0.2, 0.3, 2**53 + 1, 2**60 + 3, 10**20,
+                  1.152921504606847e18, 1e300, 5e-324, 1e-9]
+
+
+@st.composite
+def extreme_graphs(draw):
+    dag = random_dag(random.Random(draw(st.integers(0, 2**32 - 1))), 3, 6,
+                     draw(st.sampled_from([0.3, 0.6])))
+    losses = st.sampled_from(EXTREME_LOSSES)
+    return [(dag.labels[u], dag.labels[v], draw(losses)) for u, v in dag.edges]
+
+
+def _main_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(edges=extreme_graphs(), tol=st.sampled_from(["0", "1e-9", "0.25"]))
+def test_no_traceback_at_the_tie_rules_extremes(tmp_path_factory, edges, tol):
+    graph = _loss_graph(tmp_path_factory.mktemp("extreme") / "graph.json", edges)
+    commands = [["efficient", graph], ["efficient", graph, "--tol", tol]]
+    commands += [["spe", graph, "--rule", rule] for rule in ALL_RULE_SPECS]
+    commands += [["check", graph, "--axiom", axiom, "--rule", rule, "--trials", "1"]
+                 for axiom in ("EI", "PCP") for rule in ALL_RULE_SPECS]
+    for argv in commands:
+        code, out, err = _main_in_process(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "efficient":
+            assert json.loads(out)["paths"], argv
 
 
 class TestParser:

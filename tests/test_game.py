@@ -207,6 +207,16 @@ class TestSolverAgainstOracle:
             fast = nodeset(spe_outcomes(dag, losses, rule))
             assert fast == nodeset(spe_bruteforce(dag, losses, rule))
 
+    def test_int_pay_beyond_2_53_keeps_its_tie(self):
+        # local pays s its own edge; 2**53 + 3 - 1e-9 rounds up to 2**53 + 4,
+        # and a floor above the pay made the equal alternative profitable
+        dag = build_dag(["s", "a", "b", "t"], [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
+        losses = {e: 2**53 + 3 if e[0] == dag.source else 0.5 for e in dag.edges}
+        rule = make_rule("local", dag)
+        both = {p.nodes for p in enumerate_paths(dag)}
+        assert nodeset(spe_bruteforce(dag, losses, rule)) == both
+        assert nodeset(spe_outcomes(dag, losses, rule)) == both
+
     def test_fast_modes_match_oracle_at_every_history(self):
         rng = random.Random(3333)
         for _ in range(25):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import liabnet.graph
@@ -23,6 +23,7 @@ from liabnet.graph import (
     path_loss,
     reachable_subgraph,
     validate,
+    widen,
 )
 from liabnet.generators import (
     randbelow,
@@ -499,6 +500,16 @@ class TestEfficient:
             assert res.path_set() == {(s, a, t), (s, t)}
             res = efficient_paths(dag, big, tie_tolerance=tol)
             assert res.path_set() == {(s, a, t)}
+
+    @given(
+        st.integers(0, 2**90) | st.fractions(0, 2**90) | st.floats(0, 1e300),
+        st.sampled_from([0, 5e-324, 1e-9, 0.25]),
+    )
+    @example(2**53 + 1, 1e-9)
+    def test_widened_bound_never_below_bound(self, bound, tol):
+        # an int or Fraction plus a float rounds, and 2**53 + 1 + 1e-9
+        # rounds down to 2**53, below the cheapest cost it widens
+        assert bound <= widen(bound, tol)
 
     @pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, chain3, tol):

@@ -254,10 +254,10 @@ def chain_with_bypass(n: int):
 
 def enumerated_nums(dag):
     """(nums, den) of the canonical weights summed over enumerated paths:
-    den = lcm(1..longest path) * |paths|, and each path of y edges adds
-    lcm // y to each of its movers' numerators."""
+    den = lcm(path lengths that occur) * |paths|, and each path of y edges
+    adds lcm // y to each of its movers' numerators."""
     paths = enumerate_paths(dag)
-    lcm = math.lcm(*range(1, max(len(p.movers) for p in paths) + 1))
+    lcm = math.lcm(*{len(p.movers) for p in paths})
     nums = [0] * dag.n
     for p in paths:
         for i in p.movers:
@@ -303,6 +303,19 @@ class TestPackedCounts:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    def test_long_chain_memory(self):
+        # the paths have 1 and 19,999 edges; a denominator of lcm(1..19,999)
+        # with one multiple of it per length up to 19,999 peaked at 157 MB
+        dag = chain_with_bypass(20_000)
+        tracemalloc.start()
+        try:
+            wv = wstar_dp(dag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert wv.den == 19_999 * 2
 
 
 class TestSharedRuns:
