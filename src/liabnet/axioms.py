@@ -53,10 +53,9 @@ from .graph import (
     Num,
     Path,
     build_dag,
-    continuation_costs,
+    check_losses,
     efficient_paths,
     enumerate_paths,
-    exact_valued,
     path_loss,
     validate,
     widen,
@@ -225,7 +224,7 @@ def _trial_pcp(rng, dag, losses, rule, paths):
     spe = sol.outcomes()
     eff = efficient_paths(dag, losses).path_set()
     pay = cache(lambda nodes: tuple(rule.vector(Path(nodes))))
-    tol = sol.tol
+    tol = rule.ties.tol
     equilibria = sorted((p.nodes for p in spe if p.nodes in eff))
     # A deviation's verdict depends only on its history and the split it
     # deviates from, so equilibria sharing a prefix and a split check each
@@ -323,7 +322,7 @@ def _trial_downstream_mono(rng, dag, losses, rule, paths):
     if not eligible:
         return _NO_PREMISE
     bound = rule.bind(losses)
-    cont = continuation_costs(dag, losses)
+    cont = bound.ties.cont
     i = rng.choice(eligible)
     history = _random_history(rng, dag, i)
     j, k = rng.sample(dag.succ[i], 2)
@@ -410,9 +409,9 @@ def _trial_total_loss_dep(rng, dag, losses, rule, paths):
     paths = paths(dag)
     p1 = rng.choice(paths)
     target = path_loss(losses, p1)
-    if exact_valued(losses):
+    if all(isinstance(x, int) for x in losses.values()):
         second = random_losses(rng, dag)
-    else:  # float totals meet only when drawn from the same values
+    else:  # float and Fraction totals meet only when drawn from the same values
         values = [losses[e] for e in dag.edges]
         second = dict(zip(dag.edges, [values[k] for k in randbelow(rng, len(values), len(values))]))
     matches = [p for p in paths if path_loss(second, p) == target]
@@ -479,8 +478,10 @@ def _run_check(
 ) -> CheckReport:
     if trials < 1:
         raise AxiomError(f"trials must be at least 1, got {trials}")
-    if losses is not None and dag is None:
-        raise AxiomError("fixed losses require a fixed graph")
+    if losses is not None:
+        if dag is None:
+            raise AxiomError("fixed losses require a fixed graph")
+        check_losses(dag, losses)
     check = _CHECKS[check_id]
     factory = _as_factory(rule)
     if check.precondition is not None:

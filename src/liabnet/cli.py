@@ -26,7 +26,6 @@ from . import AXIOMS, PROPERTIES, LiabnetError
 from .graph import (
     Dag,
     Path,
-    continuation_costs,
     count_paths,
     efficient_paths,
     enumerate_paths,
@@ -169,7 +168,7 @@ def _cmd_spe(args) -> int:
         # the efficient paths are the outcomes, listed in the same order;
         # every cost is converted, as `EfficiencyResult.to_dict` converts
         # them, so that one beyond the float range fails the report alike
-        costs = [float(c) for c in continuation_costs(dag, losses)]
+        costs = [float(c) for c in rule.ties.cont]
         efficient, min_cost = labelled, costs[dag.source]
     else:
         eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
@@ -296,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spe", "exact equilibrium outcome set of the induced game")
     p.add_argument("--rule", required=True)
     p.add_argument("--losses", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="tie tolerance of the efficient paths and of coincide; the "
+                        "equilibria always use the default (exact for integer "
+                        "losses, 1e-9 otherwise)")
 
     p = add("check", "axiom/property/scenario audits", graph_required=False)
     p.add_argument("--axiom", choices=AXIOMS, default=None)

@@ -45,14 +45,10 @@ from .graph import (
     Edge,
     Num,
     Path,
+    Ties,
     _forward_ways,
-    continuation_costs,
-    default_tolerance,
-    exact_valued,
     list_paths,
     path_ways,
-    resolve_tolerance,
-    tight_step,
     widen,
 )
 from .rules import MODE_OWN_EDGE, MODE_PUNISH_FIRST, MODE_TOTALS, Rule
@@ -88,7 +84,7 @@ def profile_count(dag: Dag) -> int:
 # set-valued backward induction
 
 
-def _node_states(dag: Dag, losses, bound: Rule, tol) -> tuple[list, list, list]:
+def _node_states(dag: Dag, losses, bound: Rule) -> tuple[list, list, list]:
     """Backward induction over per-node outcome states: (at_node, node,
     links), per node its states, first to last, and per state its node and
     the child states it keeps, a link table for `graph.path_ways`.
@@ -105,10 +101,10 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> tuple[list, list, list]:
     from the sink back as `step + total`: the mover's payment is monotone
     in the final total and the prefix cost is a constant inside each
     subgame, so suffix totals rank continuations identically at every
-    history, and a suffix survives iff its total is within `tol` of the
-    least worst case over the mover's actions. A suffix's total and its
-    type are fixed by its edges, so it lies in one state at its node, and
-    the states at a node list no suffix twice.
+    history, and a suffix survives iff its total is within `bound.ties.tol`
+    of the least worst case over the mover's actions. A suffix's total and
+    its type are fixed by its edges, so it lies in one state at its node,
+    and the states at a node list no suffix twice.
 
     In MODE_OWN_EDGE the mover pays only for the edge they cancel, so a
     node has one state, which keeps its cheapest outgoing edges and
@@ -131,7 +127,7 @@ def _node_states(dag: Dag, losses, bound: Rule, tol) -> tuple[list, list, list]:
     node: list[int] = []
     links: list[list[int]] = []
     totals: list[Num] = []  # per state in build order (state c at ~c), MODE_TOTALS only
-    mode = bound.mode
+    mode, tol = bound.mode, bound.ties.tol
     for i in range(dag.n - 1, -1, -1):
         succ = dag.succ[i]
         state_totals = None
@@ -195,8 +191,7 @@ class SpeSolution:
             raise GameError(
                 f"no solver for mode {self.bound.mode!r} of rule {rule.spec_string}"
             )
-        self.tol = default_tolerance(losses)
-        self._at_node, self._node, self._links = _node_states(dag, losses, self.bound, self.tol)
+        self._at_node, self._node, self._links = _node_states(dag, losses, self.bound)
 
     def _check_history(self, history: tuple[int, ...]) -> None:
         if not history or history[0] != self.dag.source:
@@ -265,16 +260,17 @@ class SpeSolution:
         """(|SPE|, |EFF|, |SPE & EFF|) for the whole game, without listing
         either set.
 
-        EFF is the set `efficient_paths` returns under `tie_tolerance`
-        (the solver's own tolerance when None): the paths whose every step
-        is tight (`graph.tight_step`). Its size is a backward count over
-        the tight edges. The intersection counts the outcomes whose every
-        step is tight. A tolerance `efficient_paths` refuses (negative,
-        infinite, NaN) raises the same GraphError here.
+        EFF is the set `efficient_paths` returns under `tie_tolerance`:
+        the paths whose every step is tight under `graph.Ties`, the bound
+        rule's own `ties` when None, else a second one under that
+        tolerance. Its size is a backward count over the tight edges. The
+        intersection counts the outcomes whose every step is tight. A
+        tolerance `efficient_paths` refuses (negative, infinite, NaN)
+        raises the same GraphError here.
         """
-        dag, losses = self.dag, self.losses
-        tol = resolve_tolerance(losses, tie_tolerance)
-        tight = tight_step(losses, continuation_costs(dag, losses), tol)
+        dag = self.dag
+        ties = self.bound.ties if tie_tolerance is None else Ties(dag, self.losses, tie_tolerance)
+        tight = ties.tight
         node, links = self._node, self._links
         every = path_ways(links)
         on_tight = path_ways(links, lambda e, c: tight(node[e], node[c]))
@@ -358,7 +354,7 @@ def _spe_profiles(dag: Dag, losses, rule: Rule, profile_cap: int):
             f"{total} strategy profiles exceed the cap of {profile_cap}"
         )
     tables = _build_tables(dag, bound)
-    pay_exact = exact_valued(losses) and all(
+    pay_exact = bound.ties.tol == 0 and all(
         isinstance(v, (int, Fraction)) for vec in tables.pay for v in vec
     )
     tol = 0.0 if pay_exact else 1e-9
@@ -432,9 +428,9 @@ def check_robust_efficiency(
     The witness names the first SPE profile and history where the chosen
     edge is not on a cheapest continuation.
     """
-    cont = continuation_costs(dag, losses)
-    tight = tight_step(losses, cont, default_tolerance(losses))
-    for tables, choices, _play in _spe_profiles(dag, losses, rule, profile_cap):
+    bound = rule.bind(losses)
+    tight = bound.ties.tight
+    for tables, choices, _play in _spe_profiles(dag, losses, bound, profile_cap):
         for k, d in enumerate(tables.decisions):
             hist = tables.histories[d]
             mover = hist[-1]

@@ -431,38 +431,6 @@ def path_loss(losses: Mapping[Edge, Num], path: Path) -> Num:
     return sum(map(losses.__getitem__, zip(nodes, nodes[1:])))
 
 
-def exact_valued(losses: Mapping[Edge, Num]) -> bool:
-    """True when no loss is a float, so sums and splits stay exact.
-
-    An integer-valued float such as 2.0 counts as inexact too: mixed with
-    an int or a `Fraction`, it turns sums and rule splits into rounded
-    floats, and an exact comparison of those can break a tie.
-    """
-    for x in losses.values():
-        if isinstance(x, float):
-            return False
-    return True
-
-
-def default_tolerance(losses: Mapping[Edge, Num]) -> int | float:
-    """Default tie tolerance: exact (the int 0) when no loss is a float,
-    else 1e-9 absolute. An int, not 0.0, so that adding it to Fraction
-    sums keeps them exact."""
-    return 0 if exact_valued(losses) else 1e-9
-
-
-def resolve_tolerance(losses: Mapping[Edge, Num], tol: float | None) -> int | float:
-    """The tie tolerance to compare under: `default_tolerance(losses)`
-    when `tol` is None, else `tol`, which must be a finite non-negative
-    number; GraphError otherwise. `efficient_paths` and
-    `SpeSolution.efficiency_counts` both take their tolerance from here."""
-    if tol is None:
-        return default_tolerance(losses)
-    if not 0 <= tol < math.inf:
-        raise GraphError(f"tie tolerance must be a finite non-negative number, got {tol}")
-    return tol
-
-
 def widen(bound: Num, tol: float) -> Num:
     """`bound` plus the tie tolerance `tol`, never below `bound`, as an int
     or `Fraction` plus a float can round (2**53 + 1 + 1e-9 gives 2**53); a
@@ -501,13 +469,45 @@ def continuation_costs(dag: Dag, losses: Mapping[Edge, Num]) -> list[Num]:
     return L
 
 
-def tight_step(
-    losses: Mapping[Edge, Num], cont: Sequence[Num], tol: float
-) -> Callable[[int, int], bool]:
-    """Whether a step (i, j) is onto a cheapest continuation from i, given
-    the continuation costs `cont`: loss(i,j) + cont[j] <= cont[i] + tol."""
-    limit = [widen(c, tol) for c in cont]
-    return lambda i, j: losses[(i, j)] + cont[j] <= limit[i]
+class Ties:
+    """The tie decision under one loss function. `tol` is the caller's
+    tolerance, finite and non-negative (GraphError otherwise), or by
+    default exact (the int 0, which keeps `Fraction` sums exact) when no
+    loss is a float, else 1e-9 absolute: one float loss, even 2.0, turns
+    sums and rule splits into rounded floats. `cont` holds the continuation
+    costs and `tight(i, j)` tests loss(i,j) + cont[j] <= `widen(cont[i],
+    tol)`; both are made on first read, so reading `tol` alone costs no DP.
+    """
+
+    _cont = _tight = None
+
+    def __init__(self, dag: Dag, losses: Mapping[Edge, Num], tol: float | None = None):
+        if tol is None:
+            tol = 0
+            for x in losses.values():
+                if isinstance(x, float):
+                    tol = 1e-9
+                    break
+        elif not 0 <= tol < math.inf:
+            raise GraphError(f"tie tolerance must be a finite non-negative number, got {tol}")
+        self.dag, self.losses, self.tol = dag, losses, tol
+
+    def __reduce__(self):  # `tight` is a closure, which pickle refuses
+        return Ties, (self.dag, self.losses, self.tol)
+
+    @property
+    def cont(self) -> list[Num]:
+        if self._cont is None:
+            self._cont = continuation_costs(self.dag, self.losses)
+        return self._cont
+
+    @property
+    def tight(self) -> Callable[[int, int], bool]:
+        if self._tight is None:
+            losses, cont, tol = self.losses, self.cont, self.tol
+            limit = [widen(c, tol) for c in cont]
+            self._tight = lambda i, j: losses[(i, j)] + cont[j] <= limit[i]
+        return self._tight
 
 
 def efficient_paths(
@@ -515,21 +515,12 @@ def efficient_paths(
     losses: Mapping[Edge, Num],
     tie_tolerance: float | None = None,
 ) -> EfficiencyResult:
-    """Compute the cheapest paths and continuation costs.
-
-    A path is kept iff every step (i, j) satisfies
-    loss(i,j) + L_j <= L_i + tie_tolerance. When no loss is a float the
-    default tolerance is 0 and the set is exact; once any loss is a float,
-    integer-valued ones such as 2.0 included, the default is 1e-9 absolute.
-
-    Args:
-        tie_tolerance: override for the tie comparison, a finite
-            non-negative number; None picks the default described above.
-    """
+    """The cheapest paths and the continuation costs: the paths whose every
+    step is tight under `Ties(dag, losses, tie_tolerance)`."""
     check_losses(dag, losses)
-    tol = resolve_tolerance(losses, tie_tolerance)
-    L = continuation_costs(dag, losses)
-    out = list_paths(dag.succ, (dag.source,), tight_step(losses, L, tol))
+    ties = Ties(dag, losses, tie_tolerance)
+    out = list_paths(dag.succ, (dag.source,), ties.tight)
+    L = ties.cont
     return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
 
 

@@ -69,11 +69,9 @@ from .graph import (
     GraphError,
     Num,
     Path,
+    Ties,
     check_losses,
-    continuation_costs,
-    default_tolerance,
     path_loss,
-    tight_step,
 )
 from .weights import WeightVector, wstar_dp
 
@@ -129,11 +127,15 @@ class Rule:
     `weights` is the per-graph weight vector of a rule that pays w_i times
     the realized total under every loss function, and None for every other
     rule; the simulator and the DOWNSTREAM_MONO checker read it.
+
+    `ties`, made on first read, is the bound rule's `graph.Ties` at the
+    default tolerance, which the solver, audits and `spe` share.
     """
 
     mode: str = MODE_TOTALS
     weights: WeightVector | None = None
     losses: Mapping[Edge, Num] | None = None
+    _ties: Ties | None = None
 
     def __init__(self, dag: Dag, spec_string: str):
         self.dag = dag
@@ -151,7 +153,7 @@ class Rule:
         `checked_split` keeps what it has tested on the bound copy: per
         `(type(total), total)`, the last split tuple that passed, one entry
         per distinct total. Every `bind` to another mapping starts it, and
-        the memo of `_by_total`, empty.
+        the memo of `_by_total`, empty, and builds its `ties` anew.
         """
         if losses is self.losses:
             return self
@@ -161,8 +163,15 @@ class Rule:
         bound.losses = losses
         bound._passed = {}  # (type(total), total) -> split, read by checked_split
         bound._splits = {}  # (type(total), total) -> split, read by _by_total
+        bound._ties = None
         bound._derive()
         return bound
+
+    @property
+    def ties(self) -> Ties:
+        if self._ties is None:
+            self._ties = Ties(self.dag, self.losses)
+        return self._ties
 
     def _derive(self) -> None:
         """Compute the state that depends on `self.losses`; none by default."""
@@ -367,19 +376,18 @@ class PunishFirstRule(Rule):
     a step that foreclosed efficiency pays the whole loss.
 
     `foreclosing`, set at bind, holds the steps that leave only
-    inefficient continuations: those `graph.tight_step` rejects under the
-    tie tolerance `efficient_paths` uses. The equal split divides the
-    path's total summed from the sink back, `l1 + (l2 + (... + 0))`, the
-    association `continuation_costs` uses, so float paths that tie in
-    `efficient_paths` split alike. The blamed agent pays the `path_loss`
-    total.
+    inefficient continuations: those the bound rule's `ties` do not find
+    tight, under the default tolerance `efficient_paths` uses too. The
+    equal split divides the path's total summed from the sink back,
+    `l1 + (l2 + (... + 0))`, the association `continuation_costs` uses, so
+    float paths that tie in `efficient_paths` split alike. The blamed
+    agent pays the `path_loss` total.
     """
 
     mode = MODE_PUNISH_FIRST
 
     def _derive(self) -> None:
-        cont = continuation_costs(self.dag, self.losses)
-        tight = tight_step(self.losses, cont, default_tolerance(self.losses))
+        tight = self.ties.tight
         self.foreclosing = frozenset(e for e in self.dag.edges if not tight(*e))
 
     def split(self, path: Path, total: Num) -> tuple[Num, ...]:

@@ -9,6 +9,7 @@ import pytest
 import liabnet.axioms
 from liabnet.axioms import (
     AXIOMS,
+    PROPERTIES,
     AxiomError,
     check_axiom,
     check_property,
@@ -16,7 +17,7 @@ from liabnet.axioms import (
 )
 from liabnet.game import SpeSolution
 from liabnet.generators import random_simplex_weights
-from liabnet.graph import Path, build_dag, efficient_paths
+from liabnet.graph import GraphError, Path, build_dag, efficient_paths
 from liabnet.rules import FixedWeightRule, fixed_rule, make_rule
 from liabnet.weights import WeightVector, wstar_dp
 
@@ -362,6 +363,19 @@ class TestTrialDriver:
         assert not rep.passed
         assert {e["loss"] for e in cex["second_losses"]} <= {0.1, 0.2, 0.3}
 
+    def test_total_loss_dep_redraws_fraction_losses_from_their_values(self, monkeypatch, fork):
+        # no 0-9 integers sum to a total in tenths such as 3/10, so, as for
+        # floats, the second loss function draws from the first's values
+        rng = random.Random(0)
+        losses = {e: Fraction(rng.randint(1, 3), 10) for e in fork.edges}
+        redraws = _spy(monkeypatch, "random_losses")
+        rep = check_property(
+            "TOTAL_LOSS_DEP", "fixed:wstar", dag=fork, trials=50, seed=0, losses=losses
+        )
+        assert rep.passed and rep.passes == rep.trials == 50
+        assert rep.detail == {}
+        assert redraws == []
+
     @pytest.mark.parametrize(
         "check, check_id",
         [
@@ -449,6 +463,24 @@ class TestValidation:
     def test_losses_require_graph(self):
         with pytest.raises(AxiomError):
             check_axiom("EI", "fixed:wstar", losses={(0, 1): 1}, trials=1)
+
+    @pytest.mark.parametrize("check_id", [*AXIOMS, *PROPERTIES])
+    @pytest.mark.parametrize("fault, message", [
+        ("partial", r"losses missing edge \('s', 'i'\)"),
+        ("negative", r"loss on edge \('s', 'i'\) must be finite and >= 0, got -1"),
+    ], ids=["partial", "negative"])
+    def test_fixed_losses_checked_before_any_trial(self, fork, check_id, fault, message):
+        # PATH_INDEP and TOTAL_LOSS_DEP read no loss through a rule, and
+        # raised a KeyError on the partial losses, and PATH_INDEP passed
+        # on the negative ones
+        losses = {e: 1 for e in fork.edges}
+        if fault == "partial":
+            del losses[fork.edges[0]]
+        else:
+            losses[fork.edges[0]] = -1
+        check = check_axiom if check_id in AXIOMS else check_property
+        with pytest.raises(GraphError, match=message):
+            check(check_id, "fixed:wstar", dag=fork, trials=3, losses=losses)
 
     def test_bound_rule_on_its_own_graph(self, fork):
         rule = make_rule("fixed:wstar", fork)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import liabnet.rules
 from liabnet.cli import main
+from liabnet.game import spe_solve
 from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
     Dag,
@@ -288,6 +290,28 @@ class TestPunishFirst:
         }
         vec = apply_rule(make_rule("punish-first", dag), path_of(dag, "s", "a", "t2"), losses)
         assert vec.as_dict(dag) == {"s": 0.0, "a": 6.0, "t1": 0.0, "t2": 0.0}
+
+
+class TestTies:
+    """A bound rule's `ties`, the one tie decision under its losses."""
+
+    def test_each_bind_makes_its_own(self, chain3):
+        dag, _ = chain3
+        ints = {e: 1 for e in dag.edges}
+        floats = {e: 1.0 for e in dag.edges}
+        bound = make_rule("punish-first", dag).bind(ints)
+        rebound = bound.bind(floats)  # copies the bound rule's attributes
+        assert (bound.ties.tol, rebound.ties.tol) == (0, 1e-9)
+        assert bound.ties.losses is ints and rebound.ties.losses is floats
+
+    def test_bound_rule_pickles_after_a_solve(self, chain3):
+        dag, losses = chain3
+        bound = make_rule("punish-first", dag).bind(losses)
+        assert spe_solve(dag, losses, bound).coincides()
+        copy = pickle.loads(pickle.dumps(bound))
+        assert copy.foreclosing == bound.foreclosing
+        tight = [bound.ties.tight(*e) for e in dag.edges]
+        assert [copy.ties.tight(*e) for e in dag.edges] == tight
 
 
 class TestApplyRuleValidation:

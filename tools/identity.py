@@ -22,8 +22,10 @@ byte-for-byte alike. The list:
 - `spe` for all 8 rule specs on every fixture graph but grid20, and on
   the 8- and 10-stage all-ties ladders;
 - `spe --tol 0` and `spe --tol 0.25` for all 8 rule specs on fork,
-  bypass_diamond and shortcut_line under the seeded float losses, where
-  the outcomes and the efficient paths may or may not coincide;
+  bypass_diamond and shortcut_line under the seeded integer and float
+  losses, where the outcomes and the efficient paths may or may not
+  coincide, and `efficient --tol 0` and `efficient --tol 0.25` on the same
+  three graphs under the same losses;
 - `check --property PATH_INDEP` and `TOTAL_LOSS_DEP` at 50 trials for
   `fixed:wstar` and `phi3` on the same three graphs under the seeded
   integer and float losses, whose trials group paths by their totals;
@@ -119,7 +121,8 @@ TRIALS = "300"
 LADDERS = (8, 10)
 # near-tie graphs at 10^exponent
 NEAR_TIE_EXPONENTS = (6, 8, 10)
-# `spe` with an explicit tie tolerance, on these fixtures' float losses
+# `spe` and `efficient` with an explicit tie tolerance, on these fixtures'
+# seeded losses files
 TOL_GRAPHS = ("bypass_diamond.json", "fork.json", "shortcut_line.json")
 TOLS = ("0", "0.25")
 # `check` under these fixtures' seeded losses files
@@ -304,7 +307,14 @@ def commands(tmp: Path):
         yield f"weights {name}", ["weights", str(graph), "--method", "dp"], no_runtime
         for kind, extra in loss_files(graph, tmp):
             yield f"efficient {name} {kind}", ["efficient", str(graph), *extra], None
-            if extra and name in TOL_GRAPHS:
+            tols = TOLS if extra and name in TOL_GRAPHS else ()
+            for tol in tols:
+                yield (
+                    f"efficient {name} {kind} --tol {tol}",
+                    ["efficient", str(graph), *extra, "--tol", tol],
+                    None,
+                )
+            if tols:
                 for prop in TOTALS_PROPERTIES:
                     for rule in TOTALS_RULES:
                         yield (
@@ -316,13 +326,12 @@ def commands(tmp: Path):
             if name != "grid20.json":
                 for rule in RULES:
                     yield f"spe {name} {kind} {rule}", ["spe", str(graph), "--rule", rule, *extra], None
-                    if kind == "float" and name in TOL_GRAPHS:
-                        for tol in TOLS:
-                            yield (
-                                f"spe {name} {kind} {rule} --tol {tol}",
-                                ["spe", str(graph), "--rule", rule, *extra, "--tol", tol],
-                                None,
-                            )
+                    for tol in tols:
+                        yield (
+                            f"spe {name} {kind} {rule} --tol {tol}",
+                            ["spe", str(graph), "--rule", rule, *extra, "--tol", tol],
+                            None,
+                        )
                     for path in ends:
                         yield (
                             f"liability {name} {kind} {rule} {path}",
