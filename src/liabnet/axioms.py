@@ -39,7 +39,6 @@ as a tuple; a fixed graph is enumerated once per check.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -75,8 +74,10 @@ class AxiomError(LiabnetError):
     pass
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
+    """One audit's verdict. Its dicts are read, never changed: the default
+    `detail` is one dict shared by every report that takes it."""
+
     id: str
     rule: str
     trials: int
@@ -84,14 +85,14 @@ class CheckReport:
     seed: int
     applicable: bool = True
     counterexample: Optional[dict] = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}
 
     @property
     def passed(self) -> bool:
         return self.applicable and self.counterexample is None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------

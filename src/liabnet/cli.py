@@ -16,7 +16,6 @@ alone numpy and the process pool.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -26,6 +25,7 @@ from . import AXIOMS, PROPERTIES, LiabnetError
 from .graph import (
     Dag,
     Path,
+    Ties,
     count_paths,
     efficient_paths,
     enumerate_paths,
@@ -171,7 +171,9 @@ def _cmd_spe(args) -> int:
         costs = [float(c) for c in rule.ties.cont]
         efficient, min_cost = labelled, costs[dag.source]
     else:
-        eff = efficient_paths(dag, losses, tie_tolerance=args.tol).to_dict(dag)
+        # the rule's own costs, unless --tol asks for another tie decision
+        ties = rule.ties if args.tol is None else Ties(dag, losses, args.tol)
+        eff = ties.efficient().to_dict(dag)
         efficient, min_cost = eff["paths"], eff["min_cost"]
     # consecutive outcomes often share one split tuple (all of them do
     # under a fixed-weight rule on tied paths): convert each run of it once,
@@ -231,6 +233,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import dataclasses
+
     from .sim import SimConfig, run_simulation, summary_dict
 
     if args.config:

@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import LiabnetError
 from .graph import (
@@ -303,8 +302,7 @@ def spe_outcomes(dag: Dag, losses: Mapping[Edge, Num], rule: Rule) -> set[Path]:
 # brute-force oracle
 
 
-@dataclass
-class _GameTables:
+class _GameTables(NamedTuple):
     histories: list[tuple[int, ...]]  # breadth-first, parents before children
     children: list[list[int] | None]  # per history: child history indices
     decisions: list[int]  # history indices where a choice exists
@@ -407,8 +405,7 @@ def spe_bruteforce(
     return outcomes
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(NamedTuple):
     robust: bool
     witness: Optional[dict] = None
 

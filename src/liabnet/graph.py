@@ -12,9 +12,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import LiabnetError
 
@@ -35,15 +34,36 @@ class PathCapExceeded(GraphError):
     """Raised when an enumeration would produce more paths than allowed."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Frozen:
+    """Base of the immutable value classes. A subclass lists its fields in
+    `__slots__`, and its `__init__` takes them in that order and sets each
+    once through `object.__setattr__`; assigning or deleting a field later
+    raises AttributeError. Pickle's own restore of slots would assign them,
+    so an instance pickles as a call of its class on its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = (f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validating raw node/edge lists.
 
     `checks` are hard requirements; `warnings` flag structural features
@@ -72,9 +92,9 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class Dag:
+class Dag(Frozen):
     """Immutable DAG with a unique source and topologically sorted indices.
+    It equals and hashes as itself only.
 
     Fields:
         labels: node labels; position in the tuple is the node index.
@@ -85,13 +105,20 @@ class Dag:
         sinks: indices of out-degree-0 nodes.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    succ: tuple[tuple[int, ...], ...]
-    pred: tuple[tuple[int, ...], ...]
-    source: int
-    sinks: frozenset[int]
-    _index: dict = field(repr=False)
+    __slots__ = ("labels", "edges", "succ", "pred", "source", "sinks", "_index")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        edges: tuple[Edge, ...],
+        succ: tuple[tuple[int, ...], ...],
+        pred: tuple[tuple[int, ...], ...],
+        source: int,
+        sinks: frozenset[int],
+        _index: dict[str, int],
+    ):
+        for k, x in zip(self.__slots__, (labels, edges, succ, pred, source, sinks, _index)):
+            object.__setattr__(self, k, x)
 
     @property
     def n(self) -> int:
@@ -118,11 +145,22 @@ class Dag:
         return tuple((self.labels[u], self.labels[v]) for u, v in self.edges)
 
 
-@dataclass(frozen=True)
-class Path:
-    """Source-to-sink node sequence; hashable so paths can live in sets."""
+class Path(Frozen):
+    """Source-to-sink node sequence; equal, hashed and sized by its nodes,
+    so paths can live in sets."""
 
-    nodes: tuple[int, ...]
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[int, ...]):
+        object.__setattr__(self, "nodes", nodes)
+
+    def __eq__(self, other):
+        if other.__class__ is Path:
+            return self.nodes == other.nodes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.nodes)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -438,8 +476,7 @@ def widen(bound: Num, tol: float) -> Num:
     return bound if tol == 0 else max(bound, bound + tol)
 
 
-@dataclass(frozen=True)
-class EfficiencyResult:
+class EfficiencyResult(NamedTuple):
     """Cheapest total loss, the set of paths achieving it, and per-node
     cheapest continuation costs."""
 
@@ -509,19 +546,22 @@ class Ties:
             self._tight = lambda i, j: losses[(i, j)] + cont[j] <= limit[i]
         return self._tight
 
+    def efficient(self) -> EfficiencyResult:
+        """The cheapest paths, those whose every step is tight, and the
+        continuation costs."""
+        dag, cont = self.dag, self.cont
+        paths = list_paths(dag.succ, (dag.source,), self.tight)
+        return EfficiencyResult(cont[dag.source], tuple(paths), tuple(cont))
+
 
 def efficient_paths(
     dag: Dag,
     losses: Mapping[Edge, Num],
     tie_tolerance: float | None = None,
 ) -> EfficiencyResult:
-    """The cheapest paths and the continuation costs: the paths whose every
-    step is tight under `Ties(dag, losses, tie_tolerance)`."""
+    """`Ties(dag, losses, tie_tolerance).efficient()`, the losses checked."""
     check_losses(dag, losses)
-    ties = Ties(dag, losses, tie_tolerance)
-    out = list_paths(dag.succ, (dag.source,), ties.tight)
-    L = ties.cont
-    return EfficiencyResult(min_cost=L[dag.source], paths=tuple(out), continuation=tuple(L))
+    return Ties(dag, losses, tie_tolerance).efficient()
 
 
 # ---------------------------------------------------------------------------

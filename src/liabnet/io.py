@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
-from pathlib import Path as FsPath
 
 from .graph import Dag, Edge, GraphError, build_dag, validate
 
@@ -66,7 +66,7 @@ def parse_graph_data(data: dict) -> tuple[list[str], list[tuple[str, str]], dict
     return nodes, edges, label_losses, source
 
 
-def load_json(path: str | FsPath):
+def load_json(path: str | os.PathLike):
     """Parse one JSON file; malformed content raises FormatError naming it.
 
     Besides syntax and encoding errors (both ValueErrors), that covers
@@ -82,7 +82,7 @@ def load_json(path: str | FsPath):
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_graph_file(path: str | FsPath) -> tuple[Dag, dict[Edge, float]]:
+def load_graph_file(path: str | os.PathLike) -> tuple[Dag, dict[Edge, float]]:
     """Load and build a graph file; returns (dag, losses-by-index).
 
     The losses dict may be partial or empty; operations that need a total
@@ -94,7 +94,7 @@ def load_graph_file(path: str | FsPath) -> tuple[Dag, dict[Edge, float]]:
     return dag, losses
 
 
-def load_raw_graph_file(path: str | FsPath) -> tuple[list[str], list[tuple[str, str]], str | None]:
+def load_raw_graph_file(path: str | os.PathLike) -> tuple[list[str], list[tuple[str, str]], str | None]:
     """Load nodes/edges without building a Dag (for `validate`)."""
     nodes, edges, _, source = parse_graph_data(load_json(path))
     return nodes, edges, source
@@ -107,7 +107,7 @@ def parse_edge_key(key: str) -> tuple[str, str]:
     return u.strip(), v.strip()
 
 
-def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
+def load_losses_file(path: str | os.PathLike, dag: Dag) -> dict[Edge, float]:
     """Load a flat "from->to" -> loss mapping keyed to dag indices."""
     data = load_json(path)
     if not isinstance(data, dict):
@@ -124,7 +124,7 @@ def load_losses_file(path: str | FsPath, dag: Dag) -> dict[Edge, float]:
     return losses
 
 
-def load_weights_file(path: str | FsPath, dag: Dag) -> dict[int, float]:
+def load_weights_file(path: str | os.PathLike, dag: Dag) -> dict[int, float]:
     """Load a label -> weight mapping; missing labels default to 0. A
     weight is a finite number within the float range; its sign and the sum
     are checked where the weight vector is built."""

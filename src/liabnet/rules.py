@@ -57,7 +57,6 @@ efficiency; local charges each on-path agent exactly the edge they cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from typing import Callable, Mapping
@@ -66,6 +65,7 @@ from . import LiabnetError
 from .graph import (
     Dag,
     Edge,
+    Frozen,
     GraphError,
     Num,
     Path,
@@ -86,11 +86,22 @@ class RuleSpecError(LiabnetError):
     whose split of a path is negative or unbalanced."""
 
 
-@dataclass(frozen=True)
-class LiabilityVector:
-    """Per-agent payments for one realized path; balanced by construction."""
+class LiabilityVector(Frozen):
+    """Per-agent payments for one realized path; balanced by construction.
+    Equality and hashing go by `values`."""
 
-    values: tuple[Num, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Num, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is LiabilityVector:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def __getitem__(self, i: int) -> Num:
         return self.values[i]

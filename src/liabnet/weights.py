@@ -25,12 +25,11 @@ and the fixed-weight rule read, and builds the `Fraction`s only when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import LiabnetError
-from .graph import Dag, Num, count_paths, enumerate_paths, path_ways
+from .graph import Dag, Frozen, Num, count_paths, enumerate_paths, path_ways
 
 
 class WeightsError(LiabnetError):
@@ -41,36 +40,40 @@ class WeightsError(LiabnetError):
 _PLAYER_CAP = 20
 
 
-class _Rationals:
-    """The `values` field of a WeightVector: kept as given, or, when given
-    None, made from `nums` over `den` on its first read."""
-
-    def __get__(self, wv, owner=None):
-        if wv is None:
-            raise AttributeError("values")  # so the field has no default
-        values = wv.__dict__["_values"]
-        if values is None:
-            den = wv.den
-            values = wv.__dict__["_values"] = tuple([Fraction(a, den) for a in wv.nums])
-        return values
-
-    def __set__(self, wv, values):
-        wv.__dict__["_values"] = values
-
-
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Point of the simplex over all nodes, aligned with dag indices.
 
     `nums` and `den`, when set, are the same weights as integer numerators
     over one common denominator: Fraction(nums[i], den) == values[i]. With
     `nums` set, `values` may be given as None; it is then made on its first
-    read. Equality compares `values` only.
+    read. Equality and hashing go by `values` only.
     """
 
-    values: tuple[Num, ...] = _Rationals()
-    nums: tuple[int, ...] | None = field(default=None, compare=False)
-    den: int = field(default=1, compare=False)
+    __slots__ = ("_values", "nums", "den")
+
+    def __init__(
+        self, values: tuple[Num, ...] | None, nums: tuple[int, ...] | None = None, den: int = 1
+    ):
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def values(self) -> tuple[Num, ...]:
+        values = self._values
+        if values is None:
+            den = self.den
+            values = tuple([Fraction(a, den) for a in self.nums])
+            object.__setattr__(self, "_values", values)
+        return values
+
+    def __eq__(self, other):
+        if other.__class__ is WeightVector:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
         if self.nums is None:
@@ -105,8 +108,7 @@ class WeightVector:
         return cls(tuple(mapping.get(i, 0) for i in range(dag.n)))
 
 
-@dataclass(frozen=True)
-class PathCountTables:
+class PathCountTables(NamedTuple):
     """Subpath-count tables.
 
     forward[x][i]: subpaths from the source to i with exactly x edges.

@@ -1030,6 +1030,19 @@ class TestOneTieDecision:
         assert code == 0 and data["passed"] is True
         assert len(calls) == 1
 
+    def test_spe_not_coinciding_computes_the_costs_once(self, capsys, tmp_path, monkeypatch):
+        # phi1's outcomes are not the efficient paths under these losses, so
+        # the report lists the efficient paths from the rule's own costs
+        dag, _ = load_graph_file(DIAMOND)
+        rng = random.Random(3)
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({f"{dag.labels[u]}->{dag.labels[v]}": rng.choice([0.1, 0.2, 0.3])
+                                    for u, v in dag.edges}))
+        calls = _count_costs(monkeypatch)
+        code, data, _ = run(capsys, "spe", DIAMOND, "--losses", str(path), "--rule", "phi1")
+        assert code == 0 and data["coincide"] is False
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("rule", ALL_RULE_SPECS)
     def test_spe_tol_computes_the_costs_at_most_as_often_as_before(
         self, capsys, tmp_path, monkeypatch, rule

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import liabnet.graph
+from liabnet.axioms import CheckReport
+from liabnet.game import RobustnessResult, _GameTables
 from liabnet.graph import (
     GraphError,
     GraphValidationError,
@@ -32,6 +35,8 @@ from liabnet.generators import (
     random_losses,
     random_simplex_weights,
 )
+from liabnet.rules import LiabilityVector
+from liabnet.weights import PathCountTables, WeightVector, wstar_dp
 
 from conftest import DAG_FIELDS, FIXTURES, load_fixture
 
@@ -590,3 +595,68 @@ class TestPathType:
         assert p.movers == (0, 2)
         assert p.sink == 5
         assert len(p) == 3
+
+    def test_equal_hashed_and_sized_by_nodes(self):
+        a, b = Path((0, 2, 5)), Path((0, 2, 5))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, Path((0, 5))}) == 2
+        assert a != Path((0, 2)) and a != (0, 2, 5)
+        assert len(a) == 3
+        assert repr(a) == "Path(nodes=(0, 2, 5))"
+
+
+def _value_objects():
+    """One instance of each immutable value type of the package, with one
+    of its fields."""
+    dag = load_fixture("fork.json")[0]
+    losses = {e: 1 for e in dag.edges}
+    return [
+        (Path((0, 1)), "nodes"),
+        (dag, "labels"),
+        (dag, "_index"),
+        (LiabilityVector((1, 0)), "values"),
+        (wstar_dp(dag), "values"),
+        (wstar_dp(dag), "nums"),
+        (validate(dag.labels, dag.edge_labels()), "checks"),
+        (validate(dag.labels, dag.edge_labels()).checks[0], "passed"),
+        (efficient_paths(dag, losses), "paths"),
+        (PathCountTables((), (), (), 0), "total_paths"),
+        (RobustnessResult(True), "witness"),
+        (_GameTables([], [], [], {}, [], []), "pay"),
+        (CheckReport("EI", "local", 1, 1, 0), "detail"),
+    ]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("obj, field", _value_objects(),
+                             ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+    def test_fields_cannot_be_assigned(self, obj, field):
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert getattr(obj, field) is before
+
+    def test_vectors_equal_and_hash_by_values(self):
+        for cls in (LiabilityVector, WeightVector):
+            a, b = cls((1, 0)), cls((1, 0))
+            assert a == b and hash(a) == hash(b)
+            assert a != cls((0, 1)) and a != (1, 0)
+
+    def test_dag_equals_and_hashes_as_itself(self, fork):
+        twin = build_dag(fork.labels, fork.edge_labels())
+        assert fork == fork and fork != twin
+        assert hash(fork) == object.__hash__(fork)
+        assert len({fork, twin}) == 2
+
+    def test_dag_and_path_pickle(self, fork):
+        copy = pickle.loads(pickle.dumps(fork))
+        assert copy is not fork
+        for name in DAG_FIELDS:
+            assert getattr(copy, name) == getattr(fork, name), name
+        with pytest.raises(AttributeError):
+            copy.source = 1
+        path = enumerate_paths(fork)[0]
+        assert pickle.loads(pickle.dumps(path)) == path

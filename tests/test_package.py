@@ -63,7 +63,9 @@ STAR_NAMES = {
     *(name for names in EAGER.values() for name in names),
     "axioms", "game", "generators", "graph", "rules", "weights",
 }
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures")
+# modules no command but `simulate` loads: the simulation's, and the
+# `dataclasses` machinery with the `inspect` it imports
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
 
 
 def run_probe(flags, body):
@@ -96,7 +98,9 @@ def modules_after_command(flags, argv):
         f"    code = main({argv!r})\n"
         "assert code == 0, code\n"
     )
-    loaded = run_probe(flags, body)[-1]["liabnet"]
+    probe = run_probe(flags, body)[-1]
+    assert probe["heavy"] == []
+    loaded = probe["liabnet"]
     assert {"liabnet", "liabnet.cli", "liabnet.graph", "liabnet.io"} <= set(loaded)
     return {m.split(".", 1)[1] for m in loaded if "." in m} - {"cli", "graph", "io"}
 
@@ -190,6 +194,13 @@ class TestLoadedModules:
         loaded = modules_after_command(flags, argv)
         assert {"rules", "weights"} <= loaded
         assert not loaded & {"axioms", "generators", "sim"}
+
+    @FLAGS
+    def test_check_loads_the_audit_but_not_the_simulation(self, flags):
+        argv = ["check", FORK, "--axiom", "EI", "--rule", "fixed:wstar", "--trials", "1"]
+        loaded = modules_after_command(flags, argv)
+        assert {"axioms", "game", "generators", "rules", "weights"} <= loaded
+        assert "sim" not in loaded
 
 
 class TestNamespace:

@@ -12,8 +12,9 @@ therefore compiles from source, as it does in a fresh checkout that has
 never written bytecode. The commands take turns, one round of all of them
 at a time, so that a change in the host's speed falls on every command
 alike. It prints, per command, the median wall time of the whole process
-(interpreter start-up included) and the `liabnet` modules the command
-loaded. Run it on two checkouts to compare them.
+(interpreter start-up included), which of `dataclasses`, `inspect` and
+`numpy` the process loaded, and the `liabnet` modules the command loaded.
+Run it on two checkouts to compare them.
 
 Exit codes: 0 when every command exits 0, 2 when one does not.
 Standard library only; not part of Tier-1.
@@ -32,14 +33,17 @@ import time
 from pathlib import Path
 
 ROUNDS = 9
+# costly standard modules that only some commands need
+HEAVY = ("dataclasses", "inspect", "numpy")
 # run in the fresh interpreter: the command's stdout is discarded and the
-# modules it loaded are printed in its place
-PROBE = """\
+# modules it loaded are printed in its place, the heavy ones first
+PROBE = f"""\
 import contextlib, os, sys
 from liabnet.cli import main
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
     code = main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "liabnet"))
+print(",".join(m for m in {HEAVY!r} if m in sys.modules) or "-",
+      *sorted(m for m in sys.modules if m.split(".")[0] == "liabnet"))
 sys.exit(code)
 """
 LOSSES = {"s->i": 3, "s->j": 1, "j->k": 1, "i->t": 1, "j->t": 2, "k->t": 1}
@@ -83,7 +87,8 @@ def main(argv: list[str]) -> int:
                           file=sys.stderr)
                     return 2
                 loaded[name] = done.stdout.strip()
-    print(f"{root.resolve()}: median wall ms of {ROUNDS} fresh interpreters, no bytecode")
+    print(f"{root.resolve()}: median wall ms of {ROUNDS} fresh interpreters, no bytecode;")
+    print(f"  then which of {', '.join(HEAVY)} loaded ('-': none), and the liabnet modules")
     for name in todo:
         print(f"  {name:10s} {statistics.median(times[name]) * 1000:7.1f}  {loaded[name]}")
     return 0
