@@ -41,9 +41,8 @@ _EXPORTS = {
         "AxiomError", "CheckReport", "check_axiom", "check_property",
         "impossibility_scenario"),
     "game": (
-        "GameError", "ProfileCapExceeded", "RobustnessResult", "SpeSolution",
-        "check_robust_efficiency", "history_count", "profile_count",
-        "spe_bruteforce", "spe_outcomes", "spe_solve"),
+        "GameError", "ProfileCapExceeded", "SpeSolution", "history_count",
+        "profile_count", "spe_bruteforce", "spe_outcomes", "spe_solve"),
     "graph": (
         "Dag", "EfficiencyResult", "GraphError", "GraphValidationError",
         "Path", "PathCapExceeded", "ValidationReport", "build_dag",

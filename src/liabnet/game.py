@@ -403,48 +403,3 @@ def spe_bruteforce(
     for tables, _choices, play in _spe_profiles(dag, losses, rule, profile_cap):
         outcomes.add(Path(tables.paths[play[0]]))
     return outcomes
-
-
-class RobustnessResult(NamedTuple):
-    robust: bool
-    witness: Optional[dict] = None
-
-    def __bool__(self) -> bool:
-        return self.robust
-
-
-def check_robust_efficiency(
-    dag: Dag,
-    losses: Mapping[Edge, Num],
-    rule: Rule,
-    profile_cap: int = 1_000_000,
-) -> RobustnessResult:
-    """True iff every SPE profile plays a cheapest continuation at every
-    history, including histories off the realized path.
-
-    The witness names the first SPE profile and history where the chosen
-    edge is not on a cheapest continuation.
-    """
-    bound = rule.bind(losses)
-    tight = bound.ties.tight
-    for tables, choices, _play in _spe_profiles(dag, losses, bound, profile_cap):
-        for k, d in enumerate(tables.decisions):
-            hist = tables.histories[d]
-            mover = hist[-1]
-            chosen = dag.succ[mover][choices[k]]
-            if not tight(mover, chosen):
-                optimal = [dag.labels[j] for j in dag.succ[mover] if tight(mover, j)]
-                profile = {
-                    "->".join(dag.labels[x] for x in tables.histories[dd]): dag.labels[
-                        dag.succ[tables.histories[dd][-1]][choices[kk]]
-                    ]
-                    for kk, dd in enumerate(tables.decisions)
-                }
-                witness = {
-                    "history": [dag.labels[x] for x in hist],
-                    "chosen": dag.labels[chosen],
-                    "optimal": optimal,
-                    "profile": profile,
-                }
-                return RobustnessResult(False, witness)
-    return RobustnessResult(True)

@@ -1,6 +1,5 @@
 """Seeded random instance generators: `randbelow`, `random_dag` and
-`random_losses` draw the axiom checkers' trials; only the tests call
-`random_dag_with_paths` and `random_simplex_weights`. All take a
+`random_losses` draw the axiom checkers' trials. All take a
 `random.Random` so callers control determinism; the axiom checkers derive
 one per trial from a master seed. Random graphs are drawn in topological
 index order, valid by construction, and assembled from their successor lists
@@ -21,10 +20,9 @@ seeded draws, and `randbelow(rng, n, count)` against `count` calls of
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cache
 
-from .graph import Dag, Edge, GraphValidationError, _index_dag, count_paths
+from .graph import Dag, Edge, GraphValidationError, _index_dag
 
 
 def randbelow(rng: random.Random, n: int, count: int = 1) -> list[int]:
@@ -85,40 +83,3 @@ def random_dag(
 def random_losses(rng: random.Random, dag: Dag) -> dict[Edge, int]:
     """Integer edge losses drawn uniformly from [0, 9]."""
     return dict(zip(dag.edges, randbelow(rng, 10, len(dag.edges))))
-
-
-def random_dag_with_paths(
-    rng: random.Random,
-    min_nonsinks: int,
-    max_nonsinks: int,
-    max_paths: int,
-    density: float = 0.4,
-) -> Dag:
-    """Random DAG whose non-sink count and path count fall in given bounds,
-    from the first of 1,000 draws that does."""
-    for _ in range(1000):
-        # A couple of extra nodes leaves room for sinks.
-        dag = random_dag(rng, min_nonsinks + 1, max_nonsinks + 3, density)
-        nonsinks = dag.n - len(dag.sinks)
-        if min_nonsinks <= nonsinks <= max_nonsinks and count_paths(dag) <= max_paths:
-            return dag
-    raise RuntimeError("could not generate a DAG within bounds")
-
-
-def random_simplex_weights(
-    rng: random.Random, dag: Dag, positive_deciders: bool = True
-) -> dict[int, Fraction]:
-    """Random rational point of the simplex over all nodes.
-
-    With `positive_deciders`, every node with out-degree >= 2 gets a strictly
-    positive weight; other nodes may draw 0.
-    """
-    deciders = set(dag.deciders())
-    raw = []
-    for i in range(dag.n):
-        lo = 1 if (positive_deciders and i in deciders) else 0
-        raw.append(lo + randbelow(rng, 10 - lo)[0])
-    if sum(raw) == 0:
-        raw[dag.source] = 1
-    total = sum(raw)
-    return {i: Fraction(raw[i], total) for i in range(dag.n)}

@@ -569,21 +569,17 @@ def efficient_paths(
 
 
 def reachable_subgraph(
-    graph: Dag | tuple[Sequence[str], Sequence[LabelEdge]], root: str
+    graph: tuple[Sequence[str], Sequence[LabelEdge]], root: str
 ) -> Dag:
     """Induced subgraph on nodes reachable from `root`, as a fresh Dag.
 
-    Accepts either a built Dag or raw (labels, edge-label-pairs), so it also
-    applies to multi-source graphs that cannot be built directly. Labels are
+    Takes raw (labels, edge-label-pairs), so it also applies to
+    multi-source graphs that cannot be built directly. Labels are
     preserved; `root` becomes the unique source. An edge naming an unknown
     node raises GraphValidationError; a duplicate label is kept, so that
     `build_dag` refuses it.
     """
-    if isinstance(graph, Dag):
-        labels: Sequence[str] = graph.labels
-        edges: Sequence[LabelEdge] = graph.edge_labels()
-    else:
-        labels, edges = graph
+    labels, edges = graph
     first: dict[str, int] = {}
     for k, x in enumerate(labels):
         first.setdefault(x, k)

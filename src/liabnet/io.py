@@ -25,7 +25,7 @@ from .graph import Dag, Edge, GraphError, build_dag, validate
 
 
 class FormatError(GraphError):
-    """Raised on malformed input files."""
+    """Raised on malformed input files, and on output strict JSON cannot write."""
 
 
 def finite_number(x) -> bool:
@@ -144,9 +144,10 @@ def load_weights_file(path: str | os.PathLike, dag: Dag) -> dict[int, float]:
 
 
 def dump_json(obj, pretty: bool = False) -> str:
-    if pretty:
-        return json.dumps(obj, indent=2, sort_keys=True)
-    return json.dumps(obj, sort_keys=True)
+    try:
+        return json.dumps(obj, indent=2 if pretty else None, sort_keys=True, allow_nan=False)
+    except ValueError:  # an inf or NaN, which strict JSON cannot write
+        raise FormatError("the output holds a number beyond the float range") from None
 
 
 def dump_liability_report(
@@ -192,7 +193,7 @@ def dump_liability_report(
     skeleton = "".join(obj([(x.replace("%", "%%"), ("%s",)) for x in labels], 2))
     # a float's token holds no ',', '[' or ']'
     split_texts = [
-        (skeleton % tuple(row.split(", ")),) for row in json.dumps(splits)[2:-2].split("], [")
+        (skeleton % tuple(row.split(", ")),) for row in dump_json(splits)[2:-2].split("], [")
     ]
     members["liabilities"] = obj([(k, split_texts[i]) for k, i in sorted(liabilities.items())], 1)
     return "".join(obj(sorted(members.items()), 0))

@@ -75,7 +75,7 @@ from .graph import (
 )
 from .weights import WeightVector, wstar_dp
 
-# solver interaction modes, see game.spe_outcomes
+# solver interaction modes, see `Rule`
 MODE_TOTALS = "totals"
 MODE_OWN_EDGE = "own_edge"
 MODE_PUNISH_FIRST = "punish_first"
@@ -109,9 +109,6 @@ class LiabilityVector(Frozen):
     @property
     def total(self) -> Num:
         return sum(self.values)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(map(float, self.values))
 
     def as_dict(self, dag: Dag) -> dict[str, float]:
         return dict(zip(dag.labels, map(float, self.values)))
@@ -219,13 +216,17 @@ class Rule:
         range, on which the float test raises OverflowError.
 
         The path is not checked; raises RuleSpecError when the split is
-        negative or unbalanced.
+        negative or unbalanced, and GraphError when a float total overflowed
+        to infinity, which no split can balance.
         """
         values = self.split(path, total)
         key = (type(total), total)
         if self._passed.get(key) is values:
             return values
         if type(total) is float or not _exactly_balanced(values, total):
+            if not math.isfinite(total):
+                raise GraphError(f"the total loss of path {'->'.join(path.labels(self.dag))} "
+                                 "overflows the float range")
             slack = 1e-9 * max(1.0, abs(float(total)))
             # `x >= 0` is exact and cheap for int and Fraction values; only a
             # negative value (or NaN) pays for the float comparison, whose

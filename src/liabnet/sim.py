@@ -90,16 +90,9 @@ class HourglassGraph:
     def n(self) -> int:
         return len(self.labels)
 
-    def layer_nodes(self, layer: int) -> list[int]:
-        return [i for i, l in enumerate(self.layer_of) if l == layer]
-
     @property
     def sources(self) -> list[int]:
-        return self.layer_nodes(0)
-
-    @property
-    def sinks(self) -> list[int]:
-        return self.layer_nodes(len(self.sizes) - 1)
+        return [i for i, l in enumerate(self.layer_of) if not l]
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return [(self.labels[u], self.labels[v]) for u, v in self.edges]

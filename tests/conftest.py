@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from liabnet.game import profile_count
-from liabnet.generators import random_dag
-from liabnet.graph import build_dag
+from liabnet.generators import randbelow, random_dag
+from liabnet.graph import Dag, build_dag, count_paths
 from liabnet.io import load_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -58,6 +59,43 @@ def ladder(stages: int):
     ]
     dag = build_dag(labels, edges)
     return dag, {e: 1 for e in dag.edges}
+
+
+def random_dag_with_paths(
+    rng: random.Random,
+    min_nonsinks: int,
+    max_nonsinks: int,
+    max_paths: int,
+    density: float = 0.4,
+) -> Dag:
+    """Random DAG whose non-sink count and path count fall in given bounds,
+    from the first of 1,000 draws that does."""
+    for _ in range(1000):
+        # A couple of extra nodes leaves room for sinks.
+        dag = random_dag(rng, min_nonsinks + 1, max_nonsinks + 3, density)
+        nonsinks = dag.n - len(dag.sinks)
+        if min_nonsinks <= nonsinks <= max_nonsinks and count_paths(dag) <= max_paths:
+            return dag
+    raise RuntimeError("could not generate a DAG within bounds")
+
+
+def random_simplex_weights(
+    rng: random.Random, dag: Dag, positive_deciders: bool = True
+) -> dict[int, Fraction]:
+    """Random rational point of the simplex over all nodes.
+
+    With `positive_deciders`, every node with out-degree >= 2 gets a strictly
+    positive weight; other nodes may draw 0.
+    """
+    deciders = set(dag.deciders())
+    raw = []
+    for i in range(dag.n):
+        lo = 1 if (positive_deciders and i in deciders) else 0
+        raw.append(lo + randbelow(rng, 10 - lo)[0])
+    if sum(raw) == 0:
+        raw[dag.source] = 1
+    total = sum(raw)
+    return {i: Fraction(raw[i], total) for i in range(dag.n)}
 
 
 @pytest.fixture(scope="session")

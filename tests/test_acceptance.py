@@ -15,12 +15,7 @@ import pytest
 
 from liabnet.axioms import check_axiom, impossibility_scenario
 from liabnet.game import profile_count, spe_bruteforce, spe_outcomes
-from liabnet.generators import (
-    random_dag,
-    random_dag_with_paths,
-    random_losses,
-    random_simplex_weights,
-)
+from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
     build_dag,
     count_paths,
@@ -40,6 +35,8 @@ from liabnet.weights import (
     wstar_dp,
     wstar_enumerate,
 )
+
+from conftest import random_dag_with_paths, random_simplex_weights
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
 GRAPH_FIXTURES = sorted(

@@ -16,12 +16,11 @@ from liabnet.axioms import (
     impossibility_scenario,
 )
 from liabnet.game import SpeSolution
-from liabnet.generators import random_simplex_weights
 from liabnet.graph import GraphError, Path, build_dag, efficient_paths
 from liabnet.rules import FixedWeightRule, fixed_rule, make_rule
 from liabnet.weights import WeightVector, wstar_dp
 
-from conftest import ladder
+from conftest import ladder, random_simplex_weights
 
 
 def delta_star_factory(dag, rng):

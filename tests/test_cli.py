@@ -1084,7 +1084,7 @@ def test_tolerances_do_not_add_up_along_an_efficient_path(capsys, tmp_path):
 # losses at the tie rule's extremes: small ints and decimal floats, ints
 # beyond 2**53, the float range's ends, and the default tolerance itself
 EXTREME_LOSSES = [0, 1, 2, 3, 0.1, 0.2, 0.3, 2**53 + 1, 2**60 + 3, 10**20,
-                  1.152921504606847e18, 1e300, 5e-324, 1e-9]
+                  1.152921504606847e18, 1e300, 1e308, 5e-324, 1e-9]
 
 
 @st.composite
@@ -1093,6 +1093,10 @@ def extreme_graphs(draw):
                      draw(st.sampled_from([0.3, 0.6])))
     losses = st.sampled_from(EXTREME_LOSSES)
     return [(dag.labels[u], dag.labels[v], draw(losses)) for u, v in dag.edges]
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds {name}, which strict JSON does not")
 
 
 def _main_in_process(argv) -> tuple[int, str, str]:
@@ -1115,8 +1119,38 @@ def test_no_traceback_at_the_tie_rules_extremes(tmp_path_factory, edges, tol):
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        elif argv[0] == "efficient":
-            assert json.loads(out)["paths"], argv
+            continue
+        data = json.loads(out, parse_constant=_no_constant)
+        if argv[0] == "efficient":
+            assert data["paths"], argv
+
+
+# two losses whose sum overflows the float range to infinity
+OVERFLOWING_PATH = [("s", "a", 1e308), ("a", "t", 1e308)]
+
+
+@pytest.mark.parametrize("rule", ALL_RULE_SPECS)
+@pytest.mark.parametrize("command", ["liability", "spe"])
+def test_an_overflowing_path_total_is_refused_not_blamed_on_the_rule(
+    capsys, tmp_path, command, rule
+):
+    # it read "negative liability from <rule>" or "unbalanced liabilities
+    # from <rule>: inf vs inf"
+    graph = _loss_graph(tmp_path / "graph.json", OVERFLOWING_PATH)
+    argv = [command, graph, "--rule", rule]
+    if command == "liability":
+        argv += ["--path", "s,a,t"]
+    code, data, err = run(capsys, *argv)
+    assert (code, data) == (2, None)
+    assert err == "error: the total loss of path s->a->t overflows the float range\n"
+
+
+def test_efficient_refuses_a_cost_beyond_the_float_range(capsys, tmp_path):
+    # it printed "min_cost": Infinity, which strict JSON parsers refuse
+    graph = _loss_graph(tmp_path / "graph.json", OVERFLOWING_PATH)
+    code, data, err = run(capsys, "efficient", graph)
+    assert (code, data) == (2, None)
+    assert err == "error: the output holds a number beyond the float range\n"
 
 
 class TestParser:

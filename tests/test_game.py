@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from typing import Mapping, NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, example, given
@@ -16,16 +17,18 @@ from liabnet.game import (
     GameError,
     ProfileCapExceeded,
     _spe_profiles,
-    check_robust_efficiency,
     history_count,
     profile_count,
     spe_bruteforce,
     spe_outcomes,
     spe_solve,
 )
-from liabnet.generators import random_dag, random_losses, random_simplex_weights
+from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
+    Dag,
+    Edge,
     GraphError,
+    Num,
     Path,
     build_dag,
     efficient_paths,
@@ -36,6 +39,7 @@ from liabnet.graph import (
 )
 from liabnet.rules import (
     PunishFirstRule,
+    Rule,
     apply_rule,
     check_path,
     fixed_rule,
@@ -45,7 +49,8 @@ from liabnet.rules import (
 from liabnet.weights import WeightVector
 
 from conftest import (
-    ALL_RULE_SPECS, ROUNDED_MERGE, SPLIT_ROOTS, game_of, ladder, near_tie_game, small_games,
+    ALL_RULE_SPECS, ROUNDED_MERGE, SPLIT_ROOTS, game_of, ladder, near_tie_game,
+    random_simplex_weights, small_games,
 )
 
 ORACLE_RULES = ["fixed:equal", "fixed:wstar", "local", "punish-first"]
@@ -451,6 +456,51 @@ class TestPositiveWeightEfficiency:
             rule = fixed_rule(dag, WeightVector.from_mapping(dag, w))
             got = nodeset(spe_outcomes(dag, losses, rule))
             assert got == efficient_paths(dag, losses).path_set()
+
+
+class RobustnessResult(NamedTuple):
+    robust: bool
+    witness: Optional[dict] = None
+
+    def __bool__(self) -> bool:
+        return self.robust
+
+
+def check_robust_efficiency(
+    dag: Dag,
+    losses: Mapping[Edge, Num],
+    rule: Rule,
+    profile_cap: int = 1_000_000,
+) -> RobustnessResult:
+    """True iff every SPE profile plays a cheapest continuation at every
+    history, including histories off the realized path.
+
+    The witness names the first SPE profile and history where the chosen
+    edge is not on a cheapest continuation.
+    """
+    bound = rule.bind(losses)
+    tight = bound.ties.tight
+    for tables, choices, _play in _spe_profiles(dag, losses, bound, profile_cap):
+        for k, d in enumerate(tables.decisions):
+            hist = tables.histories[d]
+            mover = hist[-1]
+            chosen = dag.succ[mover][choices[k]]
+            if not tight(mover, chosen):
+                optimal = [dag.labels[j] for j in dag.succ[mover] if tight(mover, j)]
+                profile = {
+                    "->".join(dag.labels[x] for x in tables.histories[dd]): dag.labels[
+                        dag.succ[tables.histories[dd][-1]][choices[kk]]
+                    ]
+                    for kk, dd in enumerate(tables.decisions)
+                }
+                witness = {
+                    "history": [dag.labels[x] for x in hist],
+                    "chosen": dag.labels[chosen],
+                    "optimal": optimal,
+                    "profile": profile,
+                }
+                return RobustnessResult(False, witness)
+    return RobustnessResult(True)
 
 
 class TestRobustEfficiency:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import liabnet.graph
 from liabnet.axioms import CheckReport
-from liabnet.game import RobustnessResult, _GameTables
+from liabnet.game import _GameTables
 from liabnet.graph import (
     GraphError,
     GraphValidationError,
@@ -28,17 +28,13 @@ from liabnet.graph import (
     validate,
     widen,
 )
-from liabnet.generators import (
-    randbelow,
-    random_dag,
-    random_dag_with_paths,
-    random_losses,
-    random_simplex_weights,
-)
+from liabnet.generators import randbelow, random_dag, random_losses
 from liabnet.rules import LiabilityVector
 from liabnet.weights import PathCountTables, WeightVector, wstar_dp
 
-from conftest import DAG_FIELDS, FIXTURES, load_fixture
+from conftest import (
+    DAG_FIELDS, FIXTURES, load_fixture, random_dag_with_paths, random_simplex_weights,
+)
 
 
 def names(dag, path):
@@ -526,19 +522,19 @@ class TestEfficient:
 
 class TestReachable:
     def test_fork_from_j(self, fork):
-        sub = reachable_subgraph(fork, "j")
+        sub = reachable_subgraph((fork.labels, fork.edge_labels()), "j")
         assert set(sub.labels) == {"j", "k", "t"}
         assert set(sub.edge_labels()) == {("j", "k"), ("j", "t"), ("k", "t")}
         assert sub.labels[sub.source] == "j"
 
     def test_identity_from_source(self, fork):
-        sub = reachable_subgraph(fork, "s")
+        sub = reachable_subgraph((fork.labels, fork.edge_labels()), "s")
         assert sub.labels == fork.labels
         assert sub.edges == fork.edges
 
     def test_missing_root(self, fork):
         with pytest.raises(GraphError, match="not present"):
-            reachable_subgraph(fork, "zz")
+            reachable_subgraph((fork.labels, fork.edge_labels()), "zz")
 
     def test_multisource_raw_input(self):
         labels = ["a", "b", "m", "t"]
@@ -570,7 +566,7 @@ class TestReachable:
             if root in {dag.labels[t] for t in dag.sinks}:
                 continue
             try:
-                sub = reachable_subgraph(dag, root)
+                sub = reachable_subgraph((dag.labels, dag.edge_labels()), root)
             except GraphValidationError:
                 continue  # fewer than 3 reachable nodes
             # BFS oracle on the original graph
@@ -622,7 +618,6 @@ def _value_objects():
         (validate(dag.labels, dag.edge_labels()).checks[0], "passed"),
         (efficient_paths(dag, losses), "paths"),
         (PathCountTables((), (), (), 0), "total_paths"),
-        (RobustnessResult(True), "witness"),
         (_GameTables([], [], [], {}, [], []), "pay"),
         (CheckReport("EI", "local", 1, 1, 0), "detail"),
     ]

@@ -32,9 +32,8 @@ EAGER = {
         "check_property", "impossibility_scenario",
     ),
     "game": (
-        "GameError", "ProfileCapExceeded", "RobustnessResult", "SpeSolution",
-        "check_robust_efficiency", "history_count", "profile_count",
-        "spe_bruteforce", "spe_outcomes", "spe_solve",
+        "GameError", "ProfileCapExceeded", "SpeSolution", "history_count",
+        "profile_count", "spe_bruteforce", "spe_outcomes", "spe_solve",
     ),
     "graph": (
         "Dag", "EfficiencyResult", "GraphError", "GraphValidationError", "Path",
@@ -155,6 +154,15 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         liabnet.no_such_name
     assert not hasattr(liabnet, "summary_dict")
+
+
+def test_names_only_the_tests_call_are_not_served():
+    for name in ("check_robust_efficiency", "RobustnessResult"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(liabnet, name)
+        assert not hasattr(liabnet.game, name)
+    for name in ("random_dag_with_paths", "random_simplex_weights"):
+        assert not hasattr(liabnet.generators, name)
 
 
 class TestLoadedModules:

@@ -167,7 +167,7 @@ class TestFixedFamily:
         rule = make_rule(f"fixed:file={wfile}", fork)
         losses = fork_losses(fork, si=1, sj=1, jk=1, it=3, jt=1, kt=1)
         vec = apply_rule(rule, path_of(fork, "s", "i", "t"), losses)
-        assert vec.as_floats() == (2.0, 1.0, 1.0, 0.0, 0.0)
+        assert tuple(map(float, vec.values)) == (2.0, 1.0, 1.0, 0.0, 0.0)
 
     def test_bad_weights_rejected(self, fork):
         heavy = WeightVector((Fraction(1), Fraction(1), 0, 0, 0))
@@ -268,7 +268,7 @@ class TestPunishFirst:
     def test_efficient_path_split_equally(self, chain3):
         dag, losses = chain3
         vec = apply_rule(make_rule("punish-first", dag), path_of(dag, "s", "t"), losses)
-        assert vec.as_floats() == (0.375, 0.375, 0.375, 0.375)
+        assert tuple(map(float, vec.values)) == (0.375, 0.375, 0.375, 0.375)
 
     def test_first_inefficient_step_blamed(self, chain3):
         dag, losses = chain3

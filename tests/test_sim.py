@@ -85,7 +85,7 @@ class TestHourglass:
         hg = generate_hourglass(LayeredGraphSpec(seed=5))
         assert hg.n == 110
         assert len(hg.sources) == 30
-        assert len(hg.sinks) == 20
+        assert hg.layer_of.count(len(hg.sizes) - 1) == 20
         assert hg.labels[0] == "n0_0"
         assert hg.labels[-1] == "n5_19"
         for i, lab in enumerate(hg.labels):

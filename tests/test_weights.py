@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from liabnet.generators import random_dag, random_dag_with_paths, random_losses
+from liabnet.generators import random_dag, random_losses
 from liabnet.graph import (
     build_dag,
     count_paths,
@@ -30,7 +30,7 @@ from liabnet.weights import (
     wstar_enumerate,
 )
 
-from conftest import ladder, load_fixture
+from conftest import ladder, load_fixture, random_dag_with_paths
 
 F = Fraction
 

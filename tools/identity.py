@@ -60,6 +60,9 @@ byte-for-byte alike. The list:
   file with a NaN loss and on one with an Infinity loss, and `efficient`
   on fork with an Infinity in its losses file: all refused where the file
   is read;
+- `efficient`, `spe --rule local`, `spe --rule fixed:wstar` and
+  `liability --rule fixed:wstar` on s -> a -> t with both losses 1e308,
+  whose path total overflows the float range: all refused with exit 2;
 - `simulate` on a config with a field of the wrong type, and with
   `--workers 0`, both refused with exit 2;
 - `spe --rule local` and `spe --rule punish-first` on a 1,500-node chain
@@ -439,6 +442,15 @@ def commands(tmp: Path):
         for e in json.loads(fork.read_text())["edges"]
     }))
     yield "efficient fork.json inf", ["efficient", str(fork), "--losses", str(inf_losses)], None
+    # finite losses whose path total overflows the float range
+    overflow = tmp / "overflow.json"
+    overflow.write_text(json.dumps({"nodes": ["s", "a", "t"], "edges": [
+        {"from": "s", "to": "a", "loss": 1e308}, {"from": "a", "to": "t", "loss": 1e308}]}))
+    yield "efficient overflow", ["efficient", str(overflow)], None
+    for rule in ("local", "fixed:wstar"):
+        yield f"spe overflow {rule}", ["spe", str(overflow), "--rule", rule], None
+    yield ("liability overflow fixed:wstar",
+           ["liability", str(overflow), "--rule", "fixed:wstar", "--path", "s,a,t"], None)
     bad_config = tmp / "bad_sim.json"
     bad_config.write_text(json.dumps({"draws": "many"}))
     yield "simulate bad config", ["simulate", str(bad_config)], None
