@@ -38,6 +38,7 @@ as a tuple; a fixed graph is enumerated once per check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cache, partial
@@ -49,6 +50,7 @@ from .generators import randbelow, random_dag, random_losses
 from .graph import (
     Dag,
     Edge,
+    GraphError,
     Num,
     Path,
     build_dag,
@@ -463,6 +465,28 @@ def _all_paths(dag: Dag) -> tuple[Path, ...]:
     return tuple(enumerate_paths(dag))
 
 
+def _refuse_overflow(dag: Dag, losses: Mapping[Edge, Num]) -> None:
+    """Raise the GraphError of `Rule.checked_split` if some path's total
+    loss, added left to right as `path_loss` adds it, overflows the float
+    range. Adding a non-negative loss never lowers a rounded sum, so one
+    forward pass keeping each node's largest prefix total, and the first
+    predecessor that gives it, finds the largest total and a path to it."""
+    top, via = [-1] * dag.n, [0] * dag.n  # -1 is below every total
+    top[0] = 0
+    for j in range(1, dag.n):
+        for i in dag.pred[j]:
+            x = top[i] + losses[(i, j)]
+            if x > top[j]:
+                top[j], via[j] = x, i
+    over = [t for t in sorted(dag.sinks) if top[t] == math.inf]
+    if over:
+        path = [over[0]]
+        while path[-1]:
+            path.append(via[path[-1]])
+        labels = "->".join(dag.labels[i] for i in reversed(path))
+        raise GraphError(f"the total loss of path {labels} overflows the float range")
+
+
 def _probe_rule(factory, dag: Optional[Dag], seed: int) -> Rule:
     """The rule on the fixed graph, or on trial 0's first random graph."""
     rng = _trial_rng(seed, 0)
@@ -483,6 +507,8 @@ def _run_check(
         if dag is None:
             raise AxiomError("fixed losses require a fixed graph")
         check_losses(dag, losses)
+        if any(isinstance(x, float) for x in losses.values()):
+            _refuse_overflow(dag, losses)
     check = _CHECKS[check_id]
     factory = _as_factory(rule)
     if check.precondition is not None:

@@ -66,7 +66,7 @@ def history_count(dag: Dag, start: Optional[int] = None) -> int:
     """Number of subpaths starting at `start`, the source by default: the
     histories of the game, or of the subgame after any history ending at
     `start`."""
-    return sum(_forward_ways(dag, start))
+    return sum(_forward_ways(dag.succ, dag.source if start is None else start))
 
 
 def profile_count(dag: Dag) -> int:
@@ -74,7 +74,7 @@ def profile_count(dag: Dag) -> int:
     with outgoing edges picks one of them independently."""
     return math.prod(
         len(succ) ** ways
-        for succ, ways in zip(dag.succ, _forward_ways(dag))
+        for succ, ways in zip(dag.succ, _forward_ways(dag.succ))
         if succ
     )
 

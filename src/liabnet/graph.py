@@ -188,15 +188,18 @@ class Path(Frozen):
 
 def _structural_checks(
     nodes: Sequence[str], edges: Sequence[LabelEdge], source: str | None
-) -> tuple[list[CheckResult], Dag | None]:
-    """Run the hard validation checks on raw data and, if all pass, build
-    the Dag; (checks, dag), with dag None whenever any check failed.
+) -> tuple[list[CheckResult], tuple | None]:
+    """Run the hard validation checks on raw data; (checks, built), with
+    built None whenever any check failed, else the arguments of
+    `_index_dag`: labels in index order, label-to-index map, successors.
 
     Works on input positions: each label maps to its first position, each
     accepted edge to a pair of positions, deduplicated on the int key
     `a * n + b`, and Kahn's algorithm takes the smallest ready position
-    first. The Dag gets each node's successors renumbered by rank and
-    sorted, node by node in rank order, with no global sort of the edges.
+    first. The successors are renumbered by rank and sorted, node by node
+    in rank order, with no global sort of the edges. When every edge runs
+    to a later position, the smallest unplaced position is always ready,
+    so positions are the indices and only each successor list is sorted.
     """
     n = len(nodes)
     first: dict[str, int] = {}
@@ -205,6 +208,7 @@ def _structural_checks(
     succ: list[list[int]] = [[] for _ in nodes]
     indeg = [0] * n
     seen: set[int] = set()
+    forward = True
     for u, v in edges:
         a, b = first.get(u), first.get(v)
         if a is None or b is None:
@@ -217,6 +221,8 @@ def _structural_checks(
             seen.add(key)
             succ[a].append(b)
             indeg[b] += 1
+            if b < a:
+                forward = False
     checks = [
         CheckResult("labels", not bad, "; ".join(bad) if bad else "labels and edges well formed"),
         CheckResult("min_size", n >= 3, f"{n} nodes (need at least 3)"),
@@ -225,15 +231,17 @@ def _structural_checks(
         return checks, None
 
     roots = [k for k, d in enumerate(indeg) if not d]
-    heap = roots.copy()  # ascending, so already a heap
-    order: list[int] = []
-    while heap:
-        k = heapq.heappop(heap)
-        order.append(k)
-        for j in succ[k]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heapq.heappush(heap, j)
+    order = range(n)
+    if not forward:
+        heap = roots.copy()  # ascending, so already a heap
+        order = []
+        while heap:
+            k = heapq.heappop(heap)
+            order.append(k)
+            for j in succ[k]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(heap, j)
     acyclic = len(order) == n
     checks.append(
         CheckResult("acyclic", acyclic, "topological order exists" if acyclic else "cycle detected")
@@ -262,12 +270,16 @@ def _structural_checks(
         )
     if not all(c.passed for c in checks):
         return checks, None
+    if forward:
+        for vs in succ:
+            vs.sort()
+        return checks, (nodes, first, succ)
     rank = [0] * n
     for r, k in enumerate(order):
         rank[k] = r
     labels = [nodes[k] for k in order]
     ranked = [sorted(map(rank.__getitem__, succ[k])) for k in order]
-    return checks, _index_dag(labels, dict(zip(labels, range(n))), ranked)
+    return checks, (labels, dict(zip(labels, range(n))), ranked)
 
 
 def build_dag(
@@ -288,17 +300,17 @@ def build_dag(
     Raises:
         GraphValidationError: listing every failed structural check.
     """
-    checks, dag = _structural_checks(nodes, edges, source)
-    if dag is None:
+    checks, built = _structural_checks(nodes, edges, source)
+    if built is None:
         msgs = "; ".join(f"{c.name}: {c.detail}" for c in checks if not c.passed)
         raise GraphValidationError(msgs)
-    return dag
+    return _index_dag(*built)
 
 
 def _index_dag(
     labels: Sequence[str], index: dict[str, int], succ: Sequence[list[int]]
 ) -> Dag:
-    """The assembly step shared by `_structural_checks` and
+    """The assembly step shared by `build_dag` and
     `generators.random_dag`, whose input is checked or valid by
     construction. `succ[u]` lists u's successors in `labels`, ascending
     and each after u; `index` maps each label to its position. The edges
@@ -329,19 +341,20 @@ def validate(
     Soft check (warning only): a bottleneck, i.e. an interior node lying on
     every source-to-sink path. With fwd[i] source-to-i paths and bwd[i]
     i-to-sink paths, fwd[i] * bwd[i] paths pass through i, so i is a
-    bottleneck iff fwd[i] * bwd[i] == total: one O(n + m) pass each way.
-    Weights and equilibria stay computable with a bottleneck; only the
-    characterization-style tests exclude it.
+    bottleneck iff fwd[i] * bwd[i] == total: one O(n + m) pass each way,
+    over the checked successor lists, with no Dag built (the source is
+    index 0, the sinks have no successors). Weights and equilibria stay
+    computable with a bottleneck; only the characterization-style tests
+    exclude it.
     """
-    checks, dag = _structural_checks(nodes, edges, source)
+    checks, built = _structural_checks(nodes, edges, source)
     warnings: list[str] = []
-    if dag is not None:
-        fwd, bwd = _forward_ways(dag), path_ways(dag.succ)
-        for i in range(dag.n):
-            if i != dag.source and i not in dag.sinks and fwd[i] * bwd[i] == bwd[dag.source]:
-                warnings.append(
-                    f"bottleneck: node {dag.labels[i]!r} lies on every source-sink path"
-                )
+    if built is not None:
+        labels, _, succ = built
+        fwd, bwd = _forward_ways(succ), path_ways(succ)
+        for i in range(1, len(succ)):
+            if succ[i] and fwd[i] * bwd[i] == bwd[0]:
+                warnings.append(f"bottleneck: node {labels[i]!r} lies on every source-sink path")
     return ValidationReport(checks=tuple(checks), warnings=tuple(warnings))
 
 
@@ -418,15 +431,15 @@ def count_paths(dag: Dag) -> int:
     return path_ways(dag.succ)[dag.source]
 
 
-def _forward_ways(dag: Dag, start: int | None = None) -> list[int]:
-    """ways[i] = number of start-to-i paths, from the source by default."""
-    start = dag.source if start is None else start
-    ways = [0] * dag.n
+def _forward_ways(succ: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """ways[i] = number of start-to-i paths along the successor lists
+    `succ` of a topologically indexed graph, from index 0 by default."""
+    ways = [0] * len(succ)
     ways[start] = 1
-    for i in range(start, dag.n):
+    for i in range(start, len(succ)):
         w = ways[i]
         if w:
-            for j in dag.succ[i]:
+            for j in succ[i]:
                 ways[j] += w
     return ways
 

@@ -130,12 +130,12 @@ def _packed_counts(dag: Dag) -> tuple[int, int, list[int], list[int], list[int],
     flo[i] + k edges from the source to i; bwd[i] and blo[i] count those
     from i to any sink. flo[i] and blo[i] are the shortest such lengths,
     so a node whose subpaths all have one length has one slot. One pass in
-    topological order (reverse order for backward): a node whose
-    neighbours share one shortest length sums their integers; otherwise
-    each is shifted up one slot per edge it is longer than the shortest.
-    W is one bit more than the total needs, and no count, nor any slot of
-    fwd[i] * bwd[i] (paths through i by length), exceeds the total, so no
-    slot carries into the next.
+    topological order (reverse order for backward): a node with one
+    neighbour copies its integer, and one with several sums their
+    integers, each shifted up one slot per edge its shortest length
+    exceeds the least of them. W is one bit more than the total needs,
+    and no count, nor any slot of fwd[i] * bwd[i] (paths through i by
+    length), exceeds the total, so no slot carries into the next.
     """
     n = dag.n
     total = count_paths(dag)
@@ -146,15 +146,16 @@ def _packed_counts(dag: Dag) -> tuple[int, int, list[int], list[int], list[int],
         packed = [1] * n  # the source (forward), the sinks (backward)
         for i in order:
             nbrs = links[i]
-            if not nbrs:
-                continue
-            lens = [lo[j] for j in nbrs]
-            first = min(lens)
-            if lens.count(first) == len(lens):
-                packed[i] = sum(map(packed.__getitem__, nbrs))
-            else:
-                packed[i] = sum([packed[j] << width * (x - first) for j, x in zip(nbrs, lens)])
-            lo[i] = first + 1
+            if len(nbrs) == 1:
+                j = nbrs[0]
+                packed[i], lo[i] = packed[j], lo[j] + 1
+            elif nbrs:
+                first = min(map(lo.__getitem__, nbrs))
+                acc = 0
+                for j in nbrs:
+                    k = lo[j] - first  # a zero shift would still copy the integer
+                    acc += packed[j] << width * k if k else packed[j]
+                packed[i], lo[i] = acc, first + 1
         out += (lo, packed)
     return tuple(out)
 

@@ -1153,6 +1153,48 @@ def test_efficient_refuses_a_cost_beyond_the_float_range(capsys, tmp_path):
     assert err == "error: the output holds a number beyond the float range\n"
 
 
+# (edges, the path the refusal names): both totals overflow in the first,
+# where `spe` names s->a->t too; only the path after a zero-loss prefix in
+# the second, whose cheapest path s->a->t is finite
+CHECK_OVERFLOWS = {
+    "both paths": ([("s", "a", 1e308), ("a", "t", 1e308), ("s", "b", 1e308),
+                    ("b", "t", 1.5e308)], "s->a->t"),
+    "one path": ([("s", "a", 1.0), ("a", "t", 1.0), ("s", "x", 0.0), ("x", "b", 1e308),
+                  ("b", "t", 1e308)], "s->x->b->t"),
+}
+
+
+@pytest.mark.parametrize("rule", ["fixed:wstar", "local", "punish-first"])
+@pytest.mark.parametrize("audit", [["--axiom", "EI"], ["--axiom", "PCP"],
+                                   ["--property", "PATH_INDEP"]])
+@pytest.mark.parametrize("name", CHECK_OVERFLOWS)
+def test_check_refuses_a_fixed_instance_whose_path_total_overflows(
+    capsys, tmp_path, name, audit, rule
+):
+    # EI passed under all three rules, and PCP --rule local failed writing
+    # its report with "the output holds a number beyond the float range"
+    edges, path = CHECK_OVERFLOWS[name]
+    graph = _loss_graph(tmp_path / "graph.json", edges)
+    code, data, err = run(capsys, "check", graph, *audit, "--rule", rule, "--trials", "2")
+    assert (code, data) == (2, None)
+    assert err == f"error: the total loss of path {path} overflows the float range\n"
+
+
+def test_check_refusal_is_the_one_spe_gives(capsys, tmp_path):
+    graph = _loss_graph(tmp_path / "graph.json", CHECK_OVERFLOWS["both paths"][0])
+    spe = run(capsys, "spe", graph, "--rule", "local")
+    assert run(capsys, "check", graph, "--axiom", "EI", "--rule", "local") == spe
+
+
+def test_check_runs_a_float_instance_at_the_edge_of_the_range(capsys, tmp_path):
+    # every total is finite, one of them the largest float
+    top = sys.float_info.max
+    graph = _loss_graph(tmp_path / "graph.json",
+                        [("s", "a", top), ("a", "t", 0.0), ("s", "b", 1.0), ("b", "t", 2.0)])
+    code, data, err = run(capsys, "check", graph, "--axiom", "EI", "--rule", "fixed:wstar")
+    assert (code, data["passed"], err) == (0, True, "")
+
+
 class TestParser:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

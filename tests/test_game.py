@@ -683,13 +683,32 @@ class TestContinuations:
         with pytest.raises(GameError, match="missing edge"):
             sol.continuations(history)
 
-    def test_general_mode_subgames_match_fresh_solve(self, fork):
-        from liabnet.game import spe_solve
+    @pytest.mark.parametrize("spec", ["fixed:wstar", "local"])
+    @given(game=small_games())
+    def test_subgames_match_fresh_solve(self, spec, game):
+        # after (s, j), the continuations are the outcomes of the game on
+        # the nodes j reaches, solved afresh with j as its source
         from liabnet.graph import reachable_subgraph
 
+        dag, losses = game
+        sol = spe_solve(dag, losses, make_rule(spec, dag))
+        s = dag.labels[dag.source]
+        for j in dag.succ[dag.source]:
+            if len(dag.succ[j]) < 2 and not any(dag.succ[k] for k in dag.succ[j]):
+                continue  # j and at most one sink: under 3 nodes, no game
+            sub = reachable_subgraph((dag.labels, dag.edge_labels()), dag.labels[j])
+            whole = [dag.index(x) for x in sub.labels]
+            sub_losses = {(u, v): losses[(whole[u], whole[v])] for u, v in sub.edges}
+            fresh = spe_solve(sub, sub_losses, make_rule(spec, sub))
+            assert {p.labels(dag) for p in sol.continuations((dag.source, j))} == {
+                (s, *p.labels(sub)) for p in fresh.outcomes()
+            }
+
+    def test_punish_first_continuations_extend_the_history(self, fork):
+        # not a fresh solve's outcomes: punish-first's play after (s, j)
+        # depends on whether s's step kept to the efficient path
         losses = {e: v for e, v in zip(fork.edges, (2, 1, 0, 3, 1, 2))}
-        rule = make_rule("punish-first", fork)
-        sol = spe_solve(fork, losses, rule)
+        sol = spe_solve(fork, losses, make_rule("punish-first", fork))
         s, j = fork.index("s"), fork.index("j")
         conts = nodeset(sol.continuations((s, j)))
         assert conts and all(p[:2] == (s, j) for p in conts)

@@ -103,9 +103,12 @@ class TestValidate:
         ids=["duplicate-label", "unknown-node", "self-loop", "duplicate-edge", "unknown-source"],
     )
     def test_failure_details(self, nodes, edges, source, check, detail):
+        # every accepted edge runs to a later position, as in an ordered file
         rep = validate(nodes, edges, source=source)
-        assert not rep.valid
-        assert [c.detail for c in rep.failures() if c.name == check] == [detail]
+        assert [(c.name, c.detail) for c in rep.failures()] == [(check, detail)]
+        with pytest.raises(GraphValidationError) as exc:
+            build_dag(nodes, edges, source)
+        assert str(exc.value) == f"{check}: {detail}"
 
     def test_build_raises_with_details(self):
         with pytest.raises(GraphValidationError, match="cycle"):
@@ -127,6 +130,24 @@ class TestValidate:
         assert validate(["s", "i", "t"], [("s", "i"), ("i", "t")]).valid
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("nodes", [["s", "a", "b", "t"], ["s", "b", "a", "t"]],
+                             ids=["forward", "backward"])
+    def test_validate_assembles_no_dag(self, monkeypatch, nodes):
+        calls = []
+        real = liabnet.graph._index_dag
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(liabnet.graph, "_index_dag", spy)
+        edges = [("s", "a"), ("a", "b"), ("b", "t")]
+        rep = validate(nodes, edges)
+        assert rep.valid and len(rep.warnings) == 2
+        assert calls == []
+        build_dag(nodes, edges)
+        assert len(calls) == 1
+
 
 @st.composite
 def listed_dags(draw):
@@ -135,6 +156,30 @@ def listed_dags(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     dag = random_dag(rng, 3, 10, draw(st.sampled_from([0.05, 0.15, 0.3, 0.5])))
     return draw(st.permutations(dag.labels)), draw(st.permutations(dag.edge_labels()))
+
+
+@st.composite
+def topologically_listed_dags(draw):
+    """A `random_dag` from a drawn seed, its nodes listed in a drawn
+    topological order, so every edge runs to a later position, and its
+    edges in a drawn order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dag = random_dag(rng, 3, 10, draw(st.sampled_from([0.05, 0.15, 0.3, 0.5])))
+    indeg = [len(p) for p in dag.pred]
+    ready, nodes = [dag.source], []
+    while ready:
+        i = ready.pop(draw(st.integers(0, len(ready) - 1)))
+        nodes.append(dag.labels[i])
+        for j in dag.succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    return nodes, draw(st.permutations(dag.edge_labels()))
+
+
+def either_listing():
+    """A graph listed in topological order, or in an arbitrary one."""
+    return st.one_of(topologically_listed_dags(), listed_dags())
 
 
 MUTATIONS = (
@@ -201,10 +246,31 @@ class TestBuildMatchesValidate:
             assert len(dag.edges) == len(edges)
 
 
+class TestLeastTopologicalOrder:
+    """`build_dag` against a construction from the edge list alone: the
+    least topological order by input position, then each field of the Dag
+    read off it."""
+
+    @given(either_listing())
+    def test_build_dag_equals_an_independent_construction(self, listed):
+        nodes, edges = listed
+        labels = least_topological_labels(nodes, edges)
+        index = {x: k for k, x in enumerate(labels)}
+        pairs = sorted((index[u], index[v]) for u, v in edges)
+        dag = build_dag(nodes, edges)
+        assert dag.labels == tuple(labels)
+        assert dag._index == index
+        assert dag.edges == tuple(pairs)
+        assert dag.succ == tuple(tuple(v for u, v in pairs if u == k) for k in range(len(labels)))
+        assert dag.pred == tuple(tuple(u for u, v in pairs if v == k) for k in range(len(labels)))
+        assert dag.source == 0
+        assert dag.sinks == set(range(len(labels))) - {u for u, _ in pairs}
+
+
 class TestPathCountProperties:
     """Path counting checked against enumerate_paths as the oracle."""
 
-    @given(listed_dags())
+    @given(either_listing())
     def test_bottleneck_warnings_name_nodes_on_every_path(self, listed):
         nodes, edges = listed
         dag = build_dag(nodes, edges)

@@ -56,6 +56,11 @@ byte-for-byte alike. The list:
   numerators of about 200 bits: listed as generated, and with its nodes
   and edges in a seeded shuffled order, so that the Dag's indices are
   ranks and not input positions;
+- `validate` and `weights --method dp` on every fixture graph and on the
+  1,001-node layered graph, each listed in topological order but for its
+  middle node, which is moved to just before its last-listed predecessor,
+  so exactly one edge runs backward: the least input change that makes
+  `build_dag` renumber the nodes;
 - `validate`, `paths`, `weights --method dp` and `efficient` on a graph
   file with a NaN loss and on one with an Infinity loss, and `efficient`
   on fork with an Infinity in its losses file: all refused where the file
@@ -257,6 +262,18 @@ def layered_1001(shuffle_seed: int | None) -> dict:
     return {"nodes": nodes, "edges": [{"from": u, "to": v} for u, v in edges]}
 
 
+def one_edge_backward(data: dict) -> dict:
+    """`data`, listed in topological order, with its middle node moved to
+    just before its last-listed predecessor: only the edge from that
+    predecessor then runs to an earlier position."""
+    nodes = list(data["nodes"])
+    mid = nodes[len(nodes) // 2]
+    last = max(nodes.index(e["from"]) for e in data["edges"] if e["to"] == mid)
+    nodes.remove(mid)
+    nodes.insert(last, mid)
+    return {**data, "nodes": nodes}
+
+
 def loss_files(graph: Path, tmp: Path) -> list[tuple[str, list[str]]]:
     """(name, extra argv) per loss function to run `graph` under."""
     data = json.loads(graph.read_text())
@@ -426,6 +443,12 @@ def commands(tmp: Path):
         graph.write_text(json.dumps(layered_1001(shuffle_seed)))
         yield f"validate {graph.name}", ["validate", str(graph)], None
         yield f"weights {graph.name}", ["weights", str(graph), "--method", "dp"], no_runtime
+    for graph in (*fixtures, tmp / "layered1001.json"):
+        backward = tmp / f"{graph.stem}_backward.json"
+        backward.write_text(json.dumps(one_edge_backward(json.loads(graph.read_text()))))
+        yield f"validate {backward.name}", ["validate", str(backward)], None
+        yield (f"weights {backward.name}", ["weights", str(backward), "--method", "dp"],
+               no_runtime)
     # non-finite losses, which Python's JSON parser reads from NaN and Infinity
     for loss in (math.nan, math.inf):
         graph = tmp / f"loss_{loss}.json"
